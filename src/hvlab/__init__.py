@@ -17,7 +17,6 @@ from .qmath import (
     TAU_EQ,
     TAU_PSD,
     eig_herm2,
-    eigh_herm,
     expectation,
     intersection_projector,
     kron,

@@ -155,6 +155,8 @@ def _vec3(text: str) -> np.ndarray:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated components, got {text!r}")
+    if not all(np.isfinite(parts)):
+        raise ValueError(f"components must be finite, got {text!r}")
     return np.array(parts)
 
 

@@ -9,12 +9,13 @@ CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .qmath import (
+    PAULIS,
     TAU_EQ,
     assert_density_operator,
     assert_projector,
@@ -45,7 +46,7 @@ BELL_ORIGINAL_BOUND = 1.0
 
 def unit_setting(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(vec) - 1.0) > TAU_EQ:
+    if not (abs(np.linalg.norm(vec) - 1.0) <= TAU_EQ):
         raise ValueError(f"setting must be a unit vector, |v| = {np.linalg.norm(vec)}")
     return vec
 
@@ -129,112 +130,65 @@ def correlation_tensor(psi) -> np.ndarray:
     For the singlet T = -identity.
     """
     psi = assert_state_vector(psi)
-    eye3 = np.eye(3)
-    return np.array(
-        [[qm_correlator(psi, eye3[i], eye3[j]) for j in range(3)] for i in range(3)]
-    )
+    if psi.shape[0] != 4:
+        raise ValueError("correlation tensor needs a two-qubit state")
+    amps = psi.reshape(2, 2)
+    return np.einsum("kl,ikm,jln,mn->ij", amps.conj(), PAULIS, PAULIS, amps).real
 
 
-def _spherical(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+_SEESAW_MAX_SWEEPS = 1000
 
 
-def _settings_from_angles(x) -> ChshSettings:
-    return ChshSettings(
-        a=_spherical(x[0], x[1]),
-        a_prime=_spherical(x[2], x[3]),
-        b=_spherical(x[4], x[5]),
-        b_prime=_spherical(x[6], x[7]),
-    )
-
-
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-enough f on [lo, hi]."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
-
-
-def _coordinate_ascent(f, x0, window: float, tol: float, shrink: float = 0.5) -> tuple[np.ndarray, float]:
-    """Repeated per-coordinate golden-section sweeps with a shrinking window."""
-    x = np.array(x0, dtype=float)
-    best = f(x)
-    w = window
-    while w > tol:
-        for i in range(len(x)):
-            def along(v, i=i):
-                trial = x.copy()
-                trial[i] = v
-                return f(trial)
-
-            xi, fi = _golden_max(along, x[i] - w, x[i] + w, tol=max(w * 1e-3, tol * 1e-2))
-            if fi > best:
-                best = fi
-                x[i] = xi
-        w *= shrink
-    return x, best
+def _unit_rows(v: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Normalize each row of v; a (numerically) zero row keeps the previous one."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    nonzero = norm > 1e-15
+    return np.where(nonzero, v / np.where(nonzero, norm, 1.0), previous)
 
 
 def chsh_optimize(
     psi, restarts: int = 20, tol: float = 1e-6, seed: int = 0
 ) -> tuple[ChshSettings, float]:
-    """Maximize the CHSH value over all four settings by multi-start
-    coordinate ascent on the eight spherical angles.
+    """Maximize the CHSH value over all four settings by a multi-start see-saw.
 
-    The search evaluates S through the precomputed correlation tensor
-    (exactly equivalent, bilinearity in the settings); the returned value
-    is recomputed from the matrix elements at the best settings.
-    Deterministic for fixed (restarts, seed); ties between restarts go to
-    the earliest.  On the singlet the maximum is 2*sqrt(2).
+    With P(a, b) = a . T b, S = a . T(b - b') + a' . T(b + b') is linear in
+    each setting, so every half-sweep has a closed-form optimum:
+    a ~ T(b - b'), a' ~ T(b + b'), then b ~ T^t(a + a'), b' ~ T^t(a' - a).
+    A zero update (a product state has rank-1 T) keeps the previous
+    direction.  All restarts run at once from random unit settings and stop
+    when no restart gains more than tol * 1e-3 in a sweep (or after a fixed
+    sweep cap).  The returned value is recomputed from the matrix elements
+    at the best restart's settings; ties go to the earliest restart.
+    Deterministic for fixed (restarts, seed).  The optimum is the Horodecki
+    value 2 sqrt(m1 + m2) over the two largest eigenvalues of T^t T:
+    2*sqrt(2) on the singlet, 2 on a product state.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    psi = assert_state_vector(psi)
     tensor = correlation_tensor(psi)
-
-    def objective(x):
-        a = _spherical(x[0], x[1])
-        ap = _spherical(x[2], x[3])
-        b = _spherical(x[4], x[5])
-        bp = _spherical(x[6], x[7])
-        ta, tap = tensor.T @ a, tensor.T @ ap
-        return abs(ta @ b - ta @ bp) + abs(tap @ b + tap @ bp)
-
     rng = np.random.default_rng(seed)
-    best_x = None
-    best_val = -np.inf
-    for _ in range(restarts):
-        x0 = np.concatenate(
-            [rng.uniform(0.0, np.pi, 1), rng.uniform(0.0, 2 * np.pi, 1)] * 4
+    a, a_p, b, b_p = _unit_rows(rng.normal(size=(4, restarts, 3)), 0.0)
+    s = np.full(restarts, -np.inf)
+    for _ in range(_SEESAW_MAX_SWEEPS):
+        a = _unit_rows((b - b_p) @ tensor.T, a)
+        a_p = _unit_rows((b + b_p) @ tensor.T, a_p)
+        b = _unit_rows((a + a_p) @ tensor, b)
+        b_p = _unit_rows((a_p - a) @ tensor, b_p)
+        s_new = np.abs(np.sum(a @ tensor * (b - b_p), axis=1)) + np.abs(
+            np.sum(a_p @ tensor * (b + b_p), axis=1)
         )
-        x, val = _coordinate_ascent(objective, x0, window=np.pi / 2, tol=tol * 1e-2)
-        if val > best_val + 1e-15:
-            best_val = val
-            best_x = x
-    settings = _settings_from_angles(best_x)
+        converged = np.max(s_new - s) <= tol * 1e-3
+        s = s_new
+        if converged:
+            break
+    k = int(np.argmax(s))
+    settings = ChshSettings(a=a[k], a_prime=a_p[k], b=b[k], b_prime=b_p[k])
     return settings, chsh_value(psi, settings)
 
 
 class GhzSearchResult(NamedTuple):
     n_checked: int
     n_satisfying: int
-    parity_forced_product: int
 
 
 def ghz_assignment_search(xxx_target: int = -1) -> GhzSearchResult:
@@ -260,7 +214,7 @@ def ghz_assignment_search(xxx_target: int = -1) -> GhzSearchResult:
             and mx[0] * mx[1] * mx[2] == xxx_target
         ):
             n_satisfying += 1
-    return GhzSearchResult(n_checked=n_checked, n_satisfying=n_satisfying, parity_forced_product=1)
+    return GhzSearchResult(n_checked=n_checked, n_satisfying=n_satisfying)
 
 
 def ghz_stabilizer_deviations(psi=None) -> dict[str, float]:
@@ -298,7 +252,9 @@ class HardyConstruction:
     psi lives in the (u, v) product basis with u = |0>, v = |1>.  The primed
     single-qubit bases (u', v') are fixed by the one-dimensional
     orthogonality conditions; p is the probability of the jointly primed
-    outcome that local realism forbids.
+    outcome that local realism forbids.  `hardy_build` returns one point;
+    the batched construction behind it returns the same fields as arrays
+    over a grid of parameters.
     """
 
     psi: np.ndarray
@@ -315,17 +271,54 @@ def hardy_probability(p1: float, p2: float) -> float:
     return p1 * (1.0 - p1) * p2 * (1.0 - p2) / (1.0 - p1 * p2)
 
 
-def _phase_fix(vec: np.ndarray) -> np.ndarray:
-    """Scale so the first nonzero amplitude is real positive."""
-    for c in vec:
-        if abs(c) > 1e-14:
-            return vec * (abs(c) / c)
-    return vec
+def _orthogonal_2d(x, y) -> tuple:
+    """Unit 2-vector orthogonal to (x, y), its first nonzero entry real positive.
+
+    Works componentwise on arrays, so one call handles a whole grid.
+    """
+    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+    ox, oy = -np.conj(y) / norm, np.conj(x) / norm
+    lead = np.where(np.abs(ox) > 1e-14, ox, oy)
+    phase = np.abs(lead) / lead
+    return ox * phase, oy * phase
 
 
-def _orthogonal_2d(vec: np.ndarray) -> np.ndarray:
-    out = np.array([-np.conj(vec[1]), np.conj(vec[0])])
-    return _phase_fix(out / np.linalg.norm(out))
+def _hardy_construct(p1, p2) -> HardyConstruction:
+    """The Hardy construction for broadcast arrays of parameters in (0, 1).
+
+    Every field carries the broadcast shape of (p1, p2) in front, with the
+    vector components (or the three residuals) on the last axis.  See
+    `hardy_build`.
+    """
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    norm = np.sqrt(1.0 - p1 * p2)
+    # Amplitudes a_j1j2 of |j1, j2> with u = |0>, v = |1>.
+    a00 = np.zeros_like(norm)
+    a01 = -np.sqrt(p1 * (1.0 - p2)) / norm
+    a10 = -np.sqrt(p2 * (1.0 - p1)) / norm
+    a11 = np.sqrt((1.0 - p1) * (1.0 - p2)) / norm
+    v2x, v2y = _orthogonal_2d(a10, a11)  # <v x v2'|psi> = 0
+    v1x, v1y = _orthogonal_2d(a01, a11)  # <v1' x v|psi> = 0
+    v1x_c, v1y_c, v2x_c, v2y_c = np.conj(v1x), np.conj(v1y), np.conj(v2x), np.conj(v2y)
+    residuals = (
+        np.abs(a00),  # <u x u|psi>
+        np.abs(v2x_c * a10 + v2y_c * a11),
+        np.abs(v1x_c * a01 + v1y_c * a11),
+    )
+    overlap = v1x_c * (v2x_c * a00 + v2y_c * a01) + v1y_c * (v2x_c * a10 + v2y_c * a11)
+
+    def vec(*parts):
+        return np.stack(parts, axis=-1).astype(complex)
+
+    return HardyConstruction(
+        psi=vec(a00, a01, a10, a11),
+        u1_prime=vec(*_orthogonal_2d(v1x, v1y)),
+        v1_prime=vec(v1x, v1y),
+        u2_prime=vec(*_orthogonal_2d(v2x, v2y)),
+        v2_prime=vec(v2x, v2y),
+        p=np.abs(overlap) ** 2,
+        condition_residuals=np.stack(residuals, axis=-1),
+    )
 
 
 def hardy_build(p1: float, p2: float) -> HardyConstruction:
@@ -340,76 +333,48 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-    norm = np.sqrt(1.0 - p1 * p2)
-    # Amplitude layout: index = 2*j1 + j2 with u = |0>, v = |1>.
-    psi = (
-        np.array(
-            [
-                0.0,
-                -np.sqrt(p1 * (1.0 - p2)),
-                -np.sqrt(p2 * (1.0 - p1)),
-                np.sqrt((1.0 - p1) * (1.0 - p2)),
-            ],
-            dtype=complex,
-        )
-        / norm
-    )
-    amps = psi.reshape(2, 2)
-    v2_prime = _orthogonal_2d(amps[1, :])  # <v x v2'|psi> = 0
-    v1_prime = _orthogonal_2d(amps[:, 1])  # <v1' x v|psi> = 0
-    u2_prime = _orthogonal_2d(v2_prime)
-    u1_prime = _orthogonal_2d(v1_prime)
-
-    u1 = np.array([1.0, 0.0], dtype=complex)
-    u2 = np.array([1.0, 0.0], dtype=complex)
-    v1 = np.array([0.0, 1.0], dtype=complex)
-    v2 = np.array([0.0, 1.0], dtype=complex)
-    residuals = (
-        abs(np.vdot(np.kron(u1, u2), psi)),
-        abs(np.vdot(np.kron(v1, v2_prime), psi)),
-        abs(np.vdot(np.kron(v1_prime, v2), psi)),
-    )
-    p = float(abs(np.vdot(np.kron(v1_prime, v2_prime), psi)) ** 2)
+    construction = _hardy_construct(p1, p2)
+    residuals = tuple(float(r) for r in construction.condition_residuals)
+    p = float(construction.p)
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise AssertionError("jointly primed probability vanished")
-    return HardyConstruction(
-        psi=psi,
-        u1_prime=u1_prime,
-        v1_prime=v1_prime,
-        u2_prime=u2_prime,
-        v2_prime=v2_prime,
-        p=p,
-        condition_residuals=residuals,
-    )
+    return replace(construction, p=p, condition_residuals=residuals)
+
+
+_HARDY_ZOOM_POINTS = 41
+
+
+def _hardy_grid_argmax(axis1: np.ndarray, axis2: np.ndarray) -> np.ndarray:
+    q1, q2 = np.meshgrid(axis1, axis2, indexing="ij")
+    i, j = np.unravel_index(np.argmax(_hardy_construct(q1, q2).p), q1.shape)
+    return np.array([axis1[i], axis2[j]])
 
 
 def hardy_optimize(grid: int = 100, tol: float = 1e-8) -> tuple[HardyParams, float]:
     """Maximize the forbidden-outcome probability over (p1, p2) in (0, 1)^2.
 
-    Grid scan followed by per-coordinate golden-section refinement of the
-    constructed (not closed-form) probability.  The maximum sits at
-    p1 = p2 = 1/golden-ratio with p = golden-ratio^-5.
+    The constructed (not closed-form) probability is evaluated on the whole
+    grid x grid scan in one batch, then refined by zooming: a 41 x 41 batch
+    spanning two spacings either side of the best point so far, so that the
+    spacing shrinks tenfold per level, until it is below tol * 1e-2.  The
+    maximum sits at p1 = p2 = 1/golden-ratio with p = golden-ratio^-5.
     """
     if grid < 10:
         raise ValueError("grid must be at least 10")
-
-    def objective(params):
-        q1 = min(max(params[0], 1e-9), 1.0 - 1e-9)
-        q2 = min(max(params[1], 1e-9), 1.0 - 1e-9)
-        return hardy_build(q1, q2).p
-
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     points = np.arange(1, grid + 1) / (grid + 1.0)
-    best = (-np.inf, None)
-    for q1 in points:
-        for q2 in points:
-            val = objective((q1, q2))
-            if val > best[0]:
-                best = (val, (q1, q2))
+    best = _hardy_grid_argmax(points, points)
     spacing = 1.0 / (grid + 1.0)
-    x, val = _coordinate_ascent(objective, best[1], window=2 * spacing, tol=tol * 1e-2)
-    return HardyParams(p1=float(x[0]), p2=float(x[1])), float(val)
+    offsets = np.linspace(-2.0, 2.0, _HARDY_ZOOM_POINTS)
+    while spacing >= tol * 1e-2:
+        axes = [np.clip(x + spacing * offsets, 1e-9, 1.0 - 1e-9) for x in best]
+        best = _hardy_grid_argmax(*axes)
+        spacing *= 4.0 / (_HARDY_ZOOM_POINTS - 1)
+    p1, p2 = float(best[0]), float(best[1])
+    return HardyParams(p1=p1, p2=p2), hardy_build(p1, p2).p
 
 
 def no_signalling_check(rho, a, b_projectors) -> float:

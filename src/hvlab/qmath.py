@@ -111,13 +111,6 @@ def eig_herm2(h) -> tuple[float, float]:
     return (m + q, m - q)
 
 
-def eigh_herm(h, tol: float = TAU_EQ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    mat = assert_hermitian(h, tol)
-    evals, evecs = np.linalg.eigh(mat)
-    return evals, evecs
-
-
 def expectation(rho, a) -> float:
     """Tr(rho A) for matching dimensions; the imaginary residue must be tiny."""
     rho = as_matrix(rho)

@@ -76,6 +76,12 @@ class TestSubcommands:
         assert code == 0
         assert abs(report["outputs"]["s_star"] - 2.8284271) <= 1e-6
 
+    def test_chsh_optimize_seed_reaches_tsirelson(self, capsys):
+        code, report = run_json(capsys, "chsh", "--optimize", "--seed", "1228853484")
+        assert code == 0
+        assert report["verdict"] == "PASS"
+        assert abs(report["outputs"]["s_star"] - 2 * np.sqrt(2)) <= 1e-6
+
     def test_wigner(self, capsys):
         code, report = run_json(capsys, "wigner", "--samples", "2000")
         assert code == 0
@@ -219,6 +225,15 @@ class TestErrors:
     def test_partial_chsh_settings_exit_2(self, capsys):
         code, _, err = run(capsys, "chsh", "--a-dir", "0,0,1")
         assert code == 2
+
+    def test_nan_chsh_setting_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("chsh:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_exit_code_1_on_failed_claim(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from hvlab.nonlocality import (
     TRINE_B,
     TRINE_C,
     ChshSettings,
+    _hardy_construct,
     bell_original_lhs,
     chsh_optimize,
     chsh_value,
@@ -22,18 +23,33 @@ from hvlab.nonlocality import (
     optimal_chsh_settings,
     qm_correlator,
     singlet_state,
+    unit_setting,
 )
 from hvlab.qmath import (
     ID2,
+    PAULIS,
     SIGMA_Z,
     kron,
     projector,
     random_density,
+    random_state,
     random_unit3,
     sigma_dot,
 )
 
 PRODUCT_00 = np.array([1, 0, 0, 0], dtype=complex)
+
+
+def horodecki_bound(psi) -> float:
+    """2 sqrt(m1 + m2) from T_ij = <psi| sigma_i x sigma_j |psi> built by kron."""
+    t = np.array([[np.vdot(psi, np.kron(si, sj) @ psi).real for sj in PAULIS] for si in PAULIS])
+    m = np.sort(np.linalg.eigvalsh(t.T @ t))
+    return 2.0 * np.sqrt(m[-1] + m[-2])
+
+
+def oracle_states():
+    rng = np.random.default_rng(46)
+    return [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(20)]
 
 
 class TestSinglet:
@@ -75,6 +91,16 @@ class TestQmCorrelator:
     def test_correlation_tensor_of_singlet(self):
         assert np.allclose(correlation_tensor(singlet_state()), -np.eye(3), atol=1e-12)
 
+    def test_correlation_tensor_matches_correlators(self):
+        eye3 = np.eye(3)
+        for psi in oracle_states():
+            want = [[qm_correlator(psi, eye3[i], eye3[j]) for j in range(3)] for i in range(3)]
+            assert np.max(np.abs(correlation_tensor(psi) - want)) <= 1e-14
+
+    def test_correlation_tensor_rejects_wrong_dim(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            correlation_tensor(ghz_state())
+
 
 class TestBellOriginal:
     def test_trine_violation_three_halves(self):
@@ -103,6 +129,11 @@ class TestBellOriginal:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             bell_original_lhs(singlet_state(), TRINE_A, TRINE_B, TRINE_C, 2, 1, 1)
+
+
+def test_unit_setting_rejects_nan():
+    with pytest.raises(ValueError, match="unit vector"):
+        unit_setting((np.nan, 0.0, 0.0))
 
 
 class TestChshValue:
@@ -159,6 +190,29 @@ class TestChshOptimize:
     def test_rejects_no_restarts(self):
         with pytest.raises(ValueError):
             chsh_optimize(singlet_state(), restarts=0)
+
+    def test_matches_horodecki_bound(self):
+        for psi in oracle_states():
+            _, s_star = chsh_optimize(psi)
+            assert abs(s_star - horodecki_bound(psi)) <= 1e-9
+
+    def test_seed_1228853484_reaches_tsirelson(self):
+        _, s_star = chsh_optimize(singlet_state(), seed=1228853484)
+        assert abs(s_star - CHSH_QUANTUM_MAX) <= 1e-6
+
+    def test_single_restart_on_product_state(self):
+        # T has rank 1 here, so see-saw updates can vanish.
+        settings, s_star = chsh_optimize(PRODUCT_00, restarts=1)
+        for v in (settings.a, settings.a_prime, settings.b, settings.b_prime):
+            assert np.all(np.isfinite(v))
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert abs(s_star - 2.0) <= 1e-12
+
+    def test_deterministic_per_seed(self):
+        first, s1 = chsh_optimize(singlet_state(), restarts=5, seed=3)
+        second, s2 = chsh_optimize(singlet_state(), restarts=5, seed=3)
+        assert s1 == s2
+        assert np.array_equal(first.b_prime, second.b_prime)
 
 
 class TestGhz:
@@ -221,6 +275,20 @@ class TestHardyBuild:
             first = next(c for c in vec if abs(c) > 1e-14)
             assert first.real > 0 and abs(first.imag) <= 1e-14
 
+    def test_batched_construction_matches_build(self):
+        axis = np.linspace(0.05, 0.95, 13)
+        q1, q2 = np.meshgrid(axis, axis, indexing="ij")
+        batch = _hardy_construct(q1, q2)
+        assert batch.p.shape == (13, 13)
+        assert batch.psi.shape == (13, 13, 4)
+        for i in range(13):
+            for j in range(13):
+                single = hardy_build(q1[i, j], q2[i, j])
+                assert batch.p[i, j] == single.p
+                assert np.array_equal(batch.v1_prime[i, j], single.v1_prime)
+                assert np.array_equal(batch.u2_prime[i, j], single.u2_prime)
+                assert tuple(batch.condition_residuals[i, j]) == single.condition_residuals
+
     def test_rejects_out_of_range(self):
         for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)):
             with pytest.raises(ValueError):
@@ -246,6 +314,12 @@ class TestHardyOptimize:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             hardy_optimize(grid=5)
+
+    def test_rejects_nonpositive_tol(self):
+        # The zoom refines until its spacing drops below tol * 1e-2.
+        for bad in (0.0, -1e-8, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                hardy_optimize(grid=10, tol=bad)
 
 
 class TestNoSignalling:
