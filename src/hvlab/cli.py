@@ -151,6 +151,13 @@ def _emit(report: dict, fmt: str, quiet: bool) -> int:
     return 0 if report["verdict"] == "PASS" else 1
 
 
+def _at_least_one(count: int, option: str) -> int:
+    """A run over zero trials or samples would pass on no evidence."""
+    if count < 1:
+        raise ValueError(f"{option} must be at least 1, got {count}")
+    return count
+
+
 def _vec3(text: str) -> np.ndarray:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
@@ -185,7 +192,7 @@ def _parse_psi(text: str) -> np.ndarray:
 
 def _cmd_vn_reconstruct(args, rng):
     tol = args.tol if args.tol is not None else 1e-10
-    trials = args.trials
+    trials = _at_least_one(args.trials, "--trials")
     max_err = 0.0
     witness_lo, witness_hi = 1.0, 0.0
     for _ in range(trials):
@@ -436,7 +443,7 @@ def _cmd_chsh(args, rng):
 
 
 def _cmd_wigner(args, rng):
-    n = args.samples if args.samples is not None else 10**4
+    n = _at_least_one(args.samples if args.samples is not None else 10**4, "--samples")
     tol = args.tol if args.tol is not None else 1e-12
     vertex_max = 0.0
     for s in (1, -1):
@@ -528,7 +535,7 @@ def _cmd_hardy(args, rng):
 
 def _cmd_nosignal(args, rng):
     tol = args.tol if args.tol is not None else 1e-12
-    trials = args.trials
+    trials = _at_least_one(args.trials, "--trials")
     eye2 = np.eye(2, dtype=complex)
     max_dev = 0.0
     for _ in range(trials):
@@ -678,6 +685,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
+    if args.tol is not None and not 0.0 <= args.tol < np.inf:  # also false for NaN
+        print(f"{args.command}: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+        return 2
     if args.command == "bell" and any((args.a_dir, args.b_dir, args.c_dir)):
         if not all((args.a_dir, args.b_dir, args.c_dir)):
             print("bell: provide all of --a-dir, --b-dir, --c-dir or none", file=sys.stderr)

@@ -27,11 +27,15 @@ PERES_SQUARED_TRIPLES = ((0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.0, 1 / 3, 2 / 3), 
 
 
 def canonical_ray(v, zero_tol: float = 1e-12) -> np.ndarray:
-    """Unit vector with the first nonzero component positive."""
+    """Unit vector with the first nonzero component positive.
+
+    A vector whose length is zero, NaN, infinite or overflows is rejected.
+    """
     ray = np.asarray(v, dtype=float).reshape(3)
-    norm = np.linalg.norm(ray)
-    if norm == 0.0:
-        raise ValueError("cannot canonicalize the zero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(ray)
+    if not 0.0 < norm < np.inf:  # also false for NaN components
+        raise ValueError(f"ray must have finite, nonzero length, got {ray.tolist()}")
     ray = ray / norm
     for c in ray:
         if abs(c) > zero_tol:

@@ -1,14 +1,16 @@
 """Quantum correlators, Bell/CHSH inequalities, GHZ and Hardy constructions.
 
-Correlators are P(a, b) = <psi| (a.sigma) x (b.sigma) |psi>; for the singlet
-this equals -a.b, giving perfect anticorrelation at equal settings.  The
-CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded by
-2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
+Every two-qubit correlator P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> is read
+off the correlation tensor, P(a, b) = a . T b, with T computed (and the state
+validated) once per call; the singlet has T = -identity, so P(a, b) = -a.b.
+The CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded
+by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -21,7 +23,6 @@ from .qmath import (
     assert_projector,
     assert_state_vector,
     kron,
-    sigma_dot,
 )
 
 CHSH_QUANTUM_MAX = 2.0 * np.sqrt(2.0)  # Tsirelson bound
@@ -46,8 +47,9 @@ BELL_ORIGINAL_BOUND = 1.0
 
 def unit_setting(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(3)
-    if not (abs(np.linalg.norm(vec) - 1.0) <= TAU_EQ):
-        raise ValueError(f"setting must be a unit vector, |v| = {np.linalg.norm(vec)}")
+    norm = math.sqrt(vec @ vec)
+    if not (abs(norm - 1.0) <= TAU_EQ):
+        raise ValueError(f"setting must be a unit vector, |v| = {norm}")
     return vec
 
 
@@ -89,38 +91,8 @@ def ghz_state() -> np.ndarray:
     return psi
 
 
-def qm_correlator(psi, a, b) -> float:
-    """<psi| (a.sigma) x (b.sigma) |psi>; equals -a.b on the singlet."""
-    psi = assert_state_vector(psi)
-    if psi.shape[0] != 4:
-        raise ValueError("correlator needs a two-qubit state")
-    op = kron(sigma_dot(unit_setting(a)), sigma_dot(unit_setting(b)))
-    return float(np.vdot(psi, op @ psi).real)
-
-
-def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float:
-    """Signed three-correlator sum; local hidden variables keep it <= 1.
-
-    Returns eta_a eta_b P(a,b) + eta_a eta_c P(a,c) + eta_b eta_c P(b,c);
-    the caller compares with the bound 1.
-    """
-    for eta in (eta_a, eta_b, eta_c):
-        if eta not in (1, -1):
-            raise ValueError("eta values must be +1 or -1")
-    return (
-        eta_a * eta_b * qm_correlator(psi, a, b)
-        + eta_a * eta_c * qm_correlator(psi, a, c)
-        + eta_b * eta_c * qm_correlator(psi, b, c)
-    )
-
-
-def chsh_value(psi, settings: ChshSettings) -> float:
-    """S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')|."""
-    p_ab = qm_correlator(psi, settings.a, settings.b)
-    p_abp = qm_correlator(psi, settings.a, settings.b_prime)
-    p_apb = qm_correlator(psi, settings.a_prime, settings.b)
-    p_apbp = qm_correlator(psi, settings.a_prime, settings.b_prime)
-    return abs(p_ab - p_abp) + abs(p_apb + p_apbp)
+# sigma_i x sigma_j for i, j in x, y, z: shape (3, 3, 4, 4).
+_PAULI_PAIRS = np.array([[np.kron(s_i, s_j) for s_j in PAULIS] for s_i in PAULIS])
 
 
 def correlation_tensor(psi) -> np.ndarray:
@@ -132,8 +104,34 @@ def correlation_tensor(psi) -> np.ndarray:
     psi = assert_state_vector(psi)
     if psi.shape[0] != 4:
         raise ValueError("correlation tensor needs a two-qubit state")
-    amps = psi.reshape(2, 2)
-    return np.einsum("kl,ikm,jln,mn->ij", amps.conj(), PAULIS, PAULIS, amps).real
+    return (psi.conj() @ _PAULI_PAIRS @ psi).real
+
+
+def qm_correlator(psi, a, b) -> float:
+    """<psi| (a.sigma) x (b.sigma) |psi> = a . T b; equals -a.b on the singlet."""
+    return float(unit_setting(a) @ correlation_tensor(psi) @ unit_setting(b))
+
+
+def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float:
+    """Signed three-correlator sum; local hidden variables keep it <= 1.
+
+    Returns eta_a eta_b P(a,b) + eta_a eta_c P(a,c) + eta_b eta_c P(b,c);
+    the caller compares with the bound 1.
+    """
+    for eta in (eta_a, eta_b, eta_c):
+        if eta not in (1, -1):
+            raise ValueError("eta values must be +1 or -1")
+    tensor = correlation_tensor(psi)
+    a, b, c = (unit_setting(v) for v in (a, b, c))
+    ab, ac, bc = a @ tensor @ b, a @ tensor @ c, b @ tensor @ c
+    return float(eta_a * eta_b * ab + eta_a * eta_c * ac + eta_b * eta_c * bc)
+
+
+def chsh_value(psi, settings: ChshSettings) -> float:
+    """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|; ChshSettings holds unit vectors already."""
+    tensor = correlation_tensor(psi)
+    t_b, t_bp = tensor @ settings.b, tensor @ settings.b_prime
+    return float(abs(settings.a @ (t_b - t_bp)) + abs(settings.a_prime @ (t_b + t_bp)))
 
 
 _SEESAW_MAX_SWEEPS = 1000

@@ -21,6 +21,13 @@ VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
+MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
+
+
+def _check_n_pairs(n_pairs: int) -> None:
+    if n_pairs < MIN_PAIRS:
+        raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -32,8 +39,7 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be at least 1")
+        _check_n_pairs(self.n_pairs)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
         if self.worker_count < 1:
@@ -130,7 +136,7 @@ def _summarize(products_by_pair, settings, source, n_pairs, seed, visibility, wo
     for name, products in zip(SETTING_PAIR_NAMES, products_by_pair):
         n = len(products)
         est = float(products.mean())
-        var = float(products.var(ddof=1)) if n > 1 else 0.0
+        var = float(products.var(ddof=1))
         estimates[name] = est
         stderrs[name] = float(np.sqrt(var / n))
     s_value = abs(estimates["ab"] - estimates["ab_prime"]) + abs(
@@ -237,8 +243,7 @@ def simulate_lhv(
 ) -> SimReport:
     """Sample an Einstein-local model: one lambda per pair, round-robin
     settings, responses evaluated only on the local setting."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
+    _check_n_pairs(n_pairs)
     pairs = _setting_pairs(settings)
     products_by_pair = [[] for _ in range(4)]
     offset = 0

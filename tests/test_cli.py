@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hvlab.cli import evaluate_claim, main
 from hvlab.simlab import ExperimentConfig, save_config
@@ -233,6 +234,48 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("chsh:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--samples=3"),
+            ("wigner", "--samples=0"),
+            ("nosignal", "--trials=0"),
+            ("vn-reconstruct", "--trials=0"),
+        ],
+        ids=["simulate-samples", "wigner-samples", "nosignal-trials", "vn-reconstruct-trials"],
+    )
+    def test_too_little_evidence_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}:") and "must be at least" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_nan_ray_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "rays.txt"
+        path.write_text("nan 0 0\n0 1 0\n0 0 1\n")
+        code, out, err = run(capsys, "ks-color", "--rays", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ks-color:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chsh", "--optimize", "--tol", "nan"),
+            ("chsh", "--optimize", "--tol", "-1"),
+            ("hardy", "--optimize", "--tol", "-1"),
+        ],
+        ids=["chsh-nan", "chsh-negative", "hardy-negative"],
+    )
+    def test_bad_tol_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}:") and "--tol" in err
         assert len(err.strip().splitlines()) == 1
 
 

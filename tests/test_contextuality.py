@@ -36,6 +36,11 @@ class TestCanonicalRay:
         with pytest.raises(ValueError):
             canonical_ray([0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf], [1e200, 1e200, 0]])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            canonical_ray(bad)
+
 
 def family_of(ray):
     """Independent classification of a ray by its sorted squared components."""

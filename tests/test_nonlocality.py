@@ -131,6 +131,39 @@ class TestBellOriginal:
             bell_original_lhs(singlet_state(), TRINE_A, TRINE_B, TRINE_C, 2, 1, 1)
 
 
+def kron_correlator(psi, a, b) -> float:
+    """<psi| (a.sigma) x (b.sigma) |psi> from Pauli matrices written out here and np.kron."""
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+
+    def dot_sigma(n):
+        return sum(component * pauli for component, pauli in zip(n, paulis))
+
+    return float(np.vdot(psi, np.kron(dot_sigma(a), dot_sigma(b)) @ psi).real)
+
+
+def test_correlators_match_kron_oracle():
+    rng = np.random.default_rng(47)
+    eye3 = np.eye(3)
+    for _ in range(20):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        vectors = rng.normal(size=(5, 3))
+        a, a_p, b, b_p, c = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+        def p(x, y):
+            return kron_correlator(psi, x, y)
+
+        want_t = [[p(eye3[i], eye3[j]) for j in range(3)] for i in range(3)]
+        assert np.max(np.abs(correlation_tensor(psi) - want_t)) <= 1e-12
+        assert abs(qm_correlator(psi, a, b) - p(a, b)) <= 1e-12
+        settings = ChshSettings(a=a, a_prime=a_p, b=b, b_prime=b_p)
+        want_s = abs(p(a, b) - p(a, b_p)) + abs(p(a_p, b) + p(a_p, b_p))
+        assert abs(chsh_value(psi, settings) - want_s) <= 1e-12
+        etas = [int(e) for e in rng.choice([1, -1], size=3)]
+        want_lhs = etas[0] * etas[1] * p(a, b) + etas[0] * etas[2] * p(a, c) + etas[1] * etas[2] * p(b, c)
+        assert abs(bell_original_lhs(psi, a, b, c, *etas) - want_lhs) <= 1e-12
+
+
 def test_unit_setting_rejects_nan():
     with pytest.raises(ValueError, match="unit vector"):
         unit_setting((np.nan, 0.0, 0.0))

@@ -132,6 +132,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="strategy"):
             simulate_chsh(make_config(source="lhv:unknown"))
 
+    def test_needs_two_pairs_per_setting(self):
+        with pytest.raises(ValueError, match="n_pairs"):
+            make_config(n_pairs=7)
+        with pytest.raises(ValueError, match="n_pairs"):
+            simulate_lhv(sign_strategy(), optimal_chsh_settings(), 7, seed=0)
+        reports = (
+            simulate_chsh(make_config(n_pairs=8)),
+            simulate_lhv(sign_strategy(), optimal_chsh_settings(), 8, seed=0),
+        )
+        for report in reports:
+            assert all(np.isfinite(e) for e in report.stderrs.values())
+            assert np.isfinite(report.s_stderr)
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "experiment.cfg"
         config = make_config(n_pairs=123, visibility=0.75, seed=99)
