@@ -41,14 +41,10 @@ report = hl.simulate_lhv(hl.sign_strategy(), equal, 10**5, seed=9)
 print(f"  P(a, a) = {report.correlators['ab']:+.6f} exactly")
 
 print()
-print("=== same seed, same report; sharding is reproducible too ===")
+print("=== same seed, same report ===")
 config = hl.ExperimentConfig(settings=settings, n_pairs=10**5, visibility=1.0, seed=5)
 again = hl.ExperimentConfig(settings=settings, n_pairs=10**5, visibility=1.0, seed=5)
 print(f"  bit-identical reports: {hl.simulate_chsh(config) == hl.simulate_chsh(again)}")
-sharded = hl.ExperimentConfig(
-    settings=settings, n_pairs=10**5, visibility=1.0, seed=5, worker_count=4
-)
-print(f"  4-worker run reports worker_count = {hl.simulate_chsh(sharded).worker_count}")
 
 print()
 print("=== measuring one side never shifts the other side's expectations ===")

@@ -158,12 +158,17 @@ def _at_least_one(count: int, option: str) -> int:
     return count
 
 
-def _vec3(text: str) -> np.ndarray:
+def _finite_components(text: str) -> list[float]:
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
     if not all(np.isfinite(parts)):
         raise ValueError(f"components must be finite, got {text!r}")
+    return parts
+
+
+def _vec3(text: str) -> np.ndarray:
+    parts = _finite_components(text)
+    if len(parts) != 3:
+        raise ValueError(f"expected three comma-separated components, got {text!r}")
     return np.array(parts)
 
 
@@ -176,7 +181,7 @@ def _unit3(text: str) -> np.ndarray:
 
 
 def _parse_psi(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.split(",")]
+    parts = _finite_components(text)
     if len(parts) % 2 != 0:
         raise ValueError("state must be re,im pairs")
     vec = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
@@ -564,7 +569,6 @@ def _cmd_simulate(args, rng):
             visibility=args.visibility,
             seed=args.seed,
             source=args.source,
-            worker_count=args.workers,
         )
     report = simulate_chsh(config)
     inputs = {
@@ -572,11 +576,11 @@ def _cmd_simulate(args, rng):
         "n_pairs": report.n_pairs,
         "visibility": report.visibility,
         "seed": report.seed,
-        "worker_count": report.worker_count,
         "settings": [list(v) for v in report.settings],
         "note": report.note,
     }
     outputs = {
+        "pairs_per_setting": report.pairs_per_setting,
         "correlators": report.correlators,
         "stderrs": report.stderrs,
         "s_value": report.s_value,
@@ -673,7 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE", default=None)
     p.add_argument("--source", default="singlet")
     p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 

@@ -52,7 +52,7 @@ def assert_state_vector(psi, tol: float = TAU_EQ) -> np.ndarray:
     if not 2 <= vec.shape[0] <= 8:
         raise ValueError(f"state dimension must be between 2 and 8, got {vec.shape[0]}")
     norm_sq = float(np.vdot(vec, vec).real)
-    if abs(norm_sq - 1.0) > tol:
+    if not (abs(norm_sq - 1.0) <= tol):  # also true for NaN
         raise ValueError(f"state is not normalized: ||psi||^2 = {norm_sq}")
     return vec
 

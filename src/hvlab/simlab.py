@@ -1,11 +1,18 @@
 """Seeded Monte Carlo two-particle correlation experiments.
 
-A quantum source draws joint outcomes (x, y) in {+-1}^2 per particle pair
-with P(x, y | a, b) = (1 + x y V (-a.b)) / 4, where V in [0, 1] is a single
-visibility knob standing in for apparatus imperfection.  Local
-hidden-variable sources draw one lambda per pair and answer through
-response functions that never see the far-side setting.  Setting pairs are
-cycled round-robin: (a,b), (a,b'), (a',b), (a',b').
+Setting pairs are cycled round-robin, (a,b), (a,b'), (a',b), (a',b'), so
+setting pair k sees n_k = (n_pairs - k + 3) // 4 particle pairs.  Each
+source reports only how many of those n_k outcome products x y are +1;
+the correlator estimates and their standard errors follow from the counts.
+
+The quantum source is the Werner state V |psi-><psi-| + (1 - V) I / 4, where
+V in [0, 1] is a single visibility knob standing in for apparatus
+imperfection.  Its correlation tensor is V times the singlet's, T = -V I,
+so P(xy = +1 | a, b) = (1 + a . T b) / 2 and each count is one binomial
+draw: time and memory do not depend on n_pairs.  Local hidden-variable
+sources draw one lambda per pair, in fixed-size batches from one
+generator, and answer through response functions that never see the
+far-side setting.
 """
 
 from __future__ import annotations
@@ -15,13 +22,15 @@ from typing import Callable
 
 import numpy as np
 
-from .nonlocality import CHSH_LHV_BOUND, CHSH_QUANTUM_MAX, ChshSettings
+from .nonlocality import CHSH_LHV_BOUND, CHSH_QUANTUM_MAX, ChshSettings, correlation_tensor, singlet_state
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
+
+BATCH_PAIRS = 1 << 16  # lambdas held in memory at once by `simulate_lhv`
 
 
 def _check_n_pairs(n_pairs: int) -> None:
@@ -36,14 +45,11 @@ class ExperimentConfig:
     visibility: float
     seed: int
     source: str = "singlet"  # "singlet" or "lhv:<strategy name>"
-    worker_count: int = 1
 
     def __post_init__(self):
         _check_n_pairs(self.n_pairs)
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be at least 1")
         if self.source != "singlet" and not self.source.startswith("lhv:"):
             raise ValueError(f"unknown source {self.source!r}")
 
@@ -104,14 +110,18 @@ STRATEGIES: dict[str, Callable[[], LhvStrategy]] = {
 
 @dataclass(frozen=True)
 class SimReport:
-    """Estimates, errors and verdicts for one simulation campaign."""
+    """Estimates, errors and verdicts for one simulation campaign.
+
+    `pairs_per_setting` holds n_k for each setting pair, so each stderr is
+    sqrt((1 - E_k^2) / (n_k - 1)) with E_k from `correlators`.
+    """
 
     source: str
     n_pairs: int
     seed: int
     visibility: float
-    worker_count: int
     settings: tuple
+    pairs_per_setting: dict = field(default_factory=dict)
     correlators: dict = field(default_factory=dict)
     stderrs: dict = field(default_factory=dict)
     s_value: float = 0.0
@@ -130,15 +140,22 @@ def _setting_pairs(settings: ChshSettings):
     )
 
 
-def _summarize(products_by_pair, settings, source, n_pairs, seed, visibility, worker_count, s_expected):
-    estimates = {}
-    stderrs = {}
-    for name, products in zip(SETTING_PAIR_NAMES, products_by_pair):
-        n = len(products)
-        est = float(products.mean())
-        var = float(products.var(ddof=1))
-        estimates[name] = est
-        stderrs[name] = float(np.sqrt(var / n))
+def _pairs_per_setting(n_pairs: int) -> np.ndarray:
+    """Round-robin counts: pair i is measured on setting pair i % 4."""
+    return np.array([(n_pairs - k + 3) // 4 for k in range(4)])
+
+
+def _summarize(n_k, plus_k, settings, source, seed, visibility, s_expected):
+    """Mean and ddof=1 standard error of the +-1 products, from counts alone.
+
+    Setting pair k saw n_k products, plus_k of them +1, so the mean is
+    E_k = (2 plus_k - n_k) / n_k and the sample variance is
+    n_k (1 - E_k^2) / (n_k - 1).
+    """
+    est = (2 * plus_k - n_k) / n_k
+    err = np.sqrt((1.0 - est * est) / (n_k - 1))
+    estimates = dict(zip(SETTING_PAIR_NAMES, map(float, est)))
+    stderrs = dict(zip(SETTING_PAIR_NAMES, map(float, err)))
     s_value = abs(estimates["ab"] - estimates["ab_prime"]) + abs(
         estimates["a_prime_b"] + estimates["a_prime_b_prime"]
     )
@@ -156,11 +173,11 @@ def _summarize(products_by_pair, settings, source, n_pairs, seed, visibility, wo
         )
     return SimReport(
         source=source,
-        n_pairs=n_pairs,
+        n_pairs=int(n_k.sum()),
         seed=seed,
         visibility=visibility,
-        worker_count=worker_count,
         settings=tuple(tuple(v) for v in (settings.a, settings.a_prime, settings.b, settings.b_prime)),
+        pairs_per_setting=dict(zip(SETTING_PAIR_NAMES, map(int, n_k))),
         correlators=estimates,
         stderrs=stderrs,
         s_value=float(s_value),
@@ -170,114 +187,69 @@ def _summarize(products_by_pair, settings, source, n_pairs, seed, visibility, wo
     )
 
 
-def _shard_sizes(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def _worker_rngs(seed: int, workers: int) -> list[np.random.Generator]:
-    if workers == 1:
-        return [np.random.default_rng(seed)]
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(workers)]
-
-
 def simulate_chsh(config: ExperimentConfig) -> SimReport:
     """Run a CHSH campaign for the configured source.
 
-    Singlet source: one uniform draw per pair, inverse-CDF over the four
-    joint outcomes ordered (+1,+1), (+1,-1), (-1,+1), (-1,-1).  LHV
-    sources delegate to `simulate_lhv`.  Reports are bit-identical for an
-    identical config; the single-worker run is the canonical mode.
+    Singlet source: the +1 count of each setting pair is one draw from
+    Binomial(n_k, (1 + q_k) / 2) with q_k = a . T b, T the Werner tensor.
+    LHV sources delegate to `simulate_lhv`.  Reports are bit-identical for
+    an identical config.
     """
     if config.source.startswith("lhv:"):
         name = config.source.split(":", 1)[1]
         if name not in STRATEGIES:
             raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
-        return simulate_lhv(
-            STRATEGIES[name](),
-            config.settings,
-            config.n_pairs,
-            config.seed,
-            worker_count=config.worker_count,
-        )
+        return simulate_lhv(STRATEGIES[name](), config.settings, config.n_pairs, config.seed)
 
-    pairs = _setting_pairs(config.settings)
-    q = np.array([-float(np.dot(a, b)) for a, b in pairs])
-    v = config.visibility
-    products_by_pair = [[] for _ in range(4)]
-    offset = 0
-    for rng, size in zip(_worker_rngs(config.seed, config.worker_count), _shard_sizes(config.n_pairs, config.worker_count)):
-        u = rng.random(size)
-        pair_idx = (offset + np.arange(size)) % 4
-        for k in range(4):
-            uk = u[pair_idx == k]
-            p_pp = (1.0 + v * q[k]) / 4.0
-            p_pm = (1.0 - v * q[k]) / 4.0
-            # cumulative thresholds over the outcome order above
-            c1, c2, c3 = p_pp, p_pp + p_pm, p_pp + 2.0 * p_pm
-            idx = (uk >= c1).astype(int) + (uk >= c2) + (uk >= c3)
-            x = np.where(idx < 2, 1.0, -1.0)
-            y = np.where(idx % 2 == 0, 1.0, -1.0)
-            products_by_pair[k].append(x * y)
-        offset += size
-    products_by_pair = [np.concatenate(chunks) for chunks in products_by_pair]
-    s_expected = v * (abs(q[0] - q[1]) + abs(q[2] + q[3]))
-    return _summarize(
-        products_by_pair,
-        config.settings,
-        "singlet",
-        config.n_pairs,
-        config.seed,
-        config.visibility,
-        config.worker_count,
-        s_expected,
-    )
+    werner_t = config.visibility * correlation_tensor(singlet_state())
+    q = np.array([a @ werner_t @ b for a, b in _setting_pairs(config.settings)])
+    n_k = _pairs_per_setting(config.n_pairs)
+    # a unit setting may have |a| = 1 + TAU_EQ, so |q| can pass 1 and binomial rejects p outside [0, 1]
+    plus_k = np.random.default_rng(config.seed).binomial(n_k, np.clip((1.0 + q) / 2.0, 0.0, 1.0))
+    s_expected = abs(q[0] - q[1]) + abs(q[2] + q[3])
+    return _summarize(n_k, plus_k, config.settings, "singlet", config.seed, config.visibility, s_expected)
 
 
-def simulate_lhv(
-    strategy: LhvStrategy,
-    settings: ChshSettings,
-    n_pairs: int,
-    seed: int,
-    worker_count: int = 1,
-) -> SimReport:
+def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, seed: int) -> SimReport:
     """Sample an Einstein-local model: one lambda per pair, round-robin
-    settings, responses evaluated only on the local setting."""
+    settings, responses evaluated only on the local setting.
+
+    Lambdas are drawn from one generator in batches of `BATCH_PAIRS`, and
+    only the +1 counts are kept, so memory does not grow with `n_pairs`.
+    """
     _check_n_pairs(n_pairs)
     pairs = _setting_pairs(settings)
-    products_by_pair = [[] for _ in range(4)]
-    offset = 0
-    for rng, size in zip(_worker_rngs(seed, worker_count), _shard_sizes(n_pairs, worker_count)):
+    rng = np.random.default_rng(seed)
+    plus_k = np.zeros(4, dtype=np.int64)
+    for start in range(0, n_pairs, BATCH_PAIRS):
+        size = min(BATCH_PAIRS, n_pairs - start)
         lams = np.asarray(strategy.sample(rng, size))
-        pair_idx = (offset + np.arange(size)) % 4
+        # the counts are read against n_k, so every pair needs one lambda and two outcomes
+        if lams.shape[:1] != (size,):
+            raise ValueError(f"strategy {strategy.name!r} sampled shape {lams.shape} for {size} pairs")
         for k, (a, b) in enumerate(pairs):
-            lams_k = lams[pair_idx == k]
+            lams_k = lams[(k - start) % 4 :: 4]
             outcomes_a = np.asarray(strategy.response_a(a, lams_k), dtype=float)
             outcomes_b = np.asarray(strategy.response_b(b, lams_k), dtype=float)
             for name, vals in (("A", outcomes_a), ("B", outcomes_b)):
-                if vals.size and not np.all(np.abs(vals) == 1.0):
+                if vals.shape != (len(lams_k),):
+                    raise ValueError(
+                        f"strategy {strategy.name!r} returned {name} shape {vals.shape} for {len(lams_k)} pairs"
+                    )
+                if not np.all(np.abs(vals) == 1.0):
                     raise ValueError(f"strategy {strategy.name!r} returned {name} values outside +-1")
-            products_by_pair[k].append(outcomes_a * outcomes_b)
-        offset += size
-    products_by_pair = [np.concatenate(chunks) for chunks in products_by_pair]
+            plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
     return _summarize(
-        products_by_pair,
-        settings,
-        f"lhv:{strategy.name}",
-        n_pairs,
-        seed,
-        1.0,
-        worker_count,
-        s_expected=CHSH_LHV_BOUND,
+        _pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0, CHSH_LHV_BOUND
     )
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse the key-value experiment config format.
 
-    Keys: source, n_pairs, visibility, seed, worker_count (optional), and
-    the four settings a, a_prime, b, b_prime as whitespace-separated
-    3-vectors.  '#' starts a comment.
+    Keys: source, n_pairs, visibility, seed, and the four settings a,
+    a_prime, b, b_prime as whitespace-separated 3-vectors; any other key
+    is an error.  '#' starts a comment.
     """
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -293,6 +265,9 @@ def load_config(path) -> ExperimentConfig:
     missing = required - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
+    unknown = raw.keys() - required
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
 
     def vec(key):
         parts = raw[key].split()
@@ -307,7 +282,6 @@ def load_config(path) -> ExperimentConfig:
         visibility=float(raw["visibility"]),
         seed=int(raw["seed"]),
         source=raw["source"],
-        worker_count=int(raw.get("worker_count", "1")),
     )
 
 
@@ -318,7 +292,6 @@ def save_config(path, config: ExperimentConfig) -> None:
         f"n_pairs = {config.n_pairs}",
         f"visibility = {config.visibility}",
         f"seed = {config.seed}",
-        f"worker_count = {config.worker_count}",
         f"a = {s.a[0]} {s.a[1]} {s.a[2]}",
         f"a_prime = {s.a_prime[0]} {s.a_prime[1]} {s.a_prime[2]}",
         f"b = {s.b[0]} {s.b[1]} {s.b[2]}",

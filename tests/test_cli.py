@@ -114,7 +114,6 @@ class TestSubcommands:
     def test_simulate_flags(self, capsys):
         code, report = run_json(capsys, "simulate", "--samples", "20000", "--seed", "3")
         assert code == 0
-        assert report["inputs"]["worker_count"] == 1
         assert report["outputs"]["s_value"] > 2.0
 
     def test_simulate_config_file(self, capsys, tmp_path):
@@ -137,6 +136,17 @@ class TestSubcommands:
         code, report = run_json(capsys, "simulate", "--source", "lhv:sign", "--samples", "20000")
         assert code == 0
         assert any(c["name"] == "sim_within_lhv_bound" for c in report["claims"])
+
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
+    def test_simulate_stderrs_recomputable(self, capsys, source):
+        code, report = run_json(capsys, "simulate", "--source", source, "--samples", "10003")
+        assert code == 0
+        out = report["outputs"]
+        assert sum(out["pairs_per_setting"].values()) == report["inputs"]["n_pairs"]
+        for name, n_k in out["pairs_per_setting"].items():
+            est = out["correlators"][name]
+            # the report prints 9 significant digits
+            assert out["stderrs"][name] == pytest.approx(np.sqrt((1 - est**2) / (n_k - 1)), rel=1e-7)
 
 
 class TestReportContract:
@@ -251,6 +261,26 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and "must be at least" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("psi", ["nan,0,0,0", "inf,0,0,0"], ids=["nan", "inf"])
+    def test_non_finite_state_exits_2(self, capsys, psi):
+        code, out, err = run(capsys, "bell-hv", f"--psi={psi}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bell-hv:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        config = ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1)
+        save_config(path, config)
+        with open(path, "a") as fh:
+            fh.write("worker_count = 4\n")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("simulate:") and "worker_count" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_nan_ray_file_exits_2(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ from hvlab.qmath import (
     SIGMA_X,
     SIGMA_Z,
     TAU_EQ,
+    assert_state_vector,
     eig_herm2,
     expectation,
     intersection_projector,
@@ -150,6 +151,12 @@ class TestProjector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             projector([1, 1])
+
+
+@pytest.mark.parametrize("psi", [[np.nan, 0], [np.inf, 0]], ids=["nan", "inf"])
+def test_state_vector_rejects_non_finite(psi):
+    with pytest.raises(ValueError, match="normalized"):
+        assert_state_vector(psi)
 
 
 class TestIntersectionProjector:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hvlab import simlab
 from hvlab.nonlocality import CHSH_QUANTUM_MAX, ChshSettings, optimal_chsh_settings
 from hvlab.simlab import (
     ExperimentConfig,
@@ -52,12 +55,6 @@ class TestSimulateSinglet:
         b = simulate_chsh(make_config(n_pairs=10**4, seed=2))
         assert a.s_value != b.s_value
 
-    def test_worker_sharding_reproducible_and_reported(self):
-        a = simulate_chsh(make_config(n_pairs=10**4, worker_count=3))
-        b = simulate_chsh(make_config(n_pairs=10**4, worker_count=3))
-        assert a == b
-        assert a.worker_count == 3
-
     def test_convergence_rate(self):
         errs = [
             simulate_chsh(make_config(n_pairs=n, seed=7)).s_stderr
@@ -70,6 +67,22 @@ class TestSimulateSinglet:
     def test_round_robin_covers_all_settings(self):
         report = simulate_chsh(make_config(n_pairs=8))
         assert set(report.correlators) == {"ab", "ab_prime", "a_prime_b", "a_prime_b_prime"}
+
+    # a.a = 1 + 2.2e-16
+    ROUNDED = (0.36486176735685877, 0.9240647543268905, -0.11393077078653184)
+    # |a| = 1 + 5e-11, inside the unit-setting tolerance, so |a.T b| > 1 for b = +-a
+    LONG = (1.0 + 5e-11, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [(ROUNDED, ROUNDED, -1.0), (LONG, LONG, -1.0), (LONG, tuple(-x for x in LONG), 1.0)],
+        ids=["rounding", "tolerance-low", "tolerance-high"],
+    )
+    def test_perfect_correlation_at_unit_tolerance(self, a, b, expected):
+        settings = ChshSettings(a=a, a_prime=(0, 1, 0), b=b, b_prime=(0, 0, 1))
+        report = simulate_chsh(make_config(settings=settings))
+        assert report.correlators["ab"] == expected
+        assert report.stderrs["ab"] == 0.0
 
 
 class TestSimulateLhv:
@@ -115,10 +128,58 @@ class TestSimulateLhv:
         with pytest.raises(ValueError, match="outside"):
             simulate_lhv(bad, optimal_chsh_settings(), 100, seed=0)
 
+    @pytest.mark.parametrize(
+        "sample, response, match",
+        [
+            (lambda rng, n: np.zeros(n - 1), lambda setting, lams: np.ones(len(lams)), "sampled"),
+            (lambda rng, n: np.zeros(n), lambda setting, lams: np.ones(1), "shape"),
+        ],
+        ids=["short-sample", "one-outcome"],
+    )
+    def test_rejects_wrong_output_counts(self, sample, response, match):
+        bad = LhvStrategy(name="broken", sample=sample, response_a=response, response_b=response)
+        with pytest.raises(ValueError, match=match):
+            simulate_lhv(bad, optimal_chsh_settings(), 100, seed=0)
+
+    def test_batches_match_single_draw_reference(self, monkeypatch):
+        # a batch size that is not a multiple of 4 makes every batch start
+        # on a different setting pair
+        monkeypatch.setattr(simlab, "BATCH_PAIRS", 7)
+        settings = optimal_chsh_settings()
+        n, seed = 1003, 13
+        report = simulate_lhv(sign_strategy(), settings, n, seed=seed)
+        lam = np.random.default_rng(seed).normal(size=(n, 3))
+        lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+        pairs = (
+            (settings.a, settings.b),
+            (settings.a, settings.b_prime),
+            (settings.a_prime, settings.b),
+            (settings.a_prime, settings.b_prime),
+        )
+        for k, (name, (u, v)) in enumerate(zip(simlab.SETTING_PAIR_NAMES, pairs)):
+            lam_k = lam[k::4]
+            products = np.where(lam_k @ u >= 0, 1.0, -1.0) * -np.where(lam_k @ v >= 0, 1.0, -1.0)
+            assert report.pairs_per_setting[name] == len(products)
+            assert report.correlators[name] == np.mean(products)
+
     def test_lhv_source_via_config(self):
         report = simulate_chsh(make_config(source="lhv:sign", n_pairs=10**4))
         assert report.source == "lhv:sign"
         assert "within_lhv_bound" in report.verdicts
+
+
+class TestCountEstimator:
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
+    def test_memory_does_not_grow_with_n_pairs(self, source):
+        def peak_bytes(n_pairs):
+            tracemalloc.start()
+            try:
+                simulate_chsh(make_config(source=source, n_pairs=n_pairs))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(2 * 10**6) <= peak_bytes(2 * 10**5) + 2 * 2**20
 
 
 class TestConfig:
