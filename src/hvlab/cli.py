@@ -6,12 +6,16 @@ whose pass/fail is recomputable from the numbers in the same report.  Exit
 codes: 0 all claims pass, 1 a declared bound or claim failed, 2 input error.
 All numbers are printed with 9 significant digits; for a fixed argv
 (including seed) the JSON output is byte-identical apart from wall_time_s.
+Every subcommand takes --format, --seed and --quiet; --tol and --samples
+belong only to the subcommands that read them, each with its own default;
+an option a subcommand does not take exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -37,7 +41,6 @@ from .hvmodels import (
     bell_hv_average_exact,
     bell_hv_average_mc,
     chsh_from_wigner,
-    deterministic_weights,
     wigner_correlators,
 )
 from .contextuality import (
@@ -56,6 +59,7 @@ from .nonlocality import (
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
     GOLDEN_RATIO,
+    SETTING_PAIR_NAMES,
     TRINE_A,
     TRINE_B,
     TRINE_C,
@@ -63,6 +67,7 @@ from .nonlocality import (
     bell_original_lhs,
     chsh_optimize,
     chsh_value,
+    correlation_tensor,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
     hardy_build,
@@ -70,7 +75,6 @@ from .nonlocality import (
     hardy_probability,
     no_signalling_check,
     optimal_chsh_settings,
-    qm_correlator,
     singlet_state,
 )
 from .simlab import ExperimentConfig, load_config, simulate_chsh
@@ -141,13 +145,17 @@ def _emit(report: dict, fmt: str, quiet: bool) -> int:
     report["verdict"] = "PASS" if all(c["pass"] for c in report["claims"]) else "FAIL"
     if not quiet:
         if fmt == "json":
-            print(json.dumps(report, indent=2))
+            text = json.dumps(report, indent=2)
         else:
             rows: list = []
             _flatten("", report, rows)
-            print("name,value")
-            for name, value in rows:
-                print(f"{name},{value}")
+            text = "\n".join(["name,value", *(f"{name},{value}" for name, value in rows)])
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left early.  The verdict stands; send what is still
+            # buffered to devnull so that the flush at exit does not fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report["verdict"] == "PASS" else 1
 
 
@@ -180,6 +188,17 @@ def _unit3(text: str) -> np.ndarray:
     return v / norm
 
 
+def _directions(args, *dests: str):
+    """Unit vectors from the named direction options, or None if none is given."""
+    texts = [getattr(args, dest) for dest in dests]
+    if all(text is None for text in texts):
+        return None
+    if any(text is None for text in texts):
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in dests)
+        raise ValueError(f"provide all of {flags} or none")
+    return [_unit3(text) for text in texts]
+
+
 def _parse_psi(text: str) -> np.ndarray:
     parts = _finite_components(text)
     if len(parts) % 2 != 0:
@@ -196,7 +215,6 @@ def _parse_psi(text: str) -> np.ndarray:
 
 
 def _cmd_vn_reconstruct(args, rng):
-    tol = args.tol if args.tol is not None else 1e-10
     trials = _at_least_one(args.trials, "--trials")
     max_err = 0.0
     witness_lo, witness_hi = 1.0, 0.0
@@ -215,11 +233,11 @@ def _cmd_vn_reconstruct(args, rng):
         "witness_value_max": witness_hi,
     }
     claims = [
-        _claim("reconstruction_matches_state", "le", max_err, 0.0, tol),
+        _claim("reconstruction_matches_state", "le", max_err, 0.0, args.tol),
         _claim("witness_above_epsilon", "ge", witness_lo, 0.01, 0.0),
         _claim("witness_below_one_minus_epsilon", "le", witness_hi, 0.99, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": tol, "witness_epsilon": 0.01}
+    return inputs, outputs, claims, {"entrywise": args.tol, "witness_epsilon": 0.01}
 
 
 def _cmd_dispersion(args, rng):
@@ -272,18 +290,16 @@ def _cmd_jauch_piron(args, rng):
 def _cmd_bell_hv(args, rng):
     psi = _parse_psi(args.psi)
     beta = _vec3(args.beta)
-    n = args.samples if args.samples is not None else 10**6
-    tol = args.tol if args.tol is not None else 1e-10
     exact = bell_hv_average_exact(args.alpha, beta, psi)
     quantum = args.alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)
-    estimate, stderr = bell_hv_average_mc(args.alpha, beta, psi, n, args.seed)
+    estimate, stderr = bell_hv_average_mc(args.alpha, beta, psi, args.samples, args.seed)
     eig_hi, eig_lo = eig_herm2(pauli_obs(args.alpha, beta))
     inputs = {
         "alpha": args.alpha,
         "beta": [float(b) for b in beta],
         "psi_re": [float(x) for x in psi.real],
         "psi_im": [float(x) for x in psi.imag],
-        "n_samples": n,
+        "n_samples": args.samples,
     }
     outputs = {
         "eigenvalues": [eig_hi, eig_lo],
@@ -293,14 +309,13 @@ def _cmd_bell_hv(args, rng):
         "mc_stderr": stderr,
     }
     claims = [
-        _claim("exact_average_matches_quantum", "close", exact, quantum, tol),
+        _claim("exact_average_matches_quantum", "close", exact, quantum, args.tol),
         _claim("mc_within_5_sigma", "close", estimate, exact, 5.0 * stderr),
     ]
-    return inputs, outputs, claims, {"exact": tol, "mc_sigma": 5.0}
+    return inputs, outputs, claims, {"exact": args.tol, "mc_sigma": 5.0}
 
 
 def _cmd_ks_color(args, rng):
-    tol = args.tol if args.tol is not None else 1e-9
     if args.peres:
         rays = peres_rays()
         source = "peres"
@@ -309,9 +324,9 @@ def _cmd_ks_color(args, rng):
         source = args.rays
     if args.dump_rays:
         save_rays(args.dump_rays, rays)
-    structure = orthogonality_structure(rays, tol=tol)
+    structure = orthogonality_structure(rays, tol=args.tol)
     result = ks_color(structure)
-    inputs = {"rays_source": source, "orthogonality_tol": tol}
+    inputs = {"rays_source": source, "orthogonality_tol": args.tol}
     outputs = {
         "n_rays": int(rays.shape[0]),
         "n_orthogonal_pairs": len(structure.pairs),
@@ -328,11 +343,10 @@ def _cmd_ks_color(args, rng):
     if args.peres:
         claims.append(_claim("ray_count_is_33", "close", float(rays.shape[0]), 33.0, 0.0))
         claims.append(_bool_claim("coloring_impossible", not result.satisfiable))
-    return inputs, outputs, claims, {"orthogonality": tol}
+    return inputs, outputs, claims, {"orthogonality": args.tol}
 
 
 def _cmd_mermin(args, rng):
-    tol = args.tol if args.tol is not None else 1e-12
     report = mermin_verify(mermin_square(), tol=TAU_EQ)
     search = mermin_assignment_search()
     inputs = {}
@@ -348,65 +362,48 @@ def _cmd_mermin(args, rng):
         "col_parity": search.col_parity,
     }
     claims = [
-        _claim("line_products_match_signs", "le", report.max_product_dev, 0.0, tol),
-        _claim("entries_square_to_identity", "le", report.max_square_dev, 0.0, tol),
+        _claim("line_products_match_signs", "le", report.max_product_dev, 0.0, args.tol),
+        _claim("entries_square_to_identity", "le", report.max_square_dev, 0.0, args.tol),
         _claim("all_512_assignments_checked", "close", float(search.n_checked), 512.0, 0.0),
         _claim("no_satisfying_assignment", "close", float(search.n_satisfying), 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": tol}
+    return inputs, outputs, claims, {"entrywise": args.tol}
 
 
 def _cmd_bell(args, rng):
-    tol = args.tol if args.tol is not None else 1e-10
     psi = singlet_state()
-    a, b, c = (
-        (_unit3(args.a_dir), _unit3(args.b_dir), _unit3(args.c_dir))
-        if args.a_dir
-        else (TRINE_A, TRINE_B, TRINE_C)
-    )
+    dirs = _directions(args, "a_dir", "b_dir", "c_dir")
+    a, b, c = dirs or (TRINE_A, TRINE_B, TRINE_C)
     etas = tuple(int(e) for e in args.eta.split(","))
     if len(etas) != 3:
         raise ValueError("eta must be three comma-separated values of +-1")
     lhs = bell_original_lhs(psi, a, b, c, *etas)
+    tensor = correlation_tensor(psi)
     inputs = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
         "c": [float(x) for x in c],
         "eta": list(etas),
-        "trine_defaults": args.a_dir is None,
+        "trine_defaults": dirs is None,
     }
     outputs = {
         "lhs": lhs,
         "lhv_bound": BELL_ORIGINAL_BOUND,
         "violation": lhs - BELL_ORIGINAL_BOUND,
-        "correlators": {
-            "ab": qm_correlator(psi, a, b),
-            "ac": qm_correlator(psi, a, c),
-            "bc": qm_correlator(psi, b, c),
-        },
+        "correlators": {"ab": a @ tensor @ b, "ac": a @ tensor @ c, "bc": b @ tensor @ c},
     }
     claims = []
-    if args.a_dir is None and etas == (1, 1, 1):
-        claims.append(_claim("trine_lhs_is_three_halves", "close", lhs, 1.5, tol))
-    return inputs, outputs, claims, {"lhs": tol}
-
-
-def _chsh_settings_from_args(args) -> ChshSettings:
-    if args.a_dir:
-        return ChshSettings(
-            a=_unit3(args.a_dir),
-            a_prime=_unit3(args.a_prime),
-            b=_unit3(args.b_dir),
-            b_prime=_unit3(args.b_prime),
-        )
-    return optimal_chsh_settings()
+    if dirs is None and etas == (1, 1, 1):
+        claims.append(_claim("trine_lhs_is_three_halves", "close", lhs, 1.5, args.tol))
+    return inputs, outputs, claims, {"lhs": args.tol}
 
 
 def _cmd_chsh(args, rng):
     psi = singlet_state() if args.state == "singlet" else np.array([1, 0, 0, 0], dtype=complex)
+    dirs = _directions(args, "a_dir", "a_prime", "b_dir", "b_prime")
+    tol = args.tol if args.tol is not None else (1e-6 if args.optimize else 1e-10)
     inputs = {"state": args.state, "optimize": bool(args.optimize)}
     if args.optimize:
-        tol = args.tol if args.tol is not None else 1e-6
         settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=tol, seed=args.seed)
         inputs["restarts"] = args.restarts
         outputs = {
@@ -426,36 +423,26 @@ def _cmd_chsh(args, rng):
             _claim("within_tsirelson", "le", s_star, CHSH_QUANTUM_MAX, 1e-9),
         ]
         return inputs, outputs, claims, {"optimum": tol, "tsirelson": 1e-9}
-    tol = args.tol if args.tol is not None else 1e-10
-    settings = _chsh_settings_from_args(args)
+    settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
     s = chsh_value(psi, settings)
-    inputs["default_optimal_settings"] = args.a_dir is None
+    tensor = correlation_tensor(psi)
+    inputs["default_optimal_settings"] = dirs is None
     outputs = {
         "s_value": s,
         "quantum_max": CHSH_QUANTUM_MAX,
         "lhv_bound": CHSH_LHV_BOUND,
-        "correlators": {
-            "ab": qm_correlator(psi, settings.a, settings.b),
-            "ab_prime": qm_correlator(psi, settings.a, settings.b_prime),
-            "a_prime_b": qm_correlator(psi, settings.a_prime, settings.b),
-            "a_prime_b_prime": qm_correlator(psi, settings.a_prime, settings.b_prime),
-        },
+        "correlators": {name: x @ tensor @ y for name, (x, y) in zip(SETTING_PAIR_NAMES, settings.pairs())},
     }
     claims = [_claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9)]
-    if args.a_dir is None and args.state == "singlet":
+    if dirs is None and args.state == "singlet":
         claims.append(_claim("matches_quantum_maximum", "close", s, CHSH_QUANTUM_MAX, tol))
     return inputs, outputs, claims, {"value": tol, "tsirelson": 1e-9}
 
 
 def _cmd_wigner(args, rng):
-    n = _at_least_one(args.samples if args.samples is not None else 10**4, "--samples")
-    tol = args.tol if args.tol is not None else 1e-12
-    vertex_max = 0.0
-    for s in (1, -1):
-        for sp in (1, -1):
-            for t in (1, -1):
-                for tp in (1, -1):
-                    vertex_max = max(vertex_max, chsh_from_wigner(deterministic_weights(s, sp, t, tp)))
+    n = _at_least_one(args.samples, "--samples")
+    # the 16 one-hot weights are the deterministic models, the vertices of the weight simplex
+    vertex_max = max(chsh_from_wigner(w) for w in np.eye(16))
     random_max = 0.0
     for _ in range(n):
         w = rng.random(16)
@@ -463,28 +450,21 @@ def _cmd_wigner(args, rng):
         random_max = max(random_max, chsh_from_wigner(w))
     example = rng.random(16)
     example /= example.sum()
-    p_ab, p_abp, p_apb, p_apbp = wigner_correlators(example)
     inputs = {"n_random_weights": n}
     outputs = {
         "vertex_max_s": vertex_max,
         "random_max_s": random_max,
         "lhv_bound": CHSH_LHV_BOUND,
-        "example_correlators": {
-            "ab": p_ab,
-            "ab_prime": p_abp,
-            "a_prime_b": p_apb,
-            "a_prime_b_prime": p_apbp,
-        },
+        "example_correlators": dict(zip(SETTING_PAIR_NAMES, wigner_correlators(example))),
     }
     claims = [
-        _claim("vertices_obey_lhv_bound", "le", vertex_max, CHSH_LHV_BOUND, tol),
-        _claim("random_weights_obey_lhv_bound", "le", random_max, CHSH_LHV_BOUND, tol),
+        _claim("vertices_obey_lhv_bound", "le", vertex_max, CHSH_LHV_BOUND, args.tol),
+        _claim("random_weights_obey_lhv_bound", "le", random_max, CHSH_LHV_BOUND, args.tol),
     ]
-    return inputs, outputs, claims, {"bound_slack": tol}
+    return inputs, outputs, claims, {"bound_slack": args.tol}
 
 
 def _cmd_ghz(args, rng):
-    tol = args.tol if args.tol is not None else 1e-12
     devs = ghz_stabilizer_deviations()
     search = ghz_assignment_search()
     flipped = ghz_assignment_search(xxx_target=1)
@@ -496,16 +476,16 @@ def _cmd_ghz(args, rng):
         "satisfying_with_flipped_constraint": flipped.n_satisfying,
     }
     claims = [
-        _claim("stabilizer_identities_hold", "le", max(devs.values()), 0.0, tol),
+        _claim("stabilizer_identities_hold", "le", max(devs.values()), 0.0, args.tol),
         _claim("all_64_assignments_checked", "close", float(search.n_checked), 64.0, 0.0),
         _claim("no_satisfying_assignment", "close", float(search.n_satisfying), 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": tol}
+    return inputs, outputs, claims, {"entrywise": args.tol}
 
 
 def _cmd_hardy(args, rng):
+    tol = args.tol if args.tol is not None else (1e-6 if args.optimize else 1e-10)
     if args.optimize:
-        tol = args.tol if args.tol is not None else 1e-6
         params, p_max = hardy_optimize(grid=args.grid, tol=1e-8)
         inputs = {"optimize": True, "grid": args.grid}
         outputs = {
@@ -521,7 +501,6 @@ def _cmd_hardy(args, rng):
             _claim("max_probability", "close", p_max, GOLDEN_RATIO**-5, 1e-7),
         ]
         return inputs, outputs, claims, {"argmax": tol, "max": 1e-7}
-    tol = args.tol if args.tol is not None else 1e-10
     construction = hardy_build(args.p1, args.p2)
     closed = hardy_probability(args.p1, args.p2)
     inputs = {"p1": args.p1, "p2": args.p2}
@@ -539,7 +518,6 @@ def _cmd_hardy(args, rng):
 
 
 def _cmd_nosignal(args, rng):
-    tol = args.tol if args.tol is not None else 1e-12
     trials = _at_least_one(args.trials, "--trials")
     eye2 = np.eye(2, dtype=complex)
     max_dev = 0.0
@@ -554,18 +532,18 @@ def _cmd_nosignal(args, rng):
         max_dev = max(max_dev, no_signalling_check(rho, a_obs, projs))
     inputs = {"trials": trials}
     outputs = {"max_deviation": max_dev}
-    claims = [_claim("expectations_unchanged_by_remote_measurement", "le", max_dev, 0.0, tol)]
-    return inputs, outputs, claims, {"deviation": tol}
+    claims = [_claim("expectations_unchanged_by_remote_measurement", "le", max_dev, 0.0, args.tol)]
+    return inputs, outputs, claims, {"deviation": args.tol}
 
 
 def _cmd_simulate(args, rng):
     if args.config:
         config = load_config(args.config)
+        args.seed = config.seed  # the report's top-level seed is the one the run used
     else:
-        n_pairs = args.samples if args.samples is not None else 10**6
         config = ExperimentConfig(
             settings=optimal_chsh_settings(),
-            n_pairs=n_pairs,
+            n_pairs=args.samples,
             visibility=args.visibility,
             seed=args.seed,
             source=args.source,
@@ -612,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--tol", type=float, default=None)
     common.add_argument("--quiet", action="store_true")
 
     parser = argparse.ArgumentParser(prog="hvlab", description=__doc__)
@@ -623,6 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
     p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
@@ -636,20 +613,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", default="1,1,0")
     p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
+    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--peres", action="store_true")
     group.add_argument("--rays", metavar="FILE")
     p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
+    p.add_argument("--tol", type=float, default=1e-9)
 
-    sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
+    p = sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
+    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("bell", parents=[common], help="original three-correlator inequality")
     p.add_argument("--a-dir", default=None)
     p.add_argument("--b-dir", default=None)
     p.add_argument("--c-dir", default=None)
     p.add_argument("--eta", default="1,1,1")
+    p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
     p.add_argument("--state", choices=("singlet", "product"), default="singlet")
@@ -659,24 +641,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-prime", default=None)
     p.add_argument("--b-dir", default=None)
     p.add_argument("--b-prime", default=None)
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
 
-    sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
+    p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
+    p.add_argument("--samples", type=int, default=10**4)
+    p.add_argument("--tol", type=float, default=1e-12)
 
-    sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
+    p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
+    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, default=0.5)
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo correlation experiment")
     p.add_argument("--config", metavar="FILE", default=None)
     p.add_argument("--source", default="singlet")
     p.add_argument("--visibility", type=float, default=1.0)
+    p.add_argument("--samples", type=int, default=10**6)
 
     return parser
 
@@ -688,18 +677,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    if args.tol is not None and not 0.0 <= args.tol < np.inf:  # also false for NaN
-        print(f"{args.command}: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+    tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
+    if tol is not None and not 0.0 <= tol < np.inf:  # also false for NaN
+        print(f"{args.command}: --tol must be finite and non-negative, got {tol}", file=sys.stderr)
         return 2
-    if args.command == "bell" and any((args.a_dir, args.b_dir, args.c_dir)):
-        if not all((args.a_dir, args.b_dir, args.c_dir)):
-            print("bell: provide all of --a-dir, --b-dir, --c-dir or none", file=sys.stderr)
-            return 2
-    if args.command == "chsh":
-        custom = (args.a_dir, args.a_prime, args.b_dir, args.b_prime)
-        if any(custom) and not all(custom):
-            print("chsh: provide all four settings or none", file=sys.stderr)
-            return 2
 
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()

@@ -303,6 +303,20 @@ def mermin_verify(square, tol: float = TAU_EQ) -> MerminReport:
     )
 
 
+def count_sign_assignments(n_vars: int, constraints) -> tuple[int, int]:
+    """Count the +-1 assignments to n_vars variables that meet every constraint.
+
+    Each constraint is (indices, target): the product of the values at
+    `indices` must equal `target`.  All 2**n_vars assignments are checked
+    at once; returns (assignments checked, assignments satisfying).
+    """
+    values = np.array(list(itertools.product((1, -1), repeat=n_vars)))
+    ok = np.ones(len(values), dtype=bool)
+    for indices, target in constraints:
+        ok &= values[:, list(indices)].prod(axis=1) == target
+    return len(values), int(np.count_nonzero(ok))
+
+
 @dataclass(frozen=True)
 class AssignmentSearchResult:
     n_checked: int
@@ -320,15 +334,10 @@ def mermin_assignment_search(
     quantum signs the count is 0: the product of all nine values is the
     product of the row targets (+1) but also of the column targets (-1).
     """
-    n_satisfying = 0
-    n_checked = 0
-    for values in itertools.product((1, -1), repeat=9):
-        grid = np.array(values).reshape(3, 3)
-        n_checked += 1
-        if all(int(grid[r].prod()) == row_signs[r] for r in range(3)) and all(
-            int(grid[:, c].prod()) == col_signs[c] for c in range(3)
-        ):
-            n_satisfying += 1
+    # the grid is flattened row by row: row r holds 3r..3r+2, column c holds c, c+3, c+6
+    constraints = [(range(3 * r, 3 * r + 3), row_signs[r]) for r in range(3)]
+    constraints += [(range(c, 9, 3), col_signs[c]) for c in range(3)]
+    n_checked, n_satisfying = count_sign_assignments(9, constraints)
     row_parity = int(np.prod(row_signs))
     col_parity = int(np.prod(col_signs))
     return AssignmentSearchResult(

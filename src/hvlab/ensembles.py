@@ -204,7 +204,7 @@ def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
     a = np.asarray(a_hat, dtype=float).reshape(3)
     b = np.asarray(b_hat, dtype=float).reshape(3)
     for v, name in ((a, "a_hat"), (b, "b_hat")):
-        if abs(np.linalg.norm(v) - 1.0) > TAU_EQ:
+        if not (abs(np.linalg.norm(v) - 1.0) <= TAU_EQ):  # also true for NaN
             raise ValueError(f"{name} must be a unit vector")
     if min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-12:
         raise ValueError("degenerate directions: a_hat equals +/- b_hat")

@@ -122,10 +122,10 @@ def validate_wigner_weights(w) -> np.ndarray:
         arr = arr.reshape(2, 2, 2, 2)
     if arr.shape != (2, 2, 2, 2):
         raise ValueError(f"weights must have 16 entries, got shape {arr.shape}")
-    if arr.min() < -TAU_EQ:
-        raise ValueError(f"negative weight {arr.min()}")
+    if not (arr.min() >= -TAU_EQ):  # also true for NaN
+        raise ValueError(f"weights must be finite and nonnegative, got minimum {arr.min()}")
     total = float(arr.sum())
-    if abs(total - 1.0) > TAU_EQ:
+    if not (abs(total - 1.0) <= TAU_EQ):
         raise ValueError(f"weights sum to {total}, expected 1")
     return arr
 

@@ -9,13 +9,13 @@ by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .contextuality import count_sign_assignments
 from .qmath import (
     PAULIS,
     TAU_EQ,
@@ -44,6 +44,9 @@ TRINE_C = np.array([-0.5, -np.sqrt(3.0) / 2.0, 0.0])
 
 BELL_ORIGINAL_BOUND = 1.0
 
+# Names of the four CHSH setting pairs, in the order `ChshSettings.pairs` gives them.
+SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
+
 
 def unit_setting(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(3)
@@ -67,6 +70,10 @@ class ChshSettings:
         object.__setattr__(self, "a_prime", unit_setting(self.a_prime))
         object.__setattr__(self, "b", unit_setting(self.b))
         object.__setattr__(self, "b_prime", unit_setting(self.b_prime))
+
+    def pairs(self) -> tuple:
+        """(a, b), (a, b'), (a', b), (a', b'), named by SETTING_PAIR_NAMES."""
+        return ((self.a, self.b), (self.a, self.b_prime), (self.a_prime, self.b), (self.a_prime, self.b_prime))
 
 
 def optimal_chsh_settings() -> ChshSettings:
@@ -199,19 +206,10 @@ def ghz_assignment_search(xxx_target: int = -1) -> GhzSearchResult:
     """
     if xxx_target not in (1, -1):
         raise ValueError("xxx_target must be +1 or -1")
-    n_satisfying = 0
-    n_checked = 0
-    for bits in itertools.product((1, -1), repeat=6):
-        mx = bits[0:3]
-        my = bits[3:6]
-        n_checked += 1
-        if (
-            mx[0] * my[1] * my[2] == 1
-            and my[0] * mx[1] * my[2] == 1
-            and my[0] * my[1] * mx[2] == 1
-            and mx[0] * mx[1] * mx[2] == xxx_target
-        ):
-            n_satisfying += 1
+    # variables 0-2 are m_x of particles 1-3, variables 3-5 their m_y
+    n_checked, n_satisfying = count_sign_assignments(
+        6, [((0, 4, 5), 1), ((3, 1, 5), 1), ((3, 4, 2), 1), ((0, 1, 2), xxx_target)]
+    )
     return GhzSearchResult(n_checked=n_checked, n_satisfying=n_satisfying)
 
 

@@ -22,11 +22,16 @@ from typing import Callable
 
 import numpy as np
 
-from .nonlocality import CHSH_LHV_BOUND, CHSH_QUANTUM_MAX, ChshSettings, correlation_tensor, singlet_state
+from .nonlocality import (
+    CHSH_LHV_BOUND,
+    CHSH_QUANTUM_MAX,
+    SETTING_PAIR_NAMES,
+    ChshSettings,
+    correlation_tensor,
+    singlet_state,
+)
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
-
-SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
 
@@ -131,15 +136,6 @@ class SimReport:
     note: str = VISIBILITY_NOTE
 
 
-def _setting_pairs(settings: ChshSettings):
-    return (
-        (settings.a, settings.b),
-        (settings.a, settings.b_prime),
-        (settings.a_prime, settings.b),
-        (settings.a_prime, settings.b_prime),
-    )
-
-
 def _pairs_per_setting(n_pairs: int) -> np.ndarray:
     """Round-robin counts: pair i is measured on setting pair i % 4."""
     return np.array([(n_pairs - k + 3) // 4 for k in range(4)])
@@ -202,7 +198,7 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
         return simulate_lhv(STRATEGIES[name](), config.settings, config.n_pairs, config.seed)
 
     werner_t = config.visibility * correlation_tensor(singlet_state())
-    q = np.array([a @ werner_t @ b for a, b in _setting_pairs(config.settings)])
+    q = np.array([a @ werner_t @ b for a, b in config.settings.pairs()])
     n_k = _pairs_per_setting(config.n_pairs)
     # a unit setting may have |a| = 1 + TAU_EQ, so |q| can pass 1 and binomial rejects p outside [0, 1]
     plus_k = np.random.default_rng(config.seed).binomial(n_k, np.clip((1.0 + q) / 2.0, 0.0, 1.0))
@@ -218,7 +214,6 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
     only the +1 counts are kept, so memory does not grow with `n_pairs`.
     """
     _check_n_pairs(n_pairs)
-    pairs = _setting_pairs(settings)
     rng = np.random.default_rng(seed)
     plus_k = np.zeros(4, dtype=np.int64)
     for start in range(0, n_pairs, BATCH_PAIRS):
@@ -227,7 +222,7 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
         # the counts are read against n_k, so every pair needs one lambda and two outcomes
         if lams.shape[:1] != (size,):
             raise ValueError(f"strategy {strategy.name!r} sampled shape {lams.shape} for {size} pairs")
-        for k, (a, b) in enumerate(pairs):
+        for k, (a, b) in enumerate(settings.pairs()):
             lams_k = lams[(k - start) % 4 :: 4]
             outcomes_a = np.asarray(strategy.response_a(a, lams_k), dtype=float)
             outcomes_b = np.asarray(strategy.response_b(b, lams_k), dtype=float)
@@ -248,8 +243,8 @@ def load_config(path) -> ExperimentConfig:
     """Parse the key-value experiment config format.
 
     Keys: source, n_pairs, visibility, seed, and the four settings a,
-    a_prime, b, b_prime as whitespace-separated 3-vectors; any other key
-    is an error.  '#' starts a comment.
+    a_prime, b, b_prime as whitespace-separated 3-vectors; any other key,
+    or a key given twice, is an error.  '#' starts a comment.
     """
     raw: dict[str, str] = {}
     with open(path) as fh:
@@ -260,6 +255,8 @@ def load_config(path) -> ExperimentConfig:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             raw[key] = value
     required = {"source", "n_pairs", "visibility", "seed", "a", "a_prime", "b", "b_prime"}
     missing = required - raw.keys()

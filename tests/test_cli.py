@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvlab
 from hvlab.cli import evaluate_claim, main
 from hvlab.simlab import ExperimentConfig, save_config
 from hvlab.nonlocality import optimal_chsh_settings
@@ -132,6 +137,13 @@ class TestSubcommands:
         assert code == 0
         assert report["inputs"]["visibility"] == 0.8
 
+    def test_simulate_config_seed_is_the_reported_seed(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
+        code, report = run_json(capsys, "simulate", "--config", str(path))
+        assert code == 0
+        assert report["seed"] == report["inputs"]["seed"] == 2
+
     def test_simulate_lhv_source(self, capsys):
         code, report = run_json(capsys, "simulate", "--source", "lhv:sign", "--samples", "20000")
         assert code == 0
@@ -237,6 +249,41 @@ class TestErrors:
         code, _, err = run(capsys, "chsh", "--a-dir", "0,0,1")
         assert code == 2
 
+    def test_partial_bell_directions_exit_2(self, capsys):
+        code, out, err = run(capsys, "bell", "--a-dir", "1,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bell:") and "--c-dir" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                (*command, "--samples=5")
+                for command in (
+                    ("vn-reconstruct",),
+                    ("dispersion",),
+                    ("jauch-piron",),
+                    ("ks-color", "--peres"),
+                    ("mermin",),
+                    ("bell",),
+                    ("chsh",),
+                    ("ghz",),
+                    ("hardy",),
+                    ("nosignal",),
+                )
+            ),
+            *((command, "--tol=1e-3") for command in ("dispersion", "jauch-piron", "simulate")),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-1].split('=')[0]}",
+    )
+    def test_option_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_nan_chsh_setting_exits_2(self, capsys):
         code, out, err = run(
             capsys, "chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"
@@ -283,6 +330,17 @@ class TestErrors:
         assert err.startswith("simulate:") and "worker_count" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_duplicate_config_key_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
+        with open(path, "a") as fh:
+            fh.write("seed = 2\n")  # line 9
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("simulate:") and ":9:" in err and "'seed' given twice" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_nan_ray_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "rays.txt"
         path.write_text("nan 0 0\n0 1 0\n0 0 1\n")
@@ -307,6 +365,19 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and "--tol" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_closed_stdout_keeps_exit_code_and_quiet_stderr():
+    src = str(Path(hvlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hvlab", "ghz"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # the reader leaves before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_exit_code_1_on_failed_claim(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from hvlab.contextuality import (
     RED,
     PERES_SQUARED_TRIPLES,
     canonical_ray,
+    count_sign_assignments,
     ks_color,
     load_rays,
     mermin_assignment_search,
@@ -236,3 +240,17 @@ class TestMerminAssignmentSearch:
         result = mermin_assignment_search(col_signs=(1, 1, 1))
         assert result.n_satisfying > 0
         assert result.col_parity == 1
+
+
+def test_count_sign_assignments_matches_plain_loop():
+    rng = np.random.default_rng(5)
+    for n_vars in (1, 4, 7):
+        constraints = [
+            (rng.choice(n_vars, size=rng.integers(1, n_vars + 1), replace=False), int(rng.choice((1, -1))))
+            for _ in range(3)
+        ]
+        want = sum(
+            all(math.prod(values[i] for i in indices) == target for indices, target in constraints)
+            for values in itertools.product((1, -1), repeat=n_vars)
+        )
+        assert count_sign_assignments(n_vars, constraints) == (2**n_vars, want)

@@ -202,3 +202,7 @@ class TestJauchPiron:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             jauch_piron_contradiction((0, 0, 2), (1, 0, 0))
+
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit"):
+            jauch_piron_contradiction((np.nan, 0, 0), (1, 0, 0))

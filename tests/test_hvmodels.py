@@ -164,6 +164,13 @@ class TestWigner:
         with pytest.raises(ValueError, match="sum"):
             validate_wigner_weights(np.full(16, 1.0))
 
+    def test_rejects_nan_weights(self):
+        one_nan = np.full(16, 1 / 16)
+        one_nan[3] = np.nan
+        for w in (np.full(16, np.nan), one_nan):
+            with pytest.raises(ValueError, match="finite"):
+                chsh_from_wigner(w)
+
 
 def test_eigenvalue_additivity_fails_for_noncommuting():
     # eigenvalues of sigma_x + sigma_y are +-sqrt(2), never sums of the
