@@ -7,6 +7,7 @@ the exhaustive search over 512 tables comes back empty.
 """
 
 import itertools
+import math
 
 import hvlab as hl
 
@@ -32,7 +33,10 @@ print(f"within-line commutators vanish to:  {report.max_commutator:.2e}")
 print()
 search = hl.mermin_assignment_search()
 print(f"assignments checked: {search.n_checked}, satisfying all six constraints: {search.n_satisfying}")
-print(f"parity of all nine values, row-wise: {search.row_parity:+d}, column-wise: {search.col_parity:+d}")
+print(
+    f"parity of all nine values, row-wise: {math.prod(report.row_signs):+d}, "
+    f"column-wise: {math.prod(report.col_signs):+d}"
+)
 
 print()
 print("relaxing the third column constraint to +1 makes it satisfiable:")

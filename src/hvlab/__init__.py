@@ -69,7 +69,6 @@ from .nonlocality import (
     CHSH_QUANTUM_MAX,
     GOLDEN_RATIO,
     ChshSettings,
-    GhzSearchResult,
     HardyConstruction,
     HardyParams,
     bell_original_lhs,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -77,7 +78,7 @@ from .nonlocality import (
     optimal_chsh_settings,
     singlet_state,
 )
-from .simlab import ExperimentConfig, load_config, simulate_chsh
+from .simlab import BATCH_PAIRS, ExperimentConfig, load_config, simulate_chsh
 
 
 def _claim(name: str, kind: str, value: float, target: float, tol: float) -> dict:
@@ -197,6 +198,16 @@ def _directions(args, *dests: str):
         flags = ", ".join("--" + dest.replace("_", "-") for dest in dests)
         raise ValueError(f"provide all of {flags} or none")
     return [_unit3(text) for text in texts]
+
+
+def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
+    """Reject the options `mode` does not read (given ones are not None); default the rest."""
+    for dest in unused:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')} has no effect {mode}")
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _parse_psi(text: str) -> np.ndarray:
@@ -358,8 +369,8 @@ def _cmd_mermin(args, rng):
         "col_signs": list(report.col_signs),
         "assignments_checked": search.n_checked,
         "assignments_satisfying": search.n_satisfying,
-        "row_parity": search.row_parity,
-        "col_parity": search.col_parity,
+        "row_parity": math.prod(report.row_signs),
+        "col_parity": math.prod(report.col_signs),
     }
     claims = [
         _claim("line_products_match_signs", "le", report.max_product_dev, 0.0, args.tol),
@@ -398,13 +409,15 @@ def _cmd_bell(args, rng):
     return inputs, outputs, claims, {"lhs": args.tol}
 
 
+CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
+
+
 def _cmd_chsh(args, rng):
     psi = singlet_state() if args.state == "singlet" else np.array([1, 0, 0, 0], dtype=complex)
-    dirs = _directions(args, "a_dir", "a_prime", "b_dir", "b_prime")
-    tol = args.tol if args.tol is not None else (1e-6 if args.optimize else 1e-10)
     inputs = {"state": args.state, "optimize": bool(args.optimize)}
     if args.optimize:
-        settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=tol, seed=args.seed)
+        _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
+        settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=args.tol, seed=args.seed)
         inputs["restarts"] = args.restarts
         outputs = {
             "s_star": s_star,
@@ -419,10 +432,12 @@ def _cmd_chsh(args, rng):
         }
         target = CHSH_QUANTUM_MAX if args.state == "singlet" else 2.0
         claims = [
-            _claim("optimum_matches_known_maximum", "close", s_star, target, tol),
+            _claim("optimum_matches_known_maximum", "close", s_star, target, args.tol),
             _claim("within_tsirelson", "le", s_star, CHSH_QUANTUM_MAX, 1e-9),
         ]
-        return inputs, outputs, claims, {"optimum": tol, "tsirelson": 1e-9}
+        return inputs, outputs, claims, {"optimum": args.tol, "tsirelson": 1e-9}
+    _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
+    dirs = _directions(args, *CHSH_DIRECTIONS)
     settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
     s = chsh_value(psi, settings)
     tensor = correlation_tensor(psi)
@@ -435,19 +450,19 @@ def _cmd_chsh(args, rng):
     }
     claims = [_claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9)]
     if dirs is None and args.state == "singlet":
-        claims.append(_claim("matches_quantum_maximum", "close", s, CHSH_QUANTUM_MAX, tol))
-    return inputs, outputs, claims, {"value": tol, "tsirelson": 1e-9}
+        claims.append(_claim("matches_quantum_maximum", "close", s, CHSH_QUANTUM_MAX, args.tol))
+    return inputs, outputs, claims, {"value": args.tol, "tsirelson": 1e-9}
 
 
 def _cmd_wigner(args, rng):
     n = _at_least_one(args.samples, "--samples")
     # the 16 one-hot weights are the deterministic models, the vertices of the weight simplex
-    vertex_max = max(chsh_from_wigner(w) for w in np.eye(16))
+    vertex_max = chsh_from_wigner(np.eye(16)).max()
     random_max = 0.0
-    for _ in range(n):
-        w = rng.random(16)
-        w /= w.sum()
-        random_max = max(random_max, chsh_from_wigner(w))
+    for start in range(0, n, BATCH_PAIRS):
+        # one (k, 16) draw takes the same stream as k draws of 16; batches bound the memory
+        w = rng.random((min(BATCH_PAIRS, n - start), 16))
+        random_max = max(random_max, chsh_from_wigner(w / w.sum(axis=1, keepdims=True)).max())
     example = rng.random(16)
     example /= example.sum()
     inputs = {"n_random_weights": n}
@@ -484,8 +499,8 @@ def _cmd_ghz(args, rng):
 
 
 def _cmd_hardy(args, rng):
-    tol = args.tol if args.tol is not None else (1e-6 if args.optimize else 1e-10)
     if args.optimize:
+        _mode_options(args, "with --optimize", {"grid": 100, "tol": 1e-6}, ("p1", "p2"))
         params, p_max = hardy_optimize(grid=args.grid, tol=1e-8)
         inputs = {"optimize": True, "grid": args.grid}
         outputs = {
@@ -496,11 +511,12 @@ def _cmd_hardy(args, rng):
             "golden_ratio_inverse_5th": GOLDEN_RATIO**-5,
         }
         claims = [
-            _claim("argmax_p1_at_inverse_golden_ratio", "close", params.p1, 1.0 / GOLDEN_RATIO, tol),
-            _claim("argmax_p2_at_inverse_golden_ratio", "close", params.p2, 1.0 / GOLDEN_RATIO, tol),
+            _claim("argmax_p1_at_inverse_golden_ratio", "close", params.p1, 1.0 / GOLDEN_RATIO, args.tol),
+            _claim("argmax_p2_at_inverse_golden_ratio", "close", params.p2, 1.0 / GOLDEN_RATIO, args.tol),
             _claim("max_probability", "close", p_max, GOLDEN_RATIO**-5, 1e-7),
         ]
-        return inputs, outputs, claims, {"argmax": tol, "max": 1e-7}
+        return inputs, outputs, claims, {"argmax": args.tol, "max": 1e-7}
+    _mode_options(args, "without --optimize", {"p1": 0.5, "p2": 0.5, "tol": 1e-10}, ("grid",))
     construction = hardy_build(args.p1, args.p2)
     closed = hardy_probability(args.p1, args.p2)
     inputs = {"p1": args.p1, "p2": args.p2}
@@ -510,11 +526,11 @@ def _cmd_hardy(args, rng):
         "condition_residuals": [float(r) for r in construction.condition_residuals],
     }
     claims = [
-        _claim("construction_matches_closed_form", "close", construction.p, closed, tol),
+        _claim("construction_matches_closed_form", "close", construction.p, closed, args.tol),
         _claim("orthogonality_conditions_hold", "le", max(construction.condition_residuals), 0.0, TAU_EQ),
         _claim("probability_positive", "ge", construction.p, 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"closed_form": tol}
+    return inputs, outputs, claims, {"closed_form": args.tol}
 
 
 def _cmd_nosignal(args, rng):
@@ -537,10 +553,12 @@ def _cmd_nosignal(args, rng):
 
 
 def _cmd_simulate(args, rng):
+    flags = {"source": "singlet", "visibility": 1.0, "samples": 10**6, "seed": 0}
     if args.config:
+        _mode_options(args, "with --config", {}, flags)
         config = load_config(args.config)
-        args.seed = config.seed  # the report's top-level seed is the one the run used
     else:
+        _mode_options(args, "without --config", flags)
         config = ExperimentConfig(
             settings=optimal_chsh_settings(),
             n_pairs=args.samples,
@@ -548,6 +566,7 @@ def _cmd_simulate(args, rng):
             seed=args.seed,
             source=args.source,
         )
+    args.seed = config.seed  # the report's top-level seed is the one the run used
     report = simulate_chsh(config)
     inputs = {
         "source": report.source,
@@ -587,10 +606,11 @@ HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    unseeded = argparse.ArgumentParser(add_help=False)
+    unseeded.add_argument("--format", choices=("json", "csv"), default="json")
+    unseeded.add_argument("--quiet", action="store_true")
+    common = argparse.ArgumentParser(add_help=False, parents=[unseeded])
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--quiet", action="store_true")
 
     parser = argparse.ArgumentParser(prog="hvlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hvlab {__version__}")
@@ -636,11 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
     p.add_argument("--state", choices=("singlet", "product"), default="singlet")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--a-dir", default=None)
-    p.add_argument("--a-prime", default=None)
-    p.add_argument("--b-dir", default=None)
-    p.add_argument("--b-prime", default=None)
+    p.add_argument("--restarts", type=int, default=None, help="default 20; only with --optimize")
+    for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
+        p.add_argument(flag, default=None, help="not with --optimize")
     p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
 
     p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
@@ -651,21 +669,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
-    p.add_argument("--p1", type=float, default=0.5)
-    p.add_argument("--p2", type=float, default=0.5)
+    p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
+    p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=int, default=None, help="default 100; only with --optimize")
     p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo correlation experiment")
+    # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
+    p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
     p.add_argument("--config", metavar="FILE", default=None)
-    p.add_argument("--source", default="singlet")
-    p.add_argument("--visibility", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--source", default=None, help="default singlet; not with --config")
+    p.add_argument("--visibility", type=float, default=None, help="default 1.0; not with --config")
+    p.add_argument("--samples", type=int, default=None, help="default 10^6; not with --config")
+    p.add_argument("--seed", type=int, default=None, help="default 0; not with --config")
 
     return parser
 

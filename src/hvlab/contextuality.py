@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,17 +26,22 @@ UNASSIGNED = -1
 
 PERES_SQUARED_TRIPLES = ((0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.0, 1 / 3, 2 / 3), (0.25, 0.25, 0.5))
 
+# below this length the squared components are subnormal and the norm loses precision
+_MIN_RAY_NORM = float(np.sqrt(np.finfo(float).tiny))
+
 
 def canonical_ray(v, zero_tol: float = 1e-12) -> np.ndarray:
     """Unit vector with the first nonzero component positive.
 
-    A vector whose length is zero, NaN, infinite or overflows is rejected.
+    A vector whose length is NaN or infinite, or whose squared length
+    overflows or underflows (so that dividing by the length would not give
+    a unit vector), is rejected.
     """
     ray = np.asarray(v, dtype=float).reshape(3)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(ray)
-    if not 0.0 < norm < np.inf:  # also false for NaN components
-        raise ValueError(f"ray must have finite, nonzero length, got {ray.tolist()}")
+    if not _MIN_RAY_NORM <= norm < np.inf:  # also false for NaN components
+        raise ValueError(f"ray must have a finite length of at least {_MIN_RAY_NORM:.3g}, got {ray.tolist()}")
     ray = ray / norm
     for c in ray:
         if abs(c) > zero_tol:
@@ -251,46 +257,32 @@ class MerminReport:
     max_product_dev: float
     max_square_dev: float
     max_commutator: float
-    reversed_products_match: bool
-    ok: bool
 
 
 def mermin_verify(square, tol: float = TAU_EQ) -> MerminReport:
     """Check the row products are +I, the column products (+I, +I, -I),
-    every entry squares to I, and rows/columns commute internally."""
+    every entry squares to I, and rows/columns commute internally.
+
+    Raises ValueError if any check fails, so a returned report always passed.
+    """
     square = np.asarray(square, dtype=complex)
     if square.shape != (3, 3, 4, 4):
         raise ValueError(f"expected shape (3, 3, 4, 4), got {square.shape}")
     eye4 = np.eye(4, dtype=complex)
-    prod_dev = 0.0
-    reversed_match = True
-    for r in range(3):
-        fwd = square[r, 0] @ square[r, 1] @ square[r, 2]
-        rev = square[r, 2] @ square[r, 1] @ square[r, 0]
-        prod_dev = max(prod_dev, float(np.max(np.abs(fwd - MERMIN_ROW_SIGNS[r] * eye4))))
+    lines = [square[r] for r in range(3)] + [square[:, c] for c in range(3)]
+    prod_dev, comm, reversed_match = 0.0, 0.0, True
+    for line, sign in zip(lines, MERMIN_ROW_SIGNS + MERMIN_COL_SIGNS):
+        fwd = line[0] @ line[1] @ line[2]
+        rev = line[2] @ line[1] @ line[0]
+        prod_dev = max(prod_dev, float(np.max(np.abs(fwd - sign * eye4))))
         reversed_match &= bool(np.max(np.abs(fwd - rev)) <= tol)
-    for c in range(3):
-        fwd = square[0, c] @ square[1, c] @ square[2, c]
-        rev = square[2, c] @ square[1, c] @ square[0, c]
-        prod_dev = max(prod_dev, float(np.max(np.abs(fwd - MERMIN_COL_SIGNS[c] * eye4))))
-        reversed_match &= bool(np.max(np.abs(fwd - rev)) <= tol)
-    sq_dev = max(
-        float(np.max(np.abs(square[r, c] @ square[r, c] - eye4)))
-        for r in range(3)
-        for c in range(3)
-    )
-    comm = 0.0
-    for line in itertools.chain(
-        (tuple(square[r, c] for c in range(3)) for r in range(3)),
-        (tuple(square[r, c] for r in range(3)) for c in range(3)),
-    ):
         for a, b in itertools.combinations(line, 2):
             comm = max(comm, float(np.max(np.abs(a @ b - b @ a))))
-    ok = prod_dev <= tol and sq_dev <= tol and comm <= tol and reversed_match
-    if not ok:
+    sq_dev = float(np.max(np.abs(square @ square - eye4)))
+    if not (prod_dev <= tol and sq_dev <= tol and comm <= tol and reversed_match):
         raise ValueError(
             f"operator square fails verification: product dev {prod_dev}, "
-            f"square dev {sq_dev}, commutator {comm}"
+            f"square dev {sq_dev}, commutator {comm}, reversed products match {reversed_match}"
         )
     return MerminReport(
         row_signs=MERMIN_ROW_SIGNS,
@@ -298,31 +290,26 @@ def mermin_verify(square, tol: float = TAU_EQ) -> MerminReport:
         max_product_dev=prod_dev,
         max_square_dev=sq_dev,
         max_commutator=comm,
-        reversed_products_match=reversed_match,
-        ok=ok,
     )
 
 
-def count_sign_assignments(n_vars: int, constraints) -> tuple[int, int]:
+class AssignmentSearchResult(NamedTuple):
+    n_checked: int
+    n_satisfying: int
+
+
+def count_sign_assignments(n_vars: int, constraints) -> AssignmentSearchResult:
     """Count the +-1 assignments to n_vars variables that meet every constraint.
 
     Each constraint is (indices, target): the product of the values at
     `indices` must equal `target`.  All 2**n_vars assignments are checked
-    at once; returns (assignments checked, assignments satisfying).
+    at once.
     """
     values = np.array(list(itertools.product((1, -1), repeat=n_vars)))
     ok = np.ones(len(values), dtype=bool)
     for indices, target in constraints:
         ok &= values[:, list(indices)].prod(axis=1) == target
-    return len(values), int(np.count_nonzero(ok))
-
-
-@dataclass(frozen=True)
-class AssignmentSearchResult:
-    n_checked: int
-    n_satisfying: int
-    row_parity: int
-    col_parity: int
+    return AssignmentSearchResult(len(values), int(np.count_nonzero(ok)))
 
 
 def mermin_assignment_search(
@@ -337,12 +324,4 @@ def mermin_assignment_search(
     # the grid is flattened row by row: row r holds 3r..3r+2, column c holds c, c+3, c+6
     constraints = [(range(3 * r, 3 * r + 3), row_signs[r]) for r in range(3)]
     constraints += [(range(c, 9, 3), col_signs[c]) for c in range(3)]
-    n_checked, n_satisfying = count_sign_assignments(9, constraints)
-    row_parity = int(np.prod(row_signs))
-    col_parity = int(np.prod(col_signs))
-    return AssignmentSearchResult(
-        n_checked=n_checked,
-        n_satisfying=n_satisfying,
-        row_parity=row_parity,
-        col_parity=col_parity,
-    )
+    return count_sign_assignments(9, constraints)

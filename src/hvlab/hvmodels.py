@@ -8,12 +8,15 @@ dispersion-free state (psi, lambda),
 so the value is always one of the two eigenvalues alpha +/- |beta|, and the
 uniform average over lambda in [-1/2, 1/2] is exactly alpha + m, the quantum
 expectation.  The joint-weight model assigns a probability to every
-preassigned outcome tuple (s, s', t, t') in {+-1}^4; its correlators always
-satisfy the CHSH bound S <= 2.
+preassigned outcome tuple (s, s', t, t') in {+-1}^4; its four correlators are
+one product of the 16 weights with a (16, 4) parity matrix, and they always
+satisfy the CHSH bound S <= 2.  The joint-weight functions take one model or
+a batch, one model per row.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -23,11 +26,10 @@ from .qmath import TAU_EQ, assert_state_vector, sigma_dot
 
 SIGN = np.array([1.0, -1.0])  # weight-array index 0 means +1, index 1 means -1
 
-# parity tables st, st', s't, s't' over the (s, s', t, t') index grid
-_PARITY_AB = np.einsum("i,k->ik", SIGN, SIGN)[:, None, :, None]
-_PARITY_ABP = np.einsum("i,l->il", SIGN, SIGN)[:, None, None, :]
-_PARITY_APB = np.einsum("j,k->jk", SIGN, SIGN)[None, :, :, None]
-_PARITY_APBP = np.einsum("j,l->jl", SIGN, SIGN)[None, :, None, :]
+# parities st, st', s't, s't' of the 16 outcome tuples (s, s', t, t'), in weight order
+_PARITY = np.array(
+    [(s * t, s * tp, sp * t, sp * tp) for s, sp, t, tp in itertools.product(SIGN, repeat=4)]
+)
 
 
 def sgn(x):
@@ -57,17 +59,18 @@ def _beta_and_m(beta, psi) -> tuple[float, float]:
     return beta_len, m
 
 
+def _hv_values(alpha: float, beta, psi, lams):
+    """The value map at each lambda in `lams`; beta = 0 gives m = 0 and the value alpha."""
+    beta_len, m = _beta_and_m(beta, psi)
+    return alpha + beta_len * sgn(m) * sgn(lams * beta_len + 0.5 * abs(m))
+
+
 def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
     """Value assigned to alpha*I + beta.sigma in the state (psi, lambda).
 
-    Always one of the eigenvalues alpha +/- |beta|.  For beta = 0 the
-    observable is alpha*I and the value is alpha.
+    Always one of the eigenvalues alpha +/- |beta|.
     """
-    beta_len, m = _beta_and_m(beta, state.psi)
-    if beta_len == 0.0:
-        return float(alpha)
-    val = alpha + beta_len * float(sgn(m)) * float(sgn(state.lam * beta_len + 0.5 * abs(m)))
-    return float(val)
+    return float(_hv_values(alpha, beta, state.psi, state.lam))
 
 
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
@@ -92,13 +95,8 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     psi = assert_state_vector(psi)
-    beta_len, m = _beta_and_m(beta, psi)
     rng = np.random.default_rng(seed)
-    lams = rng.uniform(-0.5, 0.5, size=n_samples)
-    if beta_len == 0.0:
-        values = np.full(n_samples, float(alpha))
-    else:
-        values = alpha + beta_len * sgn(m) * sgn(lams * beta_len + 0.5 * abs(m))
+    values = _hv_values(alpha, beta, psi, rng.uniform(-0.5, 0.5, size=n_samples))
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(n_samples))
     exact = bell_hv_average_exact(alpha, beta, psi)
@@ -113,20 +111,22 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
 
 
 def validate_wigner_weights(w) -> np.ndarray:
-    """Normalize input to shape (2, 2, 2, 2); axes are (s, s', t, t').
+    """Normalize input to shape (..., 2, 2, 2, 2); the last axes are (s, s', t, t').
 
-    Weights must be nonnegative and sum to 1 within tolerance.
+    Takes one model, shape (16,) or (2, 2, 2, 2), or a batch of them.  Each
+    model's weights must be nonnegative and sum to 1 within tolerance.
     """
     arr = np.asarray(w, dtype=float)
-    if arr.shape == (16,):
-        arr = arr.reshape(2, 2, 2, 2)
-    if arr.shape != (2, 2, 2, 2):
+    if arr.shape[-1:] == (16,):
+        arr = arr.reshape(arr.shape[:-1] + (2, 2, 2, 2))
+    if arr.shape[-4:] != (2, 2, 2, 2):
         raise ValueError(f"weights must have 16 entries, got shape {arr.shape}")
-    if not (arr.min() >= -TAU_EQ):  # also true for NaN
+    if not (arr >= -TAU_EQ).all():  # also true for NaN
         raise ValueError(f"weights must be finite and nonnegative, got minimum {arr.min()}")
-    total = float(arr.sum())
-    if not (abs(total - 1.0) <= TAU_EQ):
-        raise ValueError(f"weights sum to {total}, expected 1")
+    totals = arr.sum(axis=(-4, -3, -2, -1))
+    bad = ~(np.abs(totals - 1.0) <= TAU_EQ)
+    if bad.any():
+        raise ValueError(f"weights sum to {totals[bad].flat[0]}, expected 1")
     return arr
 
 
@@ -140,17 +140,17 @@ def deterministic_weights(s: int, sp: int, t: int, tp: int) -> np.ndarray:
     return w
 
 
-def wigner_correlators(w) -> tuple[float, float, float, float]:
-    """The four weighted parity sums (P_ab, P_ab', P_a'b, P_a'b')."""
+def wigner_correlators(w) -> tuple:
+    """The four weighted parity sums (P_ab, P_ab', P_a'b, P_a'b').
+
+    Floats for one model; for a batch, four arrays over the batch shape.
+    """
     arr = validate_wigner_weights(w)
-    p_ab = float((arr * _PARITY_AB).sum())
-    p_abp = float((arr * _PARITY_ABP).sum())
-    p_apb = float((arr * _PARITY_APB).sum())
-    p_apbp = float((arr * _PARITY_APBP).sum())
-    return p_ab, p_abp, p_apb, p_apbp
+    p = np.moveaxis(arr.reshape(arr.shape[:-4] + (16,)) @ _PARITY, -1, 0)
+    return tuple(map(float, p)) if p.ndim == 1 else tuple(p)
 
 
-def chsh_from_wigner(w) -> float:
-    """S = |P_ab - P_ab'| + |P_a'b + P_a'b'|; at most 2 for valid weights."""
+def chsh_from_wigner(w):
+    """S = |P_ab - P_ab'| + |P_a'b + P_a'b'|, per model; at most 2 for valid weights."""
     p_ab, p_abp, p_apb, p_apbp = wigner_correlators(w)
     return abs(p_ab - p_abp) + abs(p_apb + p_apbp)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contextuality import count_sign_assignments
+from .contextuality import AssignmentSearchResult, count_sign_assignments
 from .qmath import (
     PAULIS,
     TAU_EQ,
@@ -191,12 +191,7 @@ def chsh_optimize(
     return settings, chsh_value(psi, settings)
 
 
-class GhzSearchResult(NamedTuple):
-    n_checked: int
-    n_satisfying: int
-
-
-def ghz_assignment_search(xxx_target: int = -1) -> GhzSearchResult:
+def ghz_assignment_search(xxx_target: int = -1) -> AssignmentSearchResult:
     """Exhaustive search over the 64 local value assignments (m_x, m_y) per
     particle, against the three m_x m_y m_y = +1 constraints and
     m_x m_x m_x = xxx_target.
@@ -207,10 +202,9 @@ def ghz_assignment_search(xxx_target: int = -1) -> GhzSearchResult:
     if xxx_target not in (1, -1):
         raise ValueError("xxx_target must be +1 or -1")
     # variables 0-2 are m_x of particles 1-3, variables 3-5 their m_y
-    n_checked, n_satisfying = count_sign_assignments(
+    return count_sign_assignments(
         6, [((0, 4, 5), 1), ((3, 1, 5), 1), ((3, 4, 2), 1), ((0, 1, 2), xxx_target)]
     )
-    return GhzSearchResult(n_checked=n_checked, n_satisfying=n_satisfying)
 
 
 def ghz_stabilizer_deviations(psi=None) -> dict[str, float]:

@@ -32,13 +32,14 @@ def is_hermitian(m, tol: float = TAU_EQ) -> bool:
     mat = as_matrix(m)
     if mat.shape[0] != mat.shape[1]:
         return False
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf deviation fails the test
+        return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
 
 def assert_hermitian(m, tol: float = TAU_EQ) -> np.ndarray:
     mat = as_matrix(m)
     if not is_hermitian(mat, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not finite and Hermitian within tolerance")
     return mat
 
 

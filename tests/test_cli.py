@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hvlab
+import hvlab.cli
 from hvlab.cli import evaluate_claim, main
+from hvlab.hvmodels import chsh_from_wigner, wigner_correlators
 from hvlab.simlab import ExperimentConfig, save_config
 from hvlab.nonlocality import optimal_chsh_settings
 
@@ -93,6 +96,33 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["vertex_max_s"] <= 2.0
         assert report["outputs"]["random_max_s"] <= 2.0
+
+    def test_wigner_batches_continue_the_per_model_stream(self, capsys, monkeypatch):
+        monkeypatch.setattr(hvlab.cli, "BATCH_PAIRS", 7)
+        code, report = run_json(capsys, "wigner", "--samples=100", "--seed=9")
+        rng = np.random.default_rng(9)
+        want = 0.0
+        for _ in range(100):
+            w = rng.random(16)
+            want = max(want, chsh_from_wigner(w / w.sum()))
+        example = rng.random(16)
+        example_correlators = wigner_correlators(example / example.sum())
+        assert code == 0
+        assert report["outputs"]["random_max_s"] == float(f"{want:.9g}")
+        assert list(report["outputs"]["example_correlators"].values()) == [
+            float(f"{x:.9g}") for x in example_correlators
+        ]
+
+    def test_wigner_memory_does_not_grow_with_samples(self, capsys):
+        def peak_bytes(samples):
+            tracemalloc.start()
+            try:
+                assert main(["wigner", f"--samples={samples}", "--quiet"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(2 * 10**6) <= peak_bytes(2 * 10**5) + 2 * 2**20
 
     def test_ghz(self, capsys):
         code, report = run_json(capsys, "ghz")
@@ -283,6 +313,30 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(("simulate", "--config={config}", flag) for flag in (
+                "--source=lhv:sign", "--visibility=0.5", "--samples=100", "--seed=3",
+            )),
+            ("hardy", "--optimize", "--p1=0.3"),
+            ("hardy", "--optimize", "--p2=0.3"),
+            ("hardy", "--grid=40"),
+            *(("chsh", "--optimize", f"--{flag}=1,0,0") for flag in ("a-dir", "a-prime", "b-dir", "b-prime")),
+            ("chsh", "--restarts=5"),
+        ],
+        ids=lambda argv: f"{argv[0]}{'-optimize' if '--optimize' in argv else ''}{argv[-1].split('=')[0]}",
+    )
+    def test_option_the_mode_does_not_read_exits_2(self, capsys, tmp_path, argv):
+        config = tmp_path / "exp.cfg"
+        save_config(config, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
+        code, out, err = run(capsys, *(arg.format(config=config) for arg in argv))
+        flag = argv[-1].split("=")[0]
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}:") and f"{flag} has no effect" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_nan_chsh_setting_exits_2(self, capsys):
         code, out, err = run(

@@ -6,6 +6,8 @@ import pytest
 
 from hvlab.contextuality import (
     GREEN,
+    MERMIN_COL_SIGNS,
+    MERMIN_ROW_SIGNS,
     RED,
     PERES_SQUARED_TRIPLES,
     canonical_ray,
@@ -214,10 +216,8 @@ class TestMerminSquare:
 
     def test_verify_products_and_commutation(self):
         report = mermin_verify(mermin_square())
-        assert report.ok
         assert report.max_product_dev <= 1e-12
         assert report.max_commutator <= 1e-12
-        assert report.reversed_products_match
         assert report.row_signs == (1, 1, 1)
         assert report.col_signs == (1, 1, -1)
 
@@ -227,19 +227,27 @@ class TestMerminSquare:
         with pytest.raises(ValueError, match="fails verification"):
             mermin_verify(square)
 
+    def test_verify_rejects_noncommuting_line(self):
+        # swapping X(1) and Y(2) puts Y(2) beside X(2) in the first row
+        square = mermin_square().copy()
+        square[[0, 1], 0] = square[[1, 0], 0]
+        with pytest.raises(ValueError, match="commutator 2"):
+            mermin_verify(square)
+
 
 class TestMerminAssignmentSearch:
     def test_counts(self):
         result = mermin_assignment_search()
         assert result.n_checked == 512
         assert result.n_satisfying == 0
-        assert result.row_parity == 1
-        assert result.col_parity == -1
+        assert math.prod(MERMIN_ROW_SIGNS) == 1
+        assert math.prod(MERMIN_COL_SIGNS) == -1
 
     def test_relaxed_third_column_becomes_satisfiable(self):
-        result = mermin_assignment_search(col_signs=(1, 1, 1))
+        col_signs = (1, 1, 1)
+        result = mermin_assignment_search(col_signs=col_signs)
         assert result.n_satisfying > 0
-        assert result.col_parity == 1
+        assert math.prod(col_signs) == 1
 
 
 def test_count_sign_assignments_matches_plain_loop():

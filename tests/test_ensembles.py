@@ -94,6 +94,17 @@ class TestDispersionScan:
         with pytest.raises(ValueError, match="orthogonal"):
             dispersion_scan(projector(phi), phi, phi, steps=10)
 
+    def test_matches_per_angle_loop(self):
+        rng = np.random.default_rng(15)
+        for dim in (2, 3, 4):
+            rho = random_density(rng, dim)
+            evecs = np.linalg.eigh(rho)[1]
+            phi1, phi2 = evecs[:, -1], evecs[:, 0]
+            thetas, values = dispersion_scan(rho, phi1, phi2, steps=257)
+            for t, got in zip(thetas, values):
+                phi = np.cos(t) * phi1 + np.sin(t) * phi2
+                assert abs(got - np.vdot(phi, rho @ phi).real) <= 1e-15
+
     def test_rejects_too_few_steps(self):
         phi1 = np.array([1.0, 0.0], dtype=complex)
         phi2 = np.array([0.0, 1.0], dtype=complex)
@@ -138,6 +149,16 @@ class TestDispersionFreeWitness:
             phi = dispersion_free_witness(rho)
             val = float(np.vdot(phi, rho @ phi).real)
             assert 0.01 < val < 0.99
+
+    def test_top_eigenvector_when_the_rotation_is_at_most_epsilon(self):
+        # (l1 + l2)/2 = (0.015 + 0.985/199)/2 < 0.01, yet l1 itself is a witness value
+        rho = np.diag([0.985 / 199] * 100 + [0.015] + [0.985 / 199] * 99).astype(complex)
+        phi = dispersion_free_witness(rho)
+        assert abs(np.vdot(phi, rho @ phi).real - 0.015) <= 1e-15
+
+    def test_no_witness_when_every_eigenvalue_is_at_most_epsilon(self):
+        with pytest.raises(ValueError, match="no dispersion witness exists"):
+            dispersion_free_witness(np.eye(120, dtype=complex) / 120)
 
 
 class TestHomogeneity:

@@ -79,6 +79,9 @@ class TestBellHVAverageMC:
         assert est == 1.0
         assert stderr == 0.0
 
+    def test_zero_beta_is_exactly_alpha(self):
+        assert bell_hv_average_mc(1.5, (0, 0, 0), KET0, 10**4, seed=2) == (1.5, 0.0)
+
     def test_x_direction_within_5_sigma(self):
         est, stderr = bell_hv_average_mc(0, (1, 0, 0), KET0, 10**6, seed=2)
         assert abs(est - 0.0) <= 5 * stderr
@@ -170,6 +173,42 @@ class TestWigner:
         for w in (np.full(16, np.nan), one_nan):
             with pytest.raises(ValueError, match="finite"):
                 chsh_from_wigner(w)
+
+
+class TestWignerBatch:
+    @pytest.mark.parametrize("shape", [(200, 16), (5, 2, 2, 2, 2)], ids=["rows", "grid"])
+    def test_batch_matches_scalar_and_enumeration_oracle(self, shape):
+        rng = np.random.default_rng(25)
+        w = rng.random((shape[0], 16))
+        w /= w.sum(axis=1, keepdims=True)
+        w = w.reshape(shape)
+        s_batch = chsh_from_wigner(w)
+        correlators = wigner_correlators(w)
+        assert s_batch.shape == (shape[0],)
+        assert len(correlators) == 4
+        for k in range(shape[0]):
+            want = correlators_bruteforce(w[k])
+            assert abs(s_batch[k] - chsh_from_wigner(w[k])) <= 1e-14
+            assert abs(s_batch[k] - (abs(want[0] - want[1]) + abs(want[2] + want[3]))) <= 1e-14
+            assert np.allclose([c[k] for c in correlators], want, rtol=0, atol=1e-14)
+            assert np.allclose([c[k] for c in correlators], wigner_correlators(w[k]), rtol=0, atol=1e-14)
+
+    def test_empty_batch_gives_empty_results(self):
+        assert chsh_from_wigner(np.empty((0, 16))).shape == (0,)
+        assert [c.shape for c in wigner_correlators(np.empty((0, 2, 2, 2, 2)))] == [(0,)] * 4
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [(np.nan, "finite"), (-0.5, "negative"), (0.5, "sum")],
+        ids=["nan", "negative", "unnormalized"],
+    )
+    def test_one_bad_row_rejects_the_batch(self, value, match):
+        w = np.full((10, 16), 1 / 16)
+        w[7, 3] += value
+        with pytest.raises(ValueError, match=match):
+            chsh_from_wigner(w)
+        with pytest.raises(ValueError, match=match):
+            validate_wigner_weights(w.reshape(2, 5, 2, 2, 2, 2))
 
 
 def test_eigenvalue_additivity_fails_for_noncommuting():
