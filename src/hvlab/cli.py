@@ -39,6 +39,7 @@ from .ensembles import (
     reconstruct_density,
 )
 from .hvmodels import (
+    BATCH_PAIRS,
     bell_hv_average_exact,
     bell_hv_average_mc,
     chsh_from_wigner,
@@ -78,7 +79,7 @@ from .nonlocality import (
     optimal_chsh_settings,
     singlet_state,
 )
-from .simlab import BATCH_PAIRS, ExperimentConfig, load_config, simulate_chsh
+from .simlab import ExperimentConfig, load_config, simulate_chsh
 
 
 def _claim(name: str, kind: str, value: float, target: float, tol: float) -> dict:

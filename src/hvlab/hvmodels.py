@@ -7,10 +7,11 @@ dispersion-free state (psi, lambda),
 
 so the value is always one of the two eigenvalues alpha +/- |beta|, and the
 uniform average over lambda in [-1/2, 1/2] is exactly alpha + m, the quantum
-expectation.  The joint-weight model assigns a probability to every
-preassigned outcome tuple (s, s', t, t') in {+-1}^4; its four correlators are
-one product of the 16 weights with a (16, 4) parity matrix, and they always
-satisfy the CHSH bound S <= 2.  The joint-weight functions take one model or
+expectation; its Monte Carlo estimate keeps only a count, so memory does
+not grow with the sample count.  The joint-weight model assigns a
+probability to every preassigned outcome tuple (s, s', t, t') in {+-1}^4;
+its four correlators are one product of the 16 weights with a (16, 4)
+parity matrix, and they always satisfy the CHSH bound S <= 2.  The joint-weight functions take one model or
 a batch, one model per row.
 """
 
@@ -26,6 +27,8 @@ from .qmath import TAU_EQ, assert_state_vector, sigma_dot
 
 SIGN = np.array([1.0, -1.0])  # weight-array index 0 means +1, index 1 means -1
 
+BATCH_PAIRS = 1 << 16  # samples held in memory at once by the batched samplers
+
 # parities st, st', s't, s't' of the 16 outcome tuples (s, s', t, t'), in weight order
 _PARITY = np.array(
     [(s * t, s * tp, sp * t, sp * tp) for s, sp, t, tp in itertools.product(SIGN, repeat=4)]
@@ -33,8 +36,8 @@ _PARITY = np.array(
 
 
 def sgn(x):
-    """Sign with the convention sgn(0) = +1."""
-    return np.where(np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+    """Sign with the convention sgn(0) = +1, for -0.0 too (-0.0 + 0.0 is +0.0)."""
+    return np.copysign(1.0, np.asarray(x, dtype=float) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,13 @@ def _beta_and_m(beta, psi) -> tuple[float, float]:
     return beta_len, m
 
 
-def _hv_values(alpha: float, beta, psi, lams):
-    """The value map at each lambda in `lams`; beta = 0 gives m = 0 and the value alpha."""
-    beta_len, m = _beta_and_m(beta, psi)
-    return alpha + beta_len * sgn(m) * sgn(lams * beta_len + 0.5 * abs(m))
-
-
 def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
     """Value assigned to alpha*I + beta.sigma in the state (psi, lambda).
 
     Always one of the eigenvalues alpha +/- |beta|.
     """
-    return float(_hv_values(alpha, beta, state.psi, state.lam))
+    beta_len, m = _beta_and_m(beta, state.psi)
+    return float(alpha + beta_len * sgn(m) * sgn(state.lam * beta_len + 0.5 * abs(m)))
 
 
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
@@ -88,21 +86,26 @@ def bell_hv_average_exact(alpha: float, beta, psi) -> float:
 def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo lambda average: (estimate, standard error).
 
-    Draws n_samples uniform lambdas with a seeded generator; reproducible
-    for a fixed seed.  Warns if the estimate strays more than 5 standard
-    errors from the exact average.
+    Draws n uniform lambdas from one seeded generator in batches of
+    `BATCH_PAIRS` and counts the c with sgn(lambda |beta| + |m|/2) = +1; with
+    E = (2c - n) / n the estimate is alpha + |beta| sgn(m) E and the ddof=1
+    standard error |beta| sqrt((1 - E^2) / (n - 1)).  Warns if the estimate
+    strays more than 5 standard errors from the exact average.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     psi = assert_state_vector(psi)
+    beta_len, m = _beta_and_m(beta, psi)
     rng = np.random.default_rng(seed)
-    values = _hv_values(alpha, beta, psi, rng.uniform(-0.5, 0.5, size=n_samples))
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(n_samples))
+    plus = 0
+    for start in range(0, n_samples, BATCH_PAIRS):
+        lams = rng.uniform(-0.5, 0.5, size=min(BATCH_PAIRS, n_samples - start))
+        plus += np.count_nonzero(lams * beta_len + 0.5 * abs(m) >= 0.0)
+    mean_sgn = (2 * plus - n_samples) / n_samples
+    estimate = float(alpha + beta_len * sgn(m) * mean_sgn)
+    stderr = float(beta_len * np.sqrt((1.0 - mean_sgn * mean_sgn) / (n_samples - 1)))
     exact = bell_hv_average_exact(alpha, beta, psi)
-    if (stderr > 0 and abs(estimate - exact) > 5 * stderr) or (
-        stderr == 0 and estimate != exact
-    ):
+    if abs(estimate - exact) > 5 * stderr:  # with stderr = 0: estimate != exact
         warnings.warn(
             f"MC estimate {estimate} deviates from exact {exact} by more than 5 sigma",
             stacklevel=2,

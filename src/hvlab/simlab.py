@@ -10,9 +10,10 @@ V in [0, 1] is a single visibility knob standing in for apparatus
 imperfection.  Its correlation tensor is V times the singlet's, T = -V I,
 so P(xy = +1 | a, b) = (1 + a . T b) / 2 and each count is one binomial
 draw: time and memory do not depend on n_pairs.  Local hidden-variable
-sources draw one lambda per pair, in fixed-size batches from one
+sources draw one lambda per pair, in batches of `BATCH_PAIRS` from one
 generator, and answer through response functions that never see the
-far-side setting.
+far-side setting; the sign strategy's lambda is an unnormalized
+standard-normal 3-vector, since its outcomes read only the direction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .hvmodels import BATCH_PAIRS, sgn
 from .nonlocality import (
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
@@ -34,8 +36,6 @@ from .nonlocality import (
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
-
-BATCH_PAIRS = 1 << 16  # lambdas held in memory at once by `simulate_lhv`
 
 
 def _check_n_pairs(n_pairs: int) -> None:
@@ -75,24 +75,18 @@ class LhvStrategy:
 
 
 def sign_strategy() -> LhvStrategy:
-    """A = sgn(a.lam_hat), B = -sgn(b.lam_hat), lam_hat uniform on the sphere.
+    """A = sgn(a.lam), B = -sgn(b.lam), sgn(0) = +1, lam standard normal in R^3.
 
+    A standard-normal vector points uniformly on the sphere, and
+    sgn(a.lam) depends only on that direction, so lam is not normalized.
     Reproduces perfect anticorrelation at equal settings; the exact
     correlator is -1 + 2 theta_ab / pi.
     """
-
-    def sample(rng, n):
-        lam = rng.normal(size=(n, 3))
-        return lam / np.linalg.norm(lam, axis=1, keepdims=True)
-
-    def respond(setting, lams):
-        return np.where(lams @ setting >= 0.0, 1.0, -1.0)
-
     return LhvStrategy(
         name="sign",
-        sample=sample,
-        response_a=respond,
-        response_b=lambda setting, lams: -respond(setting, lams),
+        sample=lambda rng, n: rng.standard_normal((n, 3)),
+        response_a=lambda setting, lams: sgn(lams @ setting),
+        response_b=lambda setting, lams: -sgn(lams @ setting),
     )
 
 

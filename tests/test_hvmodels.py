@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hvlab import hvmodels
 from hvlab.hvmodels import (
     BellHVState,
     bell_hv_average_exact,
@@ -34,6 +36,8 @@ class TestBellHVValue:
 
     def test_sgn_zero_is_plus_one(self):
         assert sgn(0.0) == 1.0
+        assert sgn(-0.0) == 1.0
+        assert list(sgn([-0.0, 0.0, -2.0, 3.0])) == [1.0, 1.0, -1.0, 1.0]
         assert bell_hv_value(0, (1, 0, 0), BellHVState(KET0, 0.0)) == 1.0
 
     def test_zero_beta_returns_alpha(self):
@@ -106,6 +110,32 @@ class TestBellHVAverageMC:
     def test_rejects_small_samples(self):
         with pytest.raises(ValueError):
             bell_hv_average_mc(0, (0, 0, 1), KET0, 99, seed=0)
+
+    def test_batches_match_single_draw_reference(self, monkeypatch):
+        # a batch size that does not divide n leaves a short last batch
+        monkeypatch.setattr(hvmodels, "BATCH_PAIRS", 7)
+        alpha, beta, n, seed = 0.25, np.array([0.6, -0.3, 0.2]), 1003, 17
+        psi = random_state(np.random.default_rng(5), 2)
+        beta_len = np.linalg.norm(beta)
+        m = expectation(projector(psi), pauli_obs(0.0, beta))
+        lams = np.random.default_rng(seed).uniform(-0.5, 0.5, size=n)
+        values = alpha + beta_len * np.where(m >= 0, 1.0, -1.0) * np.where(
+            lams * beta_len + 0.5 * abs(m) >= 0, 1.0, -1.0
+        )
+        est, stderr = bell_hv_average_mc(alpha, beta, psi, n, seed=seed)
+        assert abs(est - values.mean()) <= 1e-15
+        assert abs(stderr - values.std(ddof=1) / np.sqrt(n)) <= 1e-15
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak_bytes(n_samples):
+            tracemalloc.start()
+            try:
+                bell_hv_average_mc(0, (1, 1, 0), KET0, n_samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(2 * 10**6) <= peak_bytes(2 * 10**5) + 2 * 2**20
 
 
 def correlators_bruteforce(w):

@@ -6,6 +6,7 @@ from hvlab.qmath import (
     SIGMA_X,
     SIGMA_Z,
     TAU_EQ,
+    assert_density_operator,
     assert_state_vector,
     eig_herm2,
     expectation,
@@ -157,6 +158,13 @@ class TestProjector:
 def test_state_vector_rejects_non_finite(psi):
     with pytest.raises(ValueError, match="normalized"):
         assert_state_vector(psi)
+
+
+def test_density_operator_overflowing_trace_raises_only_value_error():
+    # np.trace overflows to inf here; under error::RuntimeWarning the
+    # overflow warning would end the call before the ValueError
+    with pytest.raises(ValueError, match="trace"):
+        assert_density_operator(np.diag([1e308, 1e308]))
 
 
 class TestIntersectionProjector:

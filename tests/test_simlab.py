@@ -162,6 +162,34 @@ class TestSimulateLhv:
             assert report.pairs_per_setting[name] == len(products)
             assert report.correlators[name] == np.mean(products)
 
+    def test_sign_strategy_orthogonal_lambda_answers_plus_one(self):
+        strategy = sign_strategy()
+        setting = np.array([1.0, 0.0, 0.0])
+        # every row is orthogonal to the setting, so a.lam is exactly zero and sgn(0) = +1
+        lams = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -2.0], [-0.0, -0.0, -1.0]])
+        assert list(strategy.response_a(setting, lams)) == [1.0, 1.0, 1.0]
+        assert list(strategy.response_b(setting, lams)) == [-1.0, -1.0, -1.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_match_normalized_lambda_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)  # a random rotation of the optimal settings
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        rot = q * np.sign(np.diag(r))
+        base = optimal_chsh_settings()
+        settings = ChshSettings(
+            a=rot @ base.a, a_prime=rot @ base.a_prime, b=rot @ base.b, b_prime=rot @ base.b_prime
+        )
+        n = 10**6
+        report = simulate_lhv(sign_strategy(), settings, n, seed=seed)
+        lam = np.random.default_rng(seed).normal(size=(n, 3))
+        lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+        for k, (name, (u, v)) in enumerate(zip(simlab.SETTING_PAIR_NAMES, settings.pairs())):
+            lam_k = lam[k::4]
+            outcomes_a = np.where(lam_k @ u >= 0, 1.0, -1.0)
+            outcomes_b = -np.where(lam_k @ v >= 0, 1.0, -1.0)
+            plus = np.count_nonzero(outcomes_a == outcomes_b)
+            assert report.correlators[name] == (2 * plus - len(lam_k)) / len(lam_k)
+
     def test_lhv_source_via_config(self):
         report = simulate_chsh(make_config(source="lhv:sign", n_pairs=10**4))
         assert report.source == "lhv:sign"
