@@ -42,6 +42,7 @@ from .hvmodels import (
     BATCH_PAIRS,
     bell_hv_average_exact,
     bell_hv_average_mc,
+    bell_hv_model_stderr,
     chsh_from_wigner,
     wigner_correlators,
 )
@@ -182,12 +183,18 @@ def _vec3(text: str) -> np.ndarray:
     return np.array(parts)
 
 
+def _scaled(parts, what: str) -> np.ndarray:
+    """parts times the power of two that brings the largest into [1/2, 1): exact (bar
+    subnormals), and the norm taken afterwards can neither overflow nor underflow."""
+    largest = max(abs(p) for p in parts)
+    if largest == 0:
+        raise ValueError(f"{what} cannot be the zero vector")
+    return np.ldexp(parts, -math.frexp(largest)[1])
+
+
 def _unit3(text: str) -> np.ndarray:
-    v = _vec3(text)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("direction cannot be the zero vector")
-    return v / norm
+    v = _scaled(_vec3(text), "direction")
+    return v / np.linalg.norm(v)
 
 
 def _directions(args, *dests: str):
@@ -215,11 +222,9 @@ def _parse_psi(text: str) -> np.ndarray:
     parts = _finite_components(text)
     if len(parts) % 2 != 0:
         raise ValueError("state must be re,im pairs")
-    vec = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("state cannot be the zero vector")
-    return vec / norm
+    scaled = _scaled(parts, "state")
+    vec = scaled[0::2] + 1j * scaled[1::2]
+    return vec / np.linalg.norm(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +311,8 @@ def _cmd_bell_hv(args, rng):
     quantum = args.alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)
     estimate, stderr = bell_hv_average_mc(args.alpha, beta, psi, args.samples, args.seed)
     eig_hi, eig_lo = eig_herm2(pauli_obs(args.alpha, beta))
+    # from the report: |beta| is half the eigenvalue gap and m = exact_average - alpha
+    model_stderr = bell_hv_model_stderr((eig_hi - eig_lo) / 2.0, exact - args.alpha, args.samples)
     inputs = {
         "alpha": args.alpha,
         "beta": [float(b) for b in beta],
@@ -319,10 +326,11 @@ def _cmd_bell_hv(args, rng):
         "exact_average": exact,
         "mc_estimate": estimate,
         "mc_stderr": stderr,
+        "mc_model_stderr": model_stderr,
     }
     claims = [
         _claim("exact_average_matches_quantum", "close", exact, quantum, args.tol),
-        _claim("mc_within_5_sigma", "close", estimate, exact, 5.0 * stderr),
+        _claim("mc_within_5_sigma", "close", estimate, exact, 5.0 * model_stderr + args.tol),
     ]
     return inputs, outputs, claims, {"exact": args.tol, "mc_sigma": 5.0}
 
@@ -422,12 +430,7 @@ def _cmd_chsh(args, rng):
         inputs["restarts"] = args.restarts
         outputs = {
             "s_star": s_star,
-            "settings": {
-                "a": [float(x) for x in settings.a],
-                "a_prime": [float(x) for x in settings.a_prime],
-                "b": [float(x) for x in settings.b],
-                "b_prime": [float(x) for x in settings.b_prime],
-            },
+            "settings": {name: getattr(settings, name).tolist() for name in ("a", "a_prime", "b", "b_prime")},
             "quantum_max": CHSH_QUANTUM_MAX,
             "lhv_bound": CHSH_LHV_BOUND,
         }

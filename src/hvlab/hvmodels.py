@@ -18,6 +18,7 @@ a batch, one model per row.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,7 +91,8 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     `BATCH_PAIRS` and counts the c with sgn(lambda |beta| + |m|/2) = +1; with
     E = (2c - n) / n the estimate is alpha + |beta| sgn(m) E and the ddof=1
     standard error |beta| sqrt((1 - E^2) / (n - 1)).  Warns if the estimate
-    strays more than 5 standard errors from the exact average.
+    strays from the exact average by more than 5 `bell_hv_model_stderr` plus
+    TAU_EQ, the width of the `bell-hv` claim at its default tolerance.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -105,12 +107,18 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     estimate = float(alpha + beta_len * sgn(m) * mean_sgn)
     stderr = float(beta_len * np.sqrt((1.0 - mean_sgn * mean_sgn) / (n_samples - 1)))
     exact = bell_hv_average_exact(alpha, beta, psi)
-    if abs(estimate - exact) > 5 * stderr:  # with stderr = 0: estimate != exact
+    if abs(estimate - exact) > 5 * bell_hv_model_stderr(beta_len, m, n_samples) + TAU_EQ:
         warnings.warn(
             f"MC estimate {estimate} deviates from exact {exact} by more than 5 sigma",
             stacklevel=2,
         )
     return estimate, stderr
+
+
+def bell_hv_model_stderr(beta_len: float, m: float, n_samples: int) -> float:
+    """sqrt((|beta|^2 - m^2) / n), the standard error of an n-sample average from the
+    model's own variance; unlike the sample one, it cannot collapse to 0."""
+    return math.sqrt(max(beta_len * beta_len - m * m, 0.0) / n_samples)
 
 
 def validate_wigner_weights(w) -> np.ndarray:

@@ -10,7 +10,7 @@ by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +49,12 @@ SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
 def unit_setting(v) -> np.ndarray:
-    vec = np.asarray(v, dtype=float).reshape(3)
-    norm = math.sqrt(vec @ vec)
+    """v as a float array of shape (3,); ValueError unless |v| = 1 within TAU_EQ."""
+    vec = np.asarray(v, dtype=float)
+    if vec.shape != (3,):
+        vec = vec.reshape(3)
+    x, y, z = vec.tolist()  # on Python floats a huge component gives inf, not a warning
+    norm = math.sqrt(x * x + y * y + z * z)
     if not (abs(norm - 1.0) <= TAU_EQ):
         raise ValueError(f"setting must be a unit vector, |v| = {norm}")
     return vec
@@ -66,10 +70,8 @@ class ChshSettings:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", unit_setting(self.a))
-        object.__setattr__(self, "a_prime", unit_setting(self.a_prime))
-        object.__setattr__(self, "b", unit_setting(self.b))
-        object.__setattr__(self, "b_prime", unit_setting(self.b_prime))
+        for name in ("a", "a_prime", "b", "b_prime"):
+            object.__setattr__(self, name, unit_setting(getattr(self, name)))
 
     def pairs(self) -> tuple:
         """(a, b), (a, b'), (a', b), (a', b'), named by SETTING_PAIR_NAMES."""
@@ -77,12 +79,7 @@ class ChshSettings:
 
 
 def optimal_chsh_settings() -> ChshSettings:
-    return ChshSettings(
-        a=OPTIMAL_CHSH_A,
-        a_prime=OPTIMAL_CHSH_A_PRIME,
-        b=OPTIMAL_CHSH_B,
-        b_prime=OPTIMAL_CHSH_B_PRIME,
-    )
+    return ChshSettings(OPTIMAL_CHSH_A, OPTIMAL_CHSH_A_PRIME, OPTIMAL_CHSH_B, OPTIMAL_CHSH_B_PRIME)
 
 
 def singlet_state() -> np.ndarray:
@@ -242,9 +239,9 @@ class HardyConstruction:
     psi lives in the (u, v) product basis with u = |0>, v = |1>.  The primed
     single-qubit bases (u', v') are fixed by the one-dimensional
     orthogonality conditions; p is the probability of the jointly primed
-    outcome that local realism forbids.  `hardy_build` returns one point;
-    the batched construction behind it returns the same fields as arrays
-    over a grid of parameters.
+    outcome that local realism forbids.  From `hardy_build`, p is a float and
+    condition_residuals a tuple of floats; the batched construction behind
+    it runs the same code and gives every field as an array over a grid.
     """
 
     psi: np.ndarray
@@ -262,52 +259,42 @@ def hardy_probability(p1: float, p2: float) -> float:
 
 
 def _orthogonal_2d(x, y) -> tuple:
-    """Unit 2-vector orthogonal to (x, y), its first nonzero entry real positive.
+    """Unit 2-vector orthogonal to the real (x, y), its first entry above 1e-14 in size positive.
 
-    Works componentwise on arrays, so one call handles a whole grid.
+    Takes floats or arrays (componentwise), so one call handles a point or a grid.
     """
-    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
-    ox, oy = -np.conj(y) / norm, np.conj(x) / norm
-    lead = np.where(np.abs(ox) > 1e-14, ox, oy)
-    phase = np.abs(lead) / lead
-    return ox * phase, oy * phase
+    norm = np.sqrt(x * x + y * y)
+    ox, oy = -y / norm, x / norm
+    flip = (ox < -1e-14) | ((abs(ox) <= 1e-14) & (oy < 0.0))
+    sign = 1.0 - 2.0 * flip
+    return ox * sign, oy * sign
 
 
 def _hardy_construct(p1, p2) -> HardyConstruction:
-    """The Hardy construction for broadcast arrays of parameters in (0, 1).
+    """The Hardy construction on floats or broadcast arrays of parameters in (0, 1).
 
-    Every field carries the broadcast shape of (p1, p2) in front, with the
-    vector components (or the three residuals) on the last axis.  See
-    `hardy_build`.
+    Floats and arrays run the same operations, so a point and a grid entry
+    agree bit for bit.  Every field carries the broadcast shape of (p1, p2)
+    in front, with the vector components (or the three residuals) last.
     """
-    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     norm = np.sqrt(1.0 - p1 * p2)
     # Amplitudes a_j1j2 of |j1, j2> with u = |0>, v = |1>.
-    a00 = np.zeros_like(norm)
+    a00 = 0.0 * norm
     a01 = -np.sqrt(p1 * (1.0 - p2)) / norm
     a10 = -np.sqrt(p2 * (1.0 - p1)) / norm
     a11 = np.sqrt((1.0 - p1) * (1.0 - p2)) / norm
-    v2x, v2y = _orthogonal_2d(a10, a11)  # <v x v2'|psi> = 0
-    v1x, v1y = _orthogonal_2d(a01, a11)  # <v1' x v|psi> = 0
-    v1x_c, v1y_c, v2x_c, v2y_c = np.conj(v1x), np.conj(v1y), np.conj(v2x), np.conj(v2y)
-    residuals = (
-        np.abs(a00),  # <u x u|psi>
-        np.abs(v2x_c * a10 + v2y_c * a11),
-        np.abs(v1x_c * a01 + v1y_c * a11),
-    )
-    overlap = v1x_c * (v2x_c * a00 + v2y_c * a01) + v1y_c * (v2x_c * a10 + v2y_c * a11)
-
-    def vec(*parts):
-        return np.stack(parts, axis=-1).astype(complex)
-
+    v2x, v2y = _orthogonal_2d(a10, a11)
+    v1x, v1y = _orthogonal_2d(a01, a11)
+    overlap = v1x * (v2x * a00 + v2y * a01) + v1y * (v2x * a10 + v2y * a11)
+    # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
+    residuals = abs(a00), abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
+    u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
+    # built as complex in one step: a float copy first would raise a grid's peak memory
+    vec = np.array([a00, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y], dtype=complex)
+    last = (*range(1, vec.ndim), 0)  # components on the last axis
+    vec, residuals = vec.transpose(last), np.array(residuals).transpose(last)
     return HardyConstruction(
-        psi=vec(a00, a01, a10, a11),
-        u1_prime=vec(*_orthogonal_2d(v1x, v1y)),
-        v1_prime=vec(v1x, v1y),
-        u2_prime=vec(*_orthogonal_2d(v2x, v2y)),
-        v2_prime=vec(v2x, v2y),
-        p=np.abs(overlap) ** 2,
-        condition_residuals=np.stack(residuals, axis=-1),
+        vec[..., :4], vec[..., 4:6], vec[..., 6:8], vec[..., 8:10], vec[..., 10:12], overlap * overlap, residuals
     )
 
 
@@ -323,14 +310,14 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-    construction = _hardy_construct(p1, p2)
-    residuals = tuple(float(r) for r in construction.condition_residuals)
-    p = float(construction.p)
+    c = _hardy_construct(float(p1), float(p2))
+    residuals = tuple(c.condition_residuals.tolist())
+    p = float(c.p)
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise AssertionError("jointly primed probability vanished")
-    return replace(construction, p=p, condition_residuals=residuals)
+    return HardyConstruction(c.psi, c.u1_prime, c.v1_prime, c.u2_prime, c.v2_prime, p, residuals)
 
 
 _HARDY_ZOOM_POINTS = 41

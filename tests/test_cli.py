@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,51 @@ class TestSubcommands:
         code, report = run_json(capsys, "bell-hv", "--samples", "10000")
         assert code == 0
         assert abs(report["outputs"]["exact_average"] - report["outputs"]["quantum_expectation"]) <= 1e-9
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_bell_hv_interval_does_not_collapse(self, capsys, seed):
+        # nearly aligned with beta: every one of the 100 samples draws the same eigenvalue
+        argv = ("bell-hv", "--beta=0,0,1", "--psi=0.999,0,0.04471017781221601,0", "--samples=100", f"--seed={seed}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_json(capsys, *argv)
+        out = report["outputs"]
+        assert out["mc_stderr"] == 0.0
+        assert code == 0 and report["verdict"] == "PASS"
+        beta_len = (out["eigenvalues"][0] - out["eigenvalues"][1]) / 2.0
+        m = out["exact_average"] - report["inputs"]["alpha"]
+        assert math.isclose(out["mc_model_stderr"], math.sqrt((beta_len**2 - m**2) / 100), rel_tol=1e-7)
+
+    @pytest.mark.parametrize("sigmas, want_code", [(4.0, 0), (6.0, 1)])
+    def test_bell_hv_claim_width_is_five_model_sigmas(self, capsys, monkeypatch, sigmas, want_code):
+        def moved(alpha, beta, psi, n_samples, seed):
+            exact = hvlab.cli.bell_hv_average_exact(alpha, beta, psi)
+            m = exact - alpha  # |beta| = 1
+            return exact + sigmas * math.sqrt((1.0 - m * m) / n_samples), 0.0
+
+        monkeypatch.setattr(hvlab.cli, "bell_hv_average_mc", moved)
+        code, report = run_json(capsys, "bell-hv", "--beta=0,0,1", "--psi=0.6,0,0.8,0", "--samples=100")
+        assert code == want_code
+        [claim] = [c for c in report["claims"] if c["name"] == "mc_within_5_sigma"]
+        assert claim["pass"] is (want_code == 0)
+
+    @pytest.mark.parametrize(
+        "argv, reference",
+        [
+            (("chsh", "--a-dir=1e200,0,0"), ("chsh", "--a-dir=1,0,0")),
+            (("chsh", "--a-dir=1e-200,0,0"), ("chsh", "--a-dir=1,0,0")),
+            (("bell-hv", "--psi=1e200,0,0,0", "--beta=0,0,1"), ("bell-hv", "--psi=1,0,0,0", "--beta=0,0,1")),
+        ],
+        ids=["chsh-huge", "chsh-tiny", "bell-hv-huge"],
+    )
+    def test_scaled_inputs_normalize_like_unit_ones(self, capsys, argv, reference):
+        rest = ("--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1") if argv[0] == "chsh" else ()
+        reports = []
+        for args in (argv, reference):
+            code, out, err = run(capsys, *args, *rest)
+            assert code == 0 and err == ""
+            reports.append({k: v for k, v in json.loads(out).items() if k != "wall_time_s"})
+        assert reports[0] == reports[1]
 
     def test_ks_color_peres(self, capsys):
         code, report = run_json(capsys, "ks-color", "--peres")

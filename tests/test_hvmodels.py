@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hvlab.hvmodels import (
     validate_wigner_weights,
     wigner_correlators,
 )
-from hvlab.qmath import eig_herm2, expectation, pauli_obs, projector, random_state
+from hvlab.qmath import eig_herm2, expectation, pauli_obs, projector, random_state, sigma_dot
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
@@ -82,6 +83,17 @@ class TestBellHVAverageMC:
         est, stderr = bell_hv_average_mc(0, (0, 0, 1), KET0, 10**4, seed=1)
         assert est == 1.0
         assert stderr == 0.0
+
+    def test_no_warning_on_eigenstates(self):
+        # every sample draws one eigenvalue; estimate and exact average differ by roundoff only
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(50):
+                beta = rng.normal(size=3)
+                psi = np.linalg.eigh(sigma_dot(beta))[1][:, 1]
+                est, _ = bell_hv_average_mc(0.3, beta, psi, 100, seed)
+                assert abs(est - bell_hv_average_exact(0.3, beta, psi)) <= 1e-12
 
     def test_zero_beta_is_exactly_alpha(self):
         assert bell_hv_average_mc(1.5, (0, 0, 0), KET0, 10**4, seed=2) == (1.5, 0.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from hvlab.qmath import (
     ID2,
     PAULIS,
     SIGMA_Z,
+    TAU_EQ,
     kron,
     projector,
     random_density,
@@ -167,6 +170,14 @@ def test_correlators_match_kron_oracle():
 def test_unit_setting_rejects_nan():
     with pytest.raises(ValueError, match="unit vector"):
         unit_setting((np.nan, 0.0, 0.0))
+
+
+def test_unit_setting_rejects_huge_components_without_warning():
+    # a dot product of (1e200, 0, 0) with itself overflows with a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unit vector"):
+            unit_setting((1e200, 0.0, 0.0))
 
 
 class TestChshValue:
@@ -309,18 +320,38 @@ class TestHardyBuild:
             assert first.real > 0 and abs(first.imag) <= 1e-14
 
     def test_batched_construction_matches_build(self):
+        # hardy_build and the grid run one construction, so they agree bit for bit
         axis = np.linspace(0.05, 0.95, 13)
         q1, q2 = np.meshgrid(axis, axis, indexing="ij")
-        batch = _hardy_construct(q1, q2)
-        assert batch.p.shape == (13, 13)
-        assert batch.psi.shape == (13, 13, 4)
-        for i in range(13):
-            for j in range(13):
-                single = hardy_build(q1[i, j], q2[i, j])
-                assert batch.p[i, j] == single.p
-                assert np.array_equal(batch.v1_prime[i, j], single.v1_prime)
-                assert np.array_equal(batch.u2_prime[i, j], single.u2_prime)
-                assert tuple(batch.condition_residuals[i, j]) == single.condition_residuals
+        grid = _hardy_construct(q1, q2)
+        assert grid.p.shape == (13, 13)
+        assert grid.psi.shape == (13, 13, 4)
+        assert grid.condition_residuals.shape == (13, 13, 3)
+        edges = [
+            (1e-300, 0.5),
+            (0.5, 1.0 - 2.0**-53),
+            (1.0 / GOLDEN_RATIO, 1.0 / GOLDEN_RATIO),
+            # an older scalar path differed from the batch by one ulp in p, or a residual, here
+            (0.32840925329974446, 0.26469916936042104),
+            (0.470710561988515, 0.4131729226406179),
+        ]
+        random = np.random.default_rng(8).uniform(size=(500, 2))
+        points = np.vstack([np.column_stack([q1.ravel(), q2.ravel()]), random, edges])
+        batch = _hardy_construct(points[:, 0], points[:, 1])
+        assert np.array_equal(grid.p.ravel(), batch.p[:169])
+        assert np.array_equal(grid.psi.reshape(-1, 4), batch.psi[:169])
+        fields = ("psi", "u1_prime", "v1_prime", "u2_prime", "v2_prime")
+        for k, (p1, p2) in enumerate(points):
+            residuals = tuple(batch.condition_residuals[k].tolist())
+            if max(residuals) > TAU_EQ or not batch.p[k] > 0.0:
+                with pytest.raises(AssertionError):
+                    hardy_build(p1, p2)
+                continue
+            single = hardy_build(p1, p2)
+            assert type(single.p) is float and single.p == batch.p[k]
+            assert single.condition_residuals == residuals
+            for name in fields:
+                assert np.array_equal(getattr(single, name), getattr(batch, name)[k]), name
 
     def test_rejects_out_of_range(self):
         for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)):
