@@ -70,7 +70,6 @@ from .nonlocality import (
     bell_original_lhs,
     chsh_optimize,
     chsh_value,
-    correlation_tensor,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
     hardy_build,
@@ -78,6 +77,7 @@ from .nonlocality import (
     hardy_probability,
     no_signalling_check,
     optimal_chsh_settings,
+    qm_correlator,
     singlet_state,
 )
 from .simlab import ExperimentConfig, load_config, simulate_chsh
@@ -398,7 +398,6 @@ def _cmd_bell(args, rng):
     if len(etas) != 3:
         raise ValueError("eta must be three comma-separated values of +-1")
     lhs = bell_original_lhs(psi, a, b, c, *etas)
-    tensor = correlation_tensor(psi)
     inputs = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
@@ -410,7 +409,7 @@ def _cmd_bell(args, rng):
         "lhs": lhs,
         "lhv_bound": BELL_ORIGINAL_BOUND,
         "violation": lhs - BELL_ORIGINAL_BOUND,
-        "correlators": {"ab": a @ tensor @ b, "ac": a @ tensor @ c, "bc": b @ tensor @ c},
+        "correlators": {name: qm_correlator(psi, x, y) for name, x, y in (("ab", a, b), ("ac", a, c), ("bc", b, c))},
     }
     claims = []
     if dirs is None and etas == (1, 1, 1):
@@ -419,6 +418,10 @@ def _cmd_bell(args, rng):
 
 
 CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
+
+
+def _settings_report(settings: ChshSettings) -> dict:
+    return {name: getattr(settings, name).tolist() for name in ("a", "a_prime", "b", "b_prime")}
 
 
 def _cmd_chsh(args, rng):
@@ -430,7 +433,7 @@ def _cmd_chsh(args, rng):
         inputs["restarts"] = args.restarts
         outputs = {
             "s_star": s_star,
-            "settings": {name: getattr(settings, name).tolist() for name in ("a", "a_prime", "b", "b_prime")},
+            "settings": _settings_report(settings),
             "quantum_max": CHSH_QUANTUM_MAX,
             "lhv_bound": CHSH_LHV_BOUND,
         }
@@ -444,13 +447,13 @@ def _cmd_chsh(args, rng):
     dirs = _directions(args, *CHSH_DIRECTIONS)
     settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
     s = chsh_value(psi, settings)
-    tensor = correlation_tensor(psi)
     inputs["default_optimal_settings"] = dirs is None
+    inputs["settings"] = _settings_report(settings)
     outputs = {
         "s_value": s,
         "quantum_max": CHSH_QUANTUM_MAX,
         "lhv_bound": CHSH_LHV_BOUND,
-        "correlators": {name: x @ tensor @ y for name, (x, y) in zip(SETTING_PAIR_NAMES, settings.pairs())},
+        "correlators": {name: qm_correlator(psi, x, y) for name, (x, y) in zip(SETTING_PAIR_NAMES, settings.pairs())},
     }
     claims = [_claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9)]
     if dirs is None and args.state == "singlet":

@@ -2,13 +2,15 @@
 
 Every two-qubit correlator P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> is read
 off the correlation tensor, P(a, b) = a . T b, with T computed (and the state
-validated) once per call; the singlet has T = -identity, so P(a, b) = -a.b.
+validated) once per state and kept in a bounded memo; the singlet has
+T = -identity, so P(a, b) = -a.b.
 The CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded
 by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contextuality import AssignmentSearchResult, count_sign_assignments
+from .hvmodels import BATCH_PAIRS
 from .qmath import (
     PAULIS,
     TAU_EQ,
@@ -60,7 +63,7 @@ def unit_setting(v) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChshSettings:
     """Four analyzer directions (a, a', b, b'), all unit vectors."""
 
@@ -69,9 +72,11 @@ class ChshSettings:
     b: np.ndarray
     b_prime: np.ndarray
 
-    def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, unit_setting(getattr(self, name)))
+    def __init__(self, a, a_prime, b, b_prime):
+        object.__setattr__(self, "a", unit_setting(a))
+        object.__setattr__(self, "a_prime", unit_setting(a_prime))
+        object.__setattr__(self, "b", unit_setting(b))
+        object.__setattr__(self, "b_prime", unit_setting(b_prime))
 
     def pairs(self) -> tuple:
         """(a, b), (a, b'), (a', b), (a', b'), named by SETTING_PAIR_NAMES."""
@@ -95,25 +100,72 @@ def ghz_state() -> np.ndarray:
     return psi
 
 
-# sigma_i x sigma_j for i, j in x, y, z: shape (3, 3, 4, 4).
+# sigma_i x sigma_j for i, j in x, y, z: shape (3, 3, 4, 4).  Each column l holds
+# one nonzero entry, a phase 1, -1, i or -i, so the row vector
+# psi* (sigma_i x sigma_j) is psi* permuted and phased, with no rounding.
 _PAULI_PAIRS = np.array([[np.kron(s_i, s_j) for s_j in PAULIS] for s_i in PAULIS])
+_PAIR_ROWS = np.argmax(np.abs(_PAULI_PAIRS), axis=2)  # (3, 3, 4): row of the nonzero in column l
+_PAIR_PHASES = np.take_along_axis(_PAULI_PAIRS, _PAIR_ROWS[:, :, None, :], axis=2)[:, :, 0, :]
+
+TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
+_COMPLEX = np.dtype(complex)
+
+
+@functools.lru_cache(maxsize=TENSOR_MEMO_SIZE)
+def _tensor_of_bytes(key: bytes) -> np.ndarray:
+    """Read-only T of the state whose complex128 bytes are key; ValueError unless it is a unit vector."""
+    psi = assert_state_vector(np.frombuffer(key, _COMPLEX))
+    tensor = ((psi.conj()[_PAIR_ROWS] * _PAIR_PHASES) @ psi).real
+    tensor.setflags(write=False)  # shared by every caller that hits the memo
+    return tensor
+
+
+def _memo_tensor(psi) -> np.ndarray:
+    """Read-only T of psi, computed (and psi validated) once per state.
+
+    The memo is keyed by the complex128 bytes of a 4-entry state, so an
+    in-place change to psi gives a new key.  Any other size is only
+    validated, never copied into a key; an invalid state raises on every call.
+    """
+    vec = np.asarray(psi, _COMPLEX)
+    if vec.size != 4:
+        assert_state_vector(vec)
+        raise ValueError("correlation tensor needs a two-qubit state")
+    return _tensor_of_bytes(vec.tobytes())
 
 
 def correlation_tensor(psi) -> np.ndarray:
     """3x3 tensor T_ij = <psi| sigma_i x sigma_j |psi>.
 
     The correlator is bilinear in the settings, so P(a, b) = a . T b exactly.
-    For the singlet T = -identity.
+    For the singlet T = -identity.  T is memoized per state (the last
+    TENSOR_MEMO_SIZE states); each call returns a fresh writable copy.
     """
-    psi = assert_state_vector(psi)
-    if psi.shape[0] != 4:
-        raise ValueError("correlation tensor needs a two-qubit state")
-    return (psi.conj() @ _PAULI_PAIRS @ psi).real
+    return _memo_tensor(psi).copy()
+
+
+def _bilinear(psi, rows, cols) -> list:
+    """[u . T v for u in rows for v in cols] on Python floats, T from the memo.
+
+    rows and cols are unit float arrays of shape (3,); plain loops, because
+    per call the scalar API is a handful of 3-vectors.
+    """
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi).tolist()
+    t_cols = []
+    for v in cols:
+        x, y, z = v.tolist()
+        t_cols.append((t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z))
+    values = []
+    for u in rows:
+        x, y, z = u.tolist()
+        for tx, ty, tz in t_cols:
+            values.append(x * tx + y * ty + z * tz)
+    return values
 
 
 def qm_correlator(psi, a, b) -> float:
     """<psi| (a.sigma) x (b.sigma) |psi> = a . T b; equals -a.b on the singlet."""
-    return float(unit_setting(a) @ correlation_tensor(psi) @ unit_setting(b))
+    return _bilinear(psi, [unit_setting(a)], [unit_setting(b)])[0]
 
 
 def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float:
@@ -125,17 +177,20 @@ def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float
     for eta in (eta_a, eta_b, eta_c):
         if eta not in (1, -1):
             raise ValueError("eta values must be +1 or -1")
-    tensor = correlation_tensor(psi)
     a, b, c = (unit_setting(v) for v in (a, b, c))
-    ab, ac, bc = a @ tensor @ b, a @ tensor @ c, b @ tensor @ c
+    ab, ac, _, bc = _bilinear(psi, [a, b], [b, c])
     return float(eta_a * eta_b * ab + eta_a * eta_c * ac + eta_b * eta_c * bc)
 
 
 def chsh_value(psi, settings: ChshSettings) -> float:
-    """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|; ChshSettings holds unit vectors already."""
-    tensor = correlation_tensor(psi)
-    t_b, t_bp = tensor @ settings.b, tensor @ settings.b_prime
-    return float(abs(settings.a @ (t_b - t_bp)) + abs(settings.a_prime @ (t_b + t_bp)))
+    """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|; ChshSettings holds unit vectors already.
+
+    T comes from the per-state memo, so a scan over many settings on one
+    state validates the state and builds T once; the contraction runs on
+    Python floats.
+    """
+    ab, ab_p, a_p_b, a_p_b_p = _bilinear(psi, [settings.a, settings.a_prime], [settings.b, settings.b_prime])
+    return abs(ab - ab_p) + abs(a_p_b + a_p_b_p)
 
 
 _SEESAW_MAX_SWEEPS = 1000
@@ -258,12 +313,17 @@ def hardy_probability(p1: float, p2: float) -> float:
     return p1 * (1.0 - p1) * p2 * (1.0 - p2) / (1.0 - p1 * p2)
 
 
+def _sqrt(x):
+    """math.sqrt on a float, np.sqrt on an array: both correctly rounded, so they agree bit for bit."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def _orthogonal_2d(x, y) -> tuple:
     """Unit 2-vector orthogonal to the real (x, y), its first entry above 1e-14 in size positive.
 
     Takes floats or arrays (componentwise), so one call handles a point or a grid.
     """
-    norm = np.sqrt(x * x + y * y)
+    norm = _sqrt(x * x + y * y)
     ox, oy = -y / norm, x / norm
     flip = (ox < -1e-14) | ((abs(ox) <= 1e-14) & (oy < 0.0))
     sign = 1.0 - 2.0 * flip
@@ -274,15 +334,16 @@ def _hardy_construct(p1, p2) -> HardyConstruction:
     """The Hardy construction on floats or broadcast arrays of parameters in (0, 1).
 
     Floats and arrays run the same operations, so a point and a grid entry
-    agree bit for bit.  Every field carries the broadcast shape of (p1, p2)
-    in front, with the vector components (or the three residuals) last.
+    agree bit for bit; a point runs on Python floats.  Every field carries
+    the broadcast shape of (p1, p2) in front, with the vector components (or
+    the three residuals) last.
     """
-    norm = np.sqrt(1.0 - p1 * p2)
+    norm = _sqrt(1.0 - p1 * p2)
     # Amplitudes a_j1j2 of |j1, j2> with u = |0>, v = |1>.
     a00 = 0.0 * norm
-    a01 = -np.sqrt(p1 * (1.0 - p2)) / norm
-    a10 = -np.sqrt(p2 * (1.0 - p1)) / norm
-    a11 = np.sqrt((1.0 - p1) * (1.0 - p2)) / norm
+    a01 = -_sqrt(p1 * (1.0 - p2)) / norm
+    a10 = -_sqrt(p2 * (1.0 - p1)) / norm
+    a11 = _sqrt((1.0 - p1) * (1.0 - p2)) / norm
     v2x, v2y = _orthogonal_2d(a10, a11)
     v1x, v1y = _orthogonal_2d(a01, a11)
     overlap = v1x * (v2x * a00 + v2y * a01) + v1y * (v2x * a10 + v2y * a11)
@@ -321,11 +382,26 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
 
 
 _HARDY_ZOOM_POINTS = 41
+# Grid points built at once: a point holds about 370 bytes of construction, so a block is about 6 MB.
+_HARDY_BLOCK_POINTS = BATCH_PAIRS // 4
 
 
 def _hardy_grid_argmax(axis1: np.ndarray, axis2: np.ndarray) -> np.ndarray:
-    q1, q2 = np.meshgrid(axis1, axis2, indexing="ij")
-    i, j = np.unravel_index(np.argmax(_hardy_construct(q1, q2).p), q1.shape)
+    """(axis1[i], axis2[j]) at the first maximum of p over the grid, in row-major order.
+
+    The grid is built in blocks of whole rows, at most _HARDY_BLOCK_POINTS
+    points each (one row if a row is longer), so memory does not grow with
+    it; a block wins only with a strictly larger p, so ties go to the earliest.
+    """
+    rows = max(1, _HARDY_BLOCK_POINTS // len(axis2))
+    best_p, best = -np.inf, (0, 0)
+    for start in range(0, len(axis1), rows):
+        q1, q2 = np.meshgrid(axis1[start : start + rows], axis2, indexing="ij")
+        p = _hardy_construct(q1, q2).p
+        k = int(np.argmax(p))
+        if p.flat[k] > best_p:
+            best_p, best = p.flat[k], (start + k // len(axis2), k % len(axis2))
+    i, j = best
     return np.array([axis1[i], axis2[j]])
 
 
@@ -333,10 +409,11 @@ def hardy_optimize(grid: int = 100, tol: float = 1e-8) -> tuple[HardyParams, flo
     """Maximize the forbidden-outcome probability over (p1, p2) in (0, 1)^2.
 
     The constructed (not closed-form) probability is evaluated on the whole
-    grid x grid scan in one batch, then refined by zooming: a 41 x 41 batch
-    spanning two spacings either side of the best point so far, so that the
-    spacing shrinks tenfold per level, until it is below tol * 1e-2.  The
-    maximum sits at p1 = p2 = 1/golden-ratio with p = golden-ratio^-5.
+    grid x grid scan, in row blocks of at most BATCH_PAIRS / 4 points, then
+    refined by zooming: a 41 x 41 batch spanning two spacings either side of
+    the best point so far, so that the spacing shrinks tenfold per level,
+    until it is below tol * 1e-2.  The maximum sits at p1 = p2 =
+    1/golden-ratio with p = golden-ratio^-5.
     """
     if grid < 10:
         raise ValueError("grid must be at least 10")

@@ -49,7 +49,9 @@ def assert_state_vector(psi, tol: float = TAU_EQ) -> np.ndarray:
     Qubit-system operations (dim 2, 4 or 8) enforce their exact dimension
     at the call site; ensemble reconstruction also runs in dimension 3.
     """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    vec = np.asarray(psi, dtype=complex)
+    if vec.ndim != 1:
+        vec = vec.reshape(-1)
     if not 2 <= vec.shape[0] <= 8:
         raise ValueError(f"state dimension must be between 2 and 8, got {vec.shape[0]}")
     norm_sq = float(np.vdot(vec, vec).real)

@@ -127,6 +127,28 @@ class TestSubcommands:
         assert code == 0
         assert abs(report["outputs"]["s_value"] - 2 * np.sqrt(2)) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("--state=product",),
+            ("--a-dir=2,2,0", "--a-prime=0,3,4", "--b-dir=1,-7,0.5", "--b-prime=0,0,5"),
+            ("--state=product", "--a-dir=0.3,-0.2,0.9", "--a-prime=-1,2,3", "--b-dir=0.1,0.2,-0.7", "--b-prime=5,-1,2"),
+        ],
+    )
+    def test_chsh_correlators_recompute_from_echoed_settings(self, capsys, argv):
+        code, report = run_json(capsys, "chsh", *argv)
+        assert code == 0
+        psi = hvlab.singlet_state() if report["inputs"]["state"] == "singlet" else np.eye(4, dtype=complex)[0]
+        settings = report["inputs"]["settings"]
+        pairs = {"ab": ("a", "b"), "ab_prime": ("a", "b_prime"), "a_prime_b": ("a_prime", "b"),
+                 "a_prime_b_prime": ("a_prime", "b_prime")}
+        assert list(report["outputs"]["correlators"]) == list(pairs)
+        for name, (x, y) in pairs.items():
+            operator = np.kron(hvlab.sigma_dot(settings[x]), hvlab.sigma_dot(settings[y]))
+            want = np.vdot(psi, operator @ psi).real
+            assert abs(report["outputs"]["correlators"][name] - want) <= 1e-9, name
+
     def test_chsh_optimize(self, capsys):
         code, report = run_json(capsys, "chsh", "--optimize", "--state", "singlet", "--restarts", "6")
         assert code == 0

@@ -1,16 +1,22 @@
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hvlab import nonlocality
 from hvlab.nonlocality import (
     CHSH_QUANTUM_MAX,
     GOLDEN_RATIO,
     TRINE_A,
     TRINE_B,
     TRINE_C,
+    TENSOR_MEMO_SIZE,
     ChshSettings,
     _hardy_construct,
+    _hardy_grid_argmax,
+    _tensor_of_bytes,
     bell_original_lhs,
     chsh_optimize,
     chsh_value,
@@ -103,6 +109,88 @@ class TestQmCorrelator:
     def test_correlation_tensor_rejects_wrong_dim(self):
         with pytest.raises(ValueError, match="two-qubit"):
             correlation_tensor(ghz_state())
+
+
+def uncached_tensor(psi) -> np.ndarray:
+    """T_ij = <psi| sigma_i x sigma_j |psi> from the kron-built operators, with no memo."""
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    pairs = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
+    return (vec.conj() @ pairs @ vec).real
+
+
+class TestTensorMemo:
+    def test_in_place_change_gives_new_tensor(self):
+        psi = singlet_state()
+        settings = optimal_chsh_settings()
+        assert np.max(np.abs(correlation_tensor(psi) + np.eye(3))) <= 1e-15
+        assert abs(chsh_value(psi, settings) - CHSH_QUANTUM_MAX) <= 1e-12
+        psi[:] = PRODUCT_00
+        assert np.array_equal(correlation_tensor(psi), np.diag([0.0, 0.0, 1.0]))
+        assert chsh_value(psi, settings) <= 2.0
+        assert qm_correlator(psi, (0, 0, 1), (0, 0, 1)) == 1.0
+
+    def test_returned_tensor_is_a_writable_copy(self):
+        psi = singlet_state()
+        want = correlation_tensor(psi)
+        tensor = correlation_tensor(psi)
+        assert tensor.flags.writeable and not np.shares_memory(tensor, want)
+        tensor[:] = 7.0
+        assert np.array_equal(correlation_tensor(psi), want)
+        assert abs(chsh_value(psi, optimal_chsh_settings()) - CHSH_QUANTUM_MAX) <= 1e-12
+        assert qm_correlator(psi, (0, 0, 1), (0, 0, 1)) == want[2, 2]
+
+    def test_invalid_state_raises_on_every_call(self):
+        settings = optimal_chsh_settings()
+        for bad in ([1, 1, 0, 0], [np.nan, 0, 0, 0], np.zeros(4)):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="normalized"):
+                    correlation_tensor(bad)
+                with pytest.raises(ValueError, match="normalized"):
+                    chsh_value(bad, settings)
+
+    def test_size_is_bounded(self):
+        rng = np.random.default_rng(47)
+        states = rng.normal(size=(10**4, 4)) + 1j * rng.normal(size=(10**4, 4))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        for psi in states:
+            correlation_tensor(psi)
+        assert _tensor_of_bytes.cache_info().currsize <= TENSOR_MEMO_SIZE
+        assert np.max(np.abs(correlation_tensor(states[0]) - uncached_tensor(states[0]))) <= 1e-15
+
+    def test_input_layouts_give_the_same_tensor(self):
+        rng = np.random.default_rng(48)
+        for psi in [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(5)]:
+            want = correlation_tensor(psi)
+            assert np.max(np.abs(want - uncached_tensor(psi))) <= 1e-15
+            strided = np.zeros(8, dtype=complex)
+            strided[::2] = psi
+            for layout in (psi.tolist(), psi.reshape(4, 1), strided[::2], np.asfortranarray(psi.reshape(2, 2))):
+                assert np.array_equal(correlation_tensor(layout), want)
+        real = np.array([0.6, 0.0, 0.0, 0.8])
+        assert np.array_equal(correlation_tensor(real), correlation_tensor(real.astype(complex)))
+
+    def test_other_sizes_raise_as_before(self):
+        with pytest.raises(ValueError, match="between 2 and 8"):
+            correlation_tensor(np.ones(9) / 3.0)
+        with pytest.raises(ValueError, match="normalized"):
+            correlation_tensor(np.ones(8))
+        with pytest.raises(ValueError, match="two-qubit"):
+            correlation_tensor([1.0, 0.0])
+
+
+class TestChshSettings:
+    def test_fields_are_validated_unit_vectors(self):
+        settings = ChshSettings((0, 0, 1), [1, 0, 0], np.array([0.0, 1.0, 0.0]), b_prime=(0.6, 0.8, 0))
+        for name, want in (("a", [0, 0, 1]), ("a_prime", [1, 0, 0]), ("b", [0, 1, 0]), ("b_prime", [0.6, 0.8, 0])):
+            value = getattr(settings, name)
+            assert isinstance(value, np.ndarray) and value.dtype == float and value.tolist() == want
+
+    def test_rejects_non_unit_and_stays_frozen(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            ChshSettings((0, 0, 2), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        settings = optimal_chsh_settings()
+        with pytest.raises(AttributeError):
+            settings.a = np.array([1.0, 0.0, 0.0])
 
 
 class TestBellOriginal:
@@ -378,6 +466,37 @@ class TestHardyOptimize:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             hardy_optimize(grid=5)
+
+    def test_grid_argmax_matches_full_grid(self):
+        for grid in (100, 317, 1000):
+            axis = np.arange(1, grid + 1) / (grid + 1.0)
+            # p of every grid point, one row per call: elementwise, so equal to one full-grid batch
+            full = np.array([_hardy_construct(np.full(grid, x), axis).p for x in axis])
+            i, j = np.unravel_index(np.argmax(full), full.shape)
+            assert _hardy_grid_argmax(axis, axis).tolist() == [axis[i], axis[j]]
+
+    def test_grid_blocks_keep_the_first_maximum(self, monkeypatch):
+        axis1, axis2 = np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 5)
+        monkeypatch.setattr(nonlocality, "_HARDY_BLOCK_POINTS", 10)  # two rows per block, one in the last
+        # every row peaks at the same column: the tie goes to the first row
+        monkeypatch.setattr(nonlocality, "_hardy_construct", lambda q1, q2: SimpleNamespace(p=(q2 == axis2[3]) + 0.0))
+        assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[0], axis2[3]]
+        # a single peak in the last, partial block is found
+        monkeypatch.setattr(
+            nonlocality, "_hardy_construct", lambda q1, q2: SimpleNamespace(p=(q1 == axis1[6]) * (q2 == axis2[1]) + 0.0)
+        )
+        assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[6], axis2[1]]
+
+    def test_memory_does_not_grow_with_grid(self):
+        def peak_bytes(grid):
+            tracemalloc.start()
+            try:
+                hardy_optimize(grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(1000) <= peak_bytes(200) + 5 * 2**20
 
     def test_rejects_nonpositive_tol(self):
         # The zoom refines until its spacing drops below tol * 1e-2.
