@@ -43,6 +43,7 @@ from .hvmodels import (
     bell_hv_average_exact,
     bell_hv_average_mc,
     bell_hv_model_stderr,
+    chsh_combination,
     chsh_from_wigner,
     wigner_correlators,
 )
@@ -68,8 +69,8 @@ from .nonlocality import (
     TRINE_C,
     ChshSettings,
     bell_original_lhs,
+    chsh_correlators,
     chsh_optimize,
-    chsh_value,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
     hardy_build,
@@ -446,14 +447,15 @@ def _cmd_chsh(args, rng):
     _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
     dirs = _directions(args, *CHSH_DIRECTIONS)
     settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
-    s = chsh_value(psi, settings)
+    correlators = chsh_correlators(psi, settings)
+    s = chsh_combination(correlators)
     inputs["default_optimal_settings"] = dirs is None
     inputs["settings"] = _settings_report(settings)
     outputs = {
         "s_value": s,
         "quantum_max": CHSH_QUANTUM_MAX,
         "lhv_bound": CHSH_LHV_BOUND,
-        "correlators": {name: qm_correlator(psi, x, y) for name, (x, y) in zip(SETTING_PAIR_NAMES, settings.pairs())},
+        "correlators": dict(zip(SETTING_PAIR_NAMES, correlators)),
     }
     claims = [_claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9)]
     if dirs is None and args.state == "singlet":
@@ -590,8 +592,15 @@ def _cmd_simulate(args, rng):
         "s_value": report.s_value,
         "s_stderr": report.s_stderr,
         "s_expected": report.s_expected,
+        "expected_correlators": report.expected_correlators,
+        "s_model_stderr": report.s_model_stderr,
     }
-    claims = [_bool_claim(f"sim_{name}", ok) for name, ok in sorted(report.verdicts.items())]
+    width = 5.0 * report.s_model_stderr
+    if report.expected_correlators is None:  # a local source: s_expected is the local bound
+        expected = _claim("sim_within_lhv_bound", "le", report.s_value, report.s_expected, width)
+    else:
+        expected = _claim("sim_matches_expected_within_5_sigma", "close", report.s_value, report.s_expected, width)
+    claims = [expected, _claim("sim_within_tsirelson_bound", "le", report.s_value, CHSH_QUANTUM_MAX, width)]
     return inputs, outputs, claims, {"sigma": 5.0}
 
 

@@ -36,6 +36,18 @@ _PARITY = np.array(
 )
 
 
+def chsh_combination(p):
+    """S = |p[0] - p[1]| + |p[2] + p[3]| for correlators (ab, ab', a'b, a'b'); floats or arrays."""
+    return abs(p[0] - p[1]) + abs(p[2] + p[3])
+
+
+def count_correlator(plus, n):
+    """(E, ddof=1 stderr) of n products of +-1, plus of them +1: E = (2 plus - n) / n,
+    the sample variance is n (1 - E^2) / (n - 1); ints or arrays."""
+    mean = (2 * plus - n) / n
+    return mean, np.sqrt((1.0 - mean * mean) / (n - 1))
+
+
 def sgn(x):
     """Sign with the convention sgn(0) = +1, for -0.0 too (-0.0 + 0.0 is +0.0)."""
     return np.copysign(1.0, np.asarray(x, dtype=float) + 0.0)
@@ -89,10 +101,10 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
 
     Draws n uniform lambdas from one seeded generator in batches of
     `BATCH_PAIRS` and counts the c with sgn(lambda |beta| + |m|/2) = +1; with
-    E = (2c - n) / n the estimate is alpha + |beta| sgn(m) E and the ddof=1
-    standard error |beta| sqrt((1 - E^2) / (n - 1)).  Warns if the estimate
-    strays from the exact average by more than 5 `bell_hv_model_stderr` plus
-    TAU_EQ, the width of the `bell-hv` claim at its default tolerance.
+    (E, e) = `count_correlator(c, n)` the estimate is alpha + |beta| sgn(m) E
+    and its standard error |beta| e.  Warns if the estimate strays from the
+    exact average by more than 5 `bell_hv_model_stderr` plus TAU_EQ, the
+    width of the `bell-hv` claim at its default tolerance.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -103,9 +115,9 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     for start in range(0, n_samples, BATCH_PAIRS):
         lams = rng.uniform(-0.5, 0.5, size=min(BATCH_PAIRS, n_samples - start))
         plus += np.count_nonzero(lams * beta_len + 0.5 * abs(m) >= 0.0)
-    mean_sgn = (2 * plus - n_samples) / n_samples
+    mean_sgn, sgn_stderr = count_correlator(plus, n_samples)
     estimate = float(alpha + beta_len * sgn(m) * mean_sgn)
-    stderr = float(beta_len * np.sqrt((1.0 - mean_sgn * mean_sgn) / (n_samples - 1)))
+    stderr = float(beta_len * sgn_stderr)
     exact = bell_hv_average_exact(alpha, beta, psi)
     if abs(estimate - exact) > 5 * bell_hv_model_stderr(beta_len, m, n_samples) + TAU_EQ:
         warnings.warn(
@@ -163,5 +175,4 @@ def wigner_correlators(w) -> tuple:
 
 def chsh_from_wigner(w):
     """S = |P_ab - P_ab'| + |P_a'b + P_a'b'|, per model; at most 2 for valid weights."""
-    p_ab, p_abp, p_apb, p_apbp = wigner_correlators(w)
-    return abs(p_ab - p_abp) + abs(p_apb + p_apbp)
+    return chsh_combination(wigner_correlators(w))

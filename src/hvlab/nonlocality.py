@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .contextuality import AssignmentSearchResult, count_sign_assignments
-from .hvmodels import BATCH_PAIRS
+from .hvmodels import BATCH_PAIRS, chsh_combination
 from .qmath import (
     PAULIS,
     TAU_EQ,
@@ -182,15 +182,15 @@ def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float
     return float(eta_a * eta_b * ab + eta_a * eta_c * ac + eta_b * eta_c * bc)
 
 
-def chsh_value(psi, settings: ChshSettings) -> float:
-    """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|; ChshSettings holds unit vectors already.
+def chsh_correlators(psi, settings: ChshSettings) -> list:
+    """[a.Tb, a.Tb', a'.Tb, a'.Tb'] in SETTING_PAIR_NAMES order, on Python floats; T from the
+    per-state memo, so a scan over many settings on one state validates it and builds T once."""
+    return _bilinear(psi, [settings.a, settings.a_prime], [settings.b, settings.b_prime])
 
-    T comes from the per-state memo, so a scan over many settings on one
-    state validates the state and builds T once; the contraction runs on
-    Python floats.
-    """
-    ab, ab_p, a_p_b, a_p_b_p = _bilinear(psi, [settings.a, settings.a_prime], [settings.b, settings.b_prime])
-    return abs(ab - ab_p) + abs(a_p_b + a_p_b_p)
+
+def chsh_value(psi, settings: ChshSettings) -> float:
+    """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|, the CHSH combination of `chsh_correlators`."""
+    return chsh_combination(chsh_correlators(psi, settings))
 
 
 _SEESAW_MAX_SWEEPS = 1000

@@ -7,13 +7,14 @@ the correlator estimates and their standard errors follow from the counts.
 
 The quantum source is the Werner state V |psi-><psi-| + (1 - V) I / 4, where
 V in [0, 1] is a single visibility knob standing in for apparatus
-imperfection.  Its correlation tensor is V times the singlet's, T = -V I,
-so P(xy = +1 | a, b) = (1 + a . T b) / 2 and each count is one binomial
-draw: time and memory do not depend on n_pairs.  Local hidden-variable
-sources draw one lambda per pair, in batches of `BATCH_PAIRS` from one
-generator, and answer through response functions that never see the
-far-side setting; the sign strategy's lambda is an unnormalized
-standard-normal 3-vector, since its outcomes read only the direction.
+imperfection (local sources take V = 1).  Its correlators q_k are V times
+the singlet's, so P(xy = +1 | a, b) = (1 + q_k) / 2 and each count is one
+binomial draw: time and memory do not depend on n_pairs.  Reports hold
+numbers, not verdicts.  Local hidden-variable sources draw one lambda per
+pair, in batches of `BATCH_PAIRS` from one generator, and answer through
+response functions that never see the far-side setting; the sign
+strategy's lambda is an unnormalized standard-normal 3-vector, since its
+outcomes read only the direction.
 """
 
 from __future__ import annotations
@@ -23,15 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .hvmodels import BATCH_PAIRS, sgn
-from .nonlocality import (
-    CHSH_LHV_BOUND,
-    CHSH_QUANTUM_MAX,
-    SETTING_PAIR_NAMES,
-    ChshSettings,
-    correlation_tensor,
-    singlet_state,
-)
+from .hvmodels import BATCH_PAIRS, chsh_combination, count_correlator, sgn
+from .nonlocality import CHSH_LHV_BOUND, SETTING_PAIR_NAMES, ChshSettings, chsh_correlators, singlet_state
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
@@ -57,6 +51,8 @@ class ExperimentConfig:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
         if self.source != "singlet" and not self.source.startswith("lhv:"):
             raise ValueError(f"unknown source {self.source!r}")
+        if self.source != "singlet" and self.visibility != 1.0:
+            raise ValueError(f"visibility is for the singlet source only; {self.source} got {self.visibility}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,12 @@ STRATEGIES: dict[str, Callable[[], LhvStrategy]] = {
 
 @dataclass(frozen=True)
 class SimReport:
-    """Estimates, errors and verdicts for one simulation campaign.
+    """Estimates and errors for one simulation campaign.
 
     `pairs_per_setting` holds n_k for each setting pair, so each stderr is
-    sqrt((1 - E_k^2) / (n_k - 1)) with E_k from `correlators`.
+    sqrt((1 - E_k^2) / (n_k - 1)) with E_k from `correlators`, and S's model
+    standard error, which cannot collapse to 0, is `s_model_stderr` =
+    sqrt(sum_k (1 - q_k^2) / n_k), q_k from `expected_correlators` (0 if None).
     """
 
     source: str
@@ -126,7 +124,8 @@ class SimReport:
     s_value: float = 0.0
     s_stderr: float = 0.0
     s_expected: float = 0.0
-    verdicts: dict = field(default_factory=dict)
+    expected_correlators: dict | None = None
+    s_model_stderr: float = 0.0
     note: str = VISIBILITY_NOTE
 
 
@@ -135,32 +134,14 @@ def _pairs_per_setting(n_pairs: int) -> np.ndarray:
     return np.array([(n_pairs - k + 3) // 4 for k in range(4)])
 
 
-def _summarize(n_k, plus_k, settings, source, seed, visibility, s_expected):
-    """Mean and ddof=1 standard error of the +-1 products, from counts alone.
-
-    Setting pair k saw n_k products, plus_k of them +1, so the mean is
-    E_k = (2 plus_k - n_k) / n_k and the sample variance is
-    n_k (1 - E_k^2) / (n_k - 1).
-    """
-    est = (2 * plus_k - n_k) / n_k
-    err = np.sqrt((1.0 - est * est) / (n_k - 1))
-    estimates = dict(zip(SETTING_PAIR_NAMES, map(float, est)))
-    stderrs = dict(zip(SETTING_PAIR_NAMES, map(float, err)))
-    s_value = abs(estimates["ab"] - estimates["ab_prime"]) + abs(
-        estimates["a_prime_b"] + estimates["a_prime_b_prime"]
-    )
-    s_stderr = float(np.sqrt(sum(e * e for e in stderrs.values())))
-    verdicts = {
-        "within_tsirelson_bound": bool(s_value <= CHSH_QUANTUM_MAX + 5.0 * s_stderr),
-    }
-    if source.startswith("lhv:"):
-        # s_expected is the local bound: the exact infinite-n S of a generic
-        # pluggable strategy is unknown, but it can never exceed 2.
-        verdicts["within_lhv_bound"] = bool(s_value <= s_expected + 5.0 * s_stderr)
+def _summarize(n_k, plus_k, settings, source, seed, visibility, q=None):
+    """Report plus_k +1 products of n_k per setting pair, for model correlators q; for a local
+    source q is None and s_expected the local bound, as a generic strategy's exact S is unknown."""
+    est, err = count_correlator(plus_k, n_k)
+    if q is None:
+        s_expected, variances = CHSH_LHV_BOUND, 1.0  # a +-1 product has variance at most 1
     else:
-        verdicts["matches_expected_within_5_sigma"] = bool(
-            abs(s_value - s_expected) <= 5.0 * s_stderr
-        )
+        s_expected, variances = chsh_combination(q), np.maximum(1.0 - q * q, 0.0)
     return SimReport(
         source=source,
         n_pairs=int(n_k.sum()),
@@ -168,12 +149,13 @@ def _summarize(n_k, plus_k, settings, source, seed, visibility, s_expected):
         visibility=visibility,
         settings=tuple(tuple(v) for v in (settings.a, settings.a_prime, settings.b, settings.b_prime)),
         pairs_per_setting=dict(zip(SETTING_PAIR_NAMES, map(int, n_k))),
-        correlators=estimates,
-        stderrs=stderrs,
-        s_value=float(s_value),
-        s_stderr=s_stderr,
+        correlators=dict(zip(SETTING_PAIR_NAMES, map(float, est))),
+        stderrs=dict(zip(SETTING_PAIR_NAMES, map(float, err))),
+        s_value=float(chsh_combination(est)),
+        s_stderr=float(np.sqrt(np.sum(err * err))),
         s_expected=float(s_expected),
-        verdicts=verdicts,
+        expected_correlators=None if q is None else dict(zip(SETTING_PAIR_NAMES, map(float, q))),
+        s_model_stderr=float(np.sqrt(np.sum(variances / n_k))),
     )
 
 
@@ -181,7 +163,7 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
     """Run a CHSH campaign for the configured source.
 
     Singlet source: the +1 count of each setting pair is one draw from
-    Binomial(n_k, (1 + q_k) / 2) with q_k = a . T b, T the Werner tensor.
+    Binomial(n_k, (1 + q_k) / 2) with q_k = V a . T b, T the singlet's tensor.
     LHV sources delegate to `simulate_lhv`.  Reports are bit-identical for
     an identical config.
     """
@@ -191,13 +173,11 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
             raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
         return simulate_lhv(STRATEGIES[name](), config.settings, config.n_pairs, config.seed)
 
-    werner_t = config.visibility * correlation_tensor(singlet_state())
-    q = np.array([a @ werner_t @ b for a, b in config.settings.pairs()])
+    q = config.visibility * np.array(chsh_correlators(singlet_state(), config.settings))
     n_k = _pairs_per_setting(config.n_pairs)
     # a unit setting may have |a| = 1 + TAU_EQ, so |q| can pass 1 and binomial rejects p outside [0, 1]
     plus_k = np.random.default_rng(config.seed).binomial(n_k, np.clip((1.0 + q) / 2.0, 0.0, 1.0))
-    s_expected = abs(q[0] - q[1]) + abs(q[2] + q[3])
-    return _summarize(n_k, plus_k, config.settings, "singlet", config.seed, config.visibility, s_expected)
+    return _summarize(n_k, plus_k, config.settings, "singlet", config.seed, config.visibility, q)
 
 
 def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, seed: int) -> SimReport:
@@ -228,9 +208,7 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
                 if not np.all(np.abs(vals) == 1.0):
                     raise ValueError(f"strategy {strategy.name!r} returned {name} values outside +-1")
             plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
-    return _summarize(
-        _pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0, CHSH_LHV_BOUND
-    )
+    return _summarize(_pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -13,7 +13,7 @@ import pytest
 import hvlab
 import hvlab.cli
 from hvlab.cli import evaluate_claim, main
-from hvlab.hvmodels import chsh_from_wigner, wigner_correlators
+from hvlab.hvmodels import chsh_combination, chsh_from_wigner, wigner_correlators
 from hvlab.simlab import ExperimentConfig, save_config
 from hvlab.nonlocality import optimal_chsh_settings
 
@@ -148,6 +148,8 @@ class TestSubcommands:
             operator = np.kron(hvlab.sigma_dot(settings[x]), hvlab.sigma_dot(settings[y]))
             want = np.vdot(psi, operator @ psi).real
             assert abs(report["outputs"]["correlators"][name] - want) <= 1e-9, name
+        s_from_correlators = chsh_combination(list(report["outputs"]["correlators"].values()))
+        assert report["outputs"]["s_value"] == pytest.approx(s_from_correlators, rel=1e-8, abs=1e-8)
 
     def test_chsh_optimize(self, capsys):
         code, report = run_json(capsys, "chsh", "--optimize", "--state", "singlet", "--restarts", "6")
@@ -258,6 +260,26 @@ class TestSubcommands:
             est = out["correlators"][name]
             # the report prints 9 significant digits
             assert out["stderrs"][name] == pytest.approx(np.sqrt((1 - est**2) / (n_k - 1)), rel=1e-7)
+        q = out["expected_correlators"] or dict.fromkeys(out["pairs_per_setting"], 0.0)
+        model = np.sqrt(sum((1 - q[name] ** 2) / n_k for name, n_k in out["pairs_per_setting"].items()))
+        assert out["s_model_stderr"] == pytest.approx(model, rel=1e-7)
+        targets = {
+            "sim_matches_expected_within_5_sigma": out["s_expected"],
+            "sim_within_lhv_bound": out["s_expected"],
+            "sim_within_tsirelson_bound": 2 * np.sqrt(2),
+        }
+        assert len(report["claims"]) == 2
+        for claim in report["claims"]:
+            assert claim["value"] == out["s_value"]
+            assert claim["target"] == pytest.approx(targets[claim["name"]], rel=1e-8)
+            assert claim["tol"] == pytest.approx(5 * model, rel=1e-7)
+
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
+    def test_simulate_minimum_samples_pass_at_every_seed(self, capsys, source):
+        # 2 pairs per setting: the sample stderr is often 0, the model one never
+        for seed in range(200):
+            code, report = run_json(capsys, "simulate", "--source", source, "--samples", "8", "--seed", str(seed))
+            assert code == 0, (seed, report["claims"])
 
 
 class TestReportContract:
@@ -268,6 +290,9 @@ class TestReportContract:
             ["ghz"],
             ["hardy", "--p1", "0.3", "--p2", "0.6"],
             ["wigner", "--samples", "500"],
+            ["simulate", "--samples", "1000"],
+            ["simulate", "--samples", "1000", "--visibility", "0.9546", "--seed", "3"],
+            ["simulate", "--samples", "1000", "--source", "lhv:sign"],
         ):
             _, report = run_json(capsys, *argv)
             for claim in report["claims"]:
@@ -405,6 +430,19 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and f"{flag} has no effect" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("use_config", [False, True], ids=["flags", "config"])
+    def test_visibility_with_local_source_exits_2(self, capsys, tmp_path, use_config):
+        path = tmp_path / "exp.cfg"
+        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
+        path.write_text(path.read_text().replace("source = singlet", "source = lhv:sign").replace(
+            "visibility = 1.0", "visibility = 0.5"))
+        argv = ["--config", str(path)] if use_config else ["--source=lhv:sign", "--visibility=0.5"]
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("simulate:") and "singlet source only" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_nan_chsh_setting_exits_2(self, capsys):

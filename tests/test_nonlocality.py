@@ -18,6 +18,7 @@ from hvlab.nonlocality import (
     _hardy_grid_argmax,
     _tensor_of_bytes,
     bell_original_lhs,
+    chsh_correlators,
     chsh_optimize,
     chsh_value,
     correlation_tensor,
@@ -288,6 +289,16 @@ class TestChshValue:
                 b_prime=random_unit3(rng),
             )
             assert chsh_value(PRODUCT_00, settings) <= 2.0 + 1e-12
+
+    def test_correlators_are_the_four_pair_correlators(self):
+        rng = np.random.default_rng(44)
+        for psi in (singlet_state(), PRODUCT_00):
+            for _ in range(50):
+                settings = ChshSettings(*(random_unit3(rng) for _ in range(4)))
+                correlators = chsh_correlators(psi, settings)
+                assert correlators == [qm_correlator(psi, a, b) for a, b in settings.pairs()]
+                p_ab, p_abp, p_apb, p_apbp = correlators
+                assert chsh_value(psi, settings) == abs(p_ab - p_abp) + abs(p_apb + p_apbp)
 
     def test_random_settings_never_beat_tsirelson(self):
         psi = singlet_state()

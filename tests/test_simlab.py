@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from hvlab import simlab
-from hvlab.nonlocality import CHSH_QUANTUM_MAX, ChshSettings, optimal_chsh_settings
+from hvlab.nonlocality import (
+    CHSH_LHV_BOUND,
+    CHSH_QUANTUM_MAX,
+    ChshSettings,
+    chsh_correlators,
+    chsh_value,
+    optimal_chsh_settings,
+    singlet_state,
+)
 from hvlab.simlab import (
     ExperimentConfig,
     LhvStrategy,
@@ -33,8 +41,8 @@ class TestSimulateSinglet:
     def test_full_visibility_reaches_quantum_value(self):
         report = simulate_chsh(make_config())
         assert abs(report.s_value - CHSH_QUANTUM_MAX) <= 5 * report.s_stderr
-        assert report.verdicts["matches_expected_within_5_sigma"]
-        assert report.verdicts["within_tsirelson_bound"]
+        assert abs(report.s_value - report.s_expected) <= 5 * report.s_stderr
+        assert report.s_value <= CHSH_QUANTUM_MAX + 5 * report.s_stderr
 
     def test_zero_visibility_uncorrelated(self):
         report = simulate_chsh(make_config(visibility=0.0))
@@ -44,6 +52,27 @@ class TestSimulateSinglet:
     def test_expected_value_scales_with_visibility(self):
         report = simulate_chsh(make_config(visibility=0.5, n_pairs=10**4))
         assert abs(report.s_expected - 0.5 * CHSH_QUANTUM_MAX) <= 1e-12
+
+    def test_expected_values_are_the_scaled_singlet_ones(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            vecs = rng.normal(size=(4, 3))
+            settings = ChshSettings(*(vecs / np.linalg.norm(vecs, axis=1, keepdims=True)))
+            visibility = float(rng.uniform(0.0, 1.0))
+            report = simulate_chsh(make_config(settings=settings, visibility=visibility, n_pairs=8))
+            assert abs(report.s_expected - visibility * chsh_value(singlet_state(), settings)) <= 1e-15
+            q = [visibility * p for p in chsh_correlators(singlet_state(), settings)]
+            assert list(report.expected_correlators.values()) == q
+            n_k = np.array(list(report.pairs_per_setting.values()))
+            want = np.sqrt(sum((1.0 - x * x) / n for x, n in zip(q, n_k)))
+            assert report.s_model_stderr == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("source, seed, want", [("singlet", 0, 1.0), ("lhv:sign", 4, np.sqrt(2.0))])
+    def test_model_stderr_does_not_collapse(self, source, seed, want):
+        # 2 pairs per setting, and at these seeds each setting pair's two products agree
+        report = simulate_chsh(make_config(source=source, n_pairs=8, seed=seed))
+        assert report.s_stderr == 0.0
+        assert report.s_model_stderr == pytest.approx(want, rel=1e-15)
 
     def test_reports_bit_identical_for_same_config(self):
         a = simulate_chsh(make_config(n_pairs=10**4))
@@ -110,7 +139,7 @@ class TestSimulateLhv:
     def test_sign_strategy_obeys_lhv_bound(self):
         report = simulate_lhv(sign_strategy(), optimal_chsh_settings(), 10**5, seed=7)
         assert report.s_value <= 2.0 + 5 * report.s_stderr
-        assert report.verdicts["within_lhv_bound"]
+        assert report.s_value <= report.s_expected + 5 * report.s_stderr
 
     def test_constant_strategy_exact(self):
         report = simulate_lhv(constant_strategy(), optimal_chsh_settings(), 1000, seed=8)
@@ -193,7 +222,9 @@ class TestSimulateLhv:
     def test_lhv_source_via_config(self):
         report = simulate_chsh(make_config(source="lhv:sign", n_pairs=10**4))
         assert report.source == "lhv:sign"
-        assert "within_lhv_bound" in report.verdicts
+        assert report.s_expected == CHSH_LHV_BOUND and report.expected_correlators is None
+        assert report.s_value <= report.s_expected + 5 * report.s_stderr
+        assert report.s_model_stderr == np.sqrt(sum(1.0 / n for n in report.pairs_per_setting.values()))
 
 
 class TestCountEstimator:
@@ -220,6 +251,18 @@ class TestConfig:
             make_config(source="telepathy")
         with pytest.raises(ValueError, match="strategy"):
             simulate_chsh(make_config(source="lhv:unknown"))
+
+    @pytest.mark.parametrize("visibility", [0.5, 0.0, 1.0 - 1e-16])
+    def test_visibility_is_for_the_singlet_only(self, tmp_path, visibility):
+        with pytest.raises(ValueError, match="singlet source only"):
+            make_config(source="lhv:sign", visibility=visibility)
+        path = tmp_path / "experiment.cfg"
+        path.write_text(
+            f"source = lhv:sign\nn_pairs = 1000\nvisibility = {visibility!r}\nseed = 0\n"
+            "a = 0 1 0\na_prime = 1 0 0\nb = 1 0 0\nb_prime = 0 1 0\n"
+        )
+        with pytest.raises(ValueError, match="singlet source only"):
+            load_config(path)
 
     def test_needs_two_pairs_per_setting(self):
         with pytest.raises(ValueError, match="n_pairs"):
