@@ -72,6 +72,7 @@ from .nonlocality import (
     HardyConstruction,
     HardyParams,
     bell_original_lhs,
+    chsh_max,
     chsh_optimize,
     chsh_value,
     correlation_tensor,

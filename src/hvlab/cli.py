@@ -68,8 +68,10 @@ from .nonlocality import (
     TRINE_B,
     TRINE_C,
     ChshSettings,
+    bell_correlators,
     bell_original_lhs,
     chsh_correlators,
+    chsh_max,
     chsh_optimize,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
@@ -78,7 +80,6 @@ from .nonlocality import (
     hardy_probability,
     no_signalling_check,
     optimal_chsh_settings,
-    qm_correlator,
     singlet_state,
 )
 from .simlab import ExperimentConfig, load_config, simulate_chsh
@@ -91,6 +92,8 @@ def _claim(name: str, kind: str, value: float, target: float, tol: float) -> dic
 def evaluate_claim(claim: dict) -> bool:
     """Recompute a claim verdict from its own numbers."""
     value, target, tol = claim["value"], claim["target"], claim["tol"]
+    if not all(math.isfinite(x) for x in (value, target, tol)):  # an infinite width would pass anything
+        return False
     kind = claim["kind"]
     if kind == "close":
         return abs(value - target) <= tol
@@ -361,8 +364,10 @@ def _cmd_ks_color(args, rng):
         claims.append(
             _bool_claim("certificate_verified", verify_coloring(structure, result.colors))
         )
-    if args.peres:
+    if args.peres:  # the counts tell Peres's graph from one that a loose --tol builds on the same rays
         claims.append(_claim("ray_count_is_33", "close", float(rays.shape[0]), 33.0, 0.0))
+        claims.append(_claim("pair_count_is_72", "close", float(len(structure.pairs)), 72.0, 0.0))
+        claims.append(_claim("triad_count_is_16", "close", float(len(structure.triads)), 16.0, 0.0))
         claims.append(_bool_claim("coloring_impossible", not result.satisfiable))
     return inputs, outputs, claims, {"orthogonality": args.tol}
 
@@ -410,7 +415,7 @@ def _cmd_bell(args, rng):
         "lhs": lhs,
         "lhv_bound": BELL_ORIGINAL_BOUND,
         "violation": lhs - BELL_ORIGINAL_BOUND,
-        "correlators": {name: qm_correlator(psi, x, y) for name, x, y in (("ab", a, b), ("ac", a, c), ("bc", b, c))},
+        "correlators": dict(zip(("ab", "ac", "bc"), bell_correlators(psi, a, b, c))),
     }
     claims = []
     if dirs is None and etas == (1, 1, 1):
@@ -438,9 +443,8 @@ def _cmd_chsh(args, rng):
             "quantum_max": CHSH_QUANTUM_MAX,
             "lhv_bound": CHSH_LHV_BOUND,
         }
-        target = CHSH_QUANTUM_MAX if args.state == "singlet" else 2.0
         claims = [
-            _claim("optimum_matches_known_maximum", "close", s_star, target, args.tol),
+            _claim("optimum_matches_known_maximum", "close", s_star, chsh_max(psi), args.tol),
             _claim("within_tsirelson", "le", s_star, CHSH_QUANTUM_MAX, 1e-9),
         ]
         return inputs, outputs, claims, {"optimum": args.tol, "tsirelson": 1e-9}
@@ -718,9 +722,9 @@ def main(argv=None) -> int:
         print(f"{args.command}: --tol must be finite and non-negative, got {tol}", file=sys.stderr)
         return 2
 
-    rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
     try:
+        rng = np.random.default_rng(args.seed)  # a negative --seed is a ValueError
         inputs, outputs, claims, tolerances = HANDLERS[args.command](args, rng)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

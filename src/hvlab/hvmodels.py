@@ -26,6 +26,8 @@ import numpy as np
 
 from .qmath import TAU_EQ, assert_state_vector, sigma_dot
 
+_SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
+
 SIGN = np.array([1.0, -1.0])  # weight-array index 0 means +1, index 1 means -1
 
 BATCH_PAIRS = 1 << 16  # samples held in memory at once by the batched samplers
@@ -63,14 +65,21 @@ class BellHVState:
     def __post_init__(self):
         object.__setattr__(self, "psi", assert_state_vector(self.psi))
         if self.psi.shape[0] != 2:
-            raise ValueError("the hidden-variable model is for a single spin-1/2")
+            raise ValueError(_SPIN_HALF_ONLY)
         if not -0.5 <= self.lam <= 0.5:
             raise ValueError(f"lambda = {self.lam} outside [-1/2, 1/2]")
 
 
 def _beta_and_m(beta, psi) -> tuple[float, float]:
+    """(|beta|, <psi|beta.sigma|psi>) for a validated state psi; ValueError unless psi is one
+    qubit and |beta|^2 is finite."""
+    if psi.shape[0] != 2:
+        raise ValueError(_SPIN_HALF_ONLY)
     beta = np.asarray(beta, dtype=float).reshape(3)
-    beta_len = float(np.linalg.norm(beta))
+    with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
+        beta_len = float(np.linalg.norm(beta))
+    if not math.isfinite(beta_len):
+        raise ValueError(f"|beta|^2 must be finite, got beta = {beta.tolist()}")
     m = float(np.vdot(psi, sigma_dot(beta) @ psi).real)
     return beta_len, m
 

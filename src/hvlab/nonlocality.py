@@ -1,8 +1,10 @@
 """Quantum correlators, Bell/CHSH inequalities, GHZ and Hardy constructions.
 
-Every two-qubit correlator P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> is read
-off the correlation tensor, P(a, b) = a . T b, with T computed (and the state
-validated) once per state and kept in a bounded memo; the singlet has
+Every two-qubit number is read off the correlation tensor
+T_ij = <psi| sigma_i x sigma_j |psi>, computed by that definition (and the
+state validated) once per state and kept in a bounded memo: each correlator
+P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> is a . T b, and the largest CHSH
+value over all settings is the Horodecki value `chsh_max`.  The singlet has
 T = -identity, so P(a, b) = -a.b.
 The CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded
 by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
@@ -100,12 +102,8 @@ def ghz_state() -> np.ndarray:
     return psi
 
 
-# sigma_i x sigma_j for i, j in x, y, z: shape (3, 3, 4, 4).  Each column l holds
-# one nonzero entry, a phase 1, -1, i or -i, so the row vector
-# psi* (sigma_i x sigma_j) is psi* permuted and phased, with no rounding.
+# sigma_i x sigma_j for i, j in x, y, z: shape (3, 3, 4, 4).
 _PAULI_PAIRS = np.array([[np.kron(s_i, s_j) for s_j in PAULIS] for s_i in PAULIS])
-_PAIR_ROWS = np.argmax(np.abs(_PAULI_PAIRS), axis=2)  # (3, 3, 4): row of the nonzero in column l
-_PAIR_PHASES = np.take_along_axis(_PAULI_PAIRS, _PAIR_ROWS[:, :, None, :], axis=2)[:, :, 0, :]
 
 TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
 _COMPLEX = np.dtype(complex)
@@ -115,7 +113,7 @@ _COMPLEX = np.dtype(complex)
 def _tensor_of_bytes(key: bytes) -> np.ndarray:
     """Read-only T of the state whose complex128 bytes are key; ValueError unless it is a unit vector."""
     psi = assert_state_vector(np.frombuffer(key, _COMPLEX))
-    tensor = ((psi.conj()[_PAIR_ROWS] * _PAIR_PHASES) @ psi).real
+    tensor = (psi.conj() @ _PAULI_PAIRS @ psi).real
     tensor.setflags(write=False)  # shared by every caller that hits the memo
     return tensor
 
@@ -168,17 +166,23 @@ def qm_correlator(psi, a, b) -> float:
     return _bilinear(psi, [unit_setting(a)], [unit_setting(b)])[0]
 
 
+def bell_correlators(psi, a, b, c) -> tuple:
+    """(P(a,b), P(a,c), P(b,c)) on Python floats, off one contraction with the memoized T."""
+    a, b, c = (unit_setting(v) for v in (a, b, c))
+    ab, ac, _, bc = _bilinear(psi, [a, b], [b, c])
+    return ab, ac, bc
+
+
 def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float:
     """Signed three-correlator sum; local hidden variables keep it <= 1.
 
-    Returns eta_a eta_b P(a,b) + eta_a eta_c P(a,c) + eta_b eta_c P(b,c);
-    the caller compares with the bound 1.
+    Returns eta_a eta_b P(a,b) + eta_a eta_c P(a,c) + eta_b eta_c P(b,c),
+    the correlators from `bell_correlators`; the caller compares with the bound 1.
     """
     for eta in (eta_a, eta_b, eta_c):
         if eta not in (1, -1):
             raise ValueError("eta values must be +1 or -1")
-    a, b, c = (unit_setting(v) for v in (a, b, c))
-    ab, ac, _, bc = _bilinear(psi, [a, b], [b, c])
+    ab, ac, bc = bell_correlators(psi, a, b, c)
     return float(eta_a * eta_b * ab + eta_a * eta_c * ac + eta_b * eta_c * bc)
 
 
@@ -191,6 +195,14 @@ def chsh_correlators(psi, settings: ChshSettings) -> list:
 def chsh_value(psi, settings: ChshSettings) -> float:
     """S = |a.Tb - a.Tb'| + |a'.Tb + a'.Tb'|, the CHSH combination of `chsh_correlators`."""
     return chsh_combination(chsh_correlators(psi, settings))
+
+
+def chsh_max(psi) -> float:
+    """Largest CHSH value over all settings: the Horodecki value 2 sqrt(m1 + m2), m1 and m2 the two
+    largest eigenvalues of T^t T (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995))."""
+    tensor = _memo_tensor(psi)
+    m = np.linalg.eigvalsh(tensor.T @ tensor)  # ascending
+    return 2.0 * math.sqrt(m[1] + m[2])
 
 
 _SEESAW_MAX_SWEEPS = 1000
@@ -216,9 +228,7 @@ def chsh_optimize(
     when no restart gains more than tol * 1e-3 in a sweep (or after a fixed
     sweep cap).  The returned value is recomputed from the matrix elements
     at the best restart's settings; ties go to the earliest restart.
-    Deterministic for fixed (restarts, seed).  The optimum is the Horodecki
-    value 2 sqrt(m1 + m2) over the two largest eigenvalues of T^t T:
-    2*sqrt(2) on the singlet, 2 on a product state.
+    Deterministic for fixed (restarts, seed).  The optimum is `chsh_max`.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")

@@ -30,11 +30,14 @@ from .nonlocality import CHSH_LHV_BOUND, SETTING_PAIR_NAMES, ChshSettings, chsh_
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
+MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
 
 
 def _check_n_pairs(n_pairs: int) -> None:
     if n_pairs < MIN_PAIRS:
         raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class ExperimentConfig:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
         if self.source != "singlet" and not self.source.startswith("lhv:"):
             raise ValueError(f"unknown source {self.source!r}")
+        name = self.source.removeprefix("lhv:")
+        if self.source != "singlet" and name not in STRATEGIES:
+            raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
         if self.source != "singlet" and self.visibility != 1.0:
             raise ValueError(f"visibility is for the singlet source only; {self.source} got {self.visibility}")
 
@@ -168,10 +174,8 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
     an identical config.
     """
     if config.source.startswith("lhv:"):
-        name = config.source.split(":", 1)[1]
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
-        return simulate_lhv(STRATEGIES[name](), config.settings, config.n_pairs, config.seed)
+        strategy = STRATEGIES[config.source.removeprefix("lhv:")]()
+        return simulate_lhv(strategy, config.settings, config.n_pairs, config.seed)
 
     q = config.visibility * np.array(chsh_correlators(singlet_state(), config.settings))
     n_k = _pairs_per_setting(config.n_pairs)

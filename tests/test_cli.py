@@ -102,6 +102,16 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["n_rays"] == 33
         assert report["outputs"]["satisfiable"] is False
+        claims = {c["name"]: c for c in report["claims"]}
+        for name, count in (("ray_count_is_33", 33), ("pair_count_is_72", 72), ("triad_count_is_16", 16)):
+            assert claims[name]["pass"] and claims[name]["value"] == count and claims[name]["tol"] == 0.0
+
+    def test_ks_color_peres_fails_on_a_graph_that_is_not_peres(self, capsys):
+        code, report = run_json(capsys, "ks-color", "--peres", "--tol", "1")
+        assert code == 1
+        assert report["outputs"]["n_orthogonal_pairs"] == 528 and report["outputs"]["n_triads"] == 5456
+        failed = {c["name"] for c in report["claims"] if not c["pass"]}
+        assert failed == {"pair_count_is_72", "triad_count_is_16"}
 
     def test_ks_color_rays_file(self, capsys, tmp_path):
         path = tmp_path / "axes.txt"
@@ -121,6 +131,19 @@ class TestSubcommands:
         code, report = run_json(capsys, "bell")
         assert code == 0
         assert abs(report["outputs"]["lhs"] - 1.5) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [(), ("--eta=1,-1,-1", "--a-dir=0.3,-0.2,0.9", "--b-dir=-1,2,3", "--c-dir=0,0,5")])
+    def test_bell_correlators_recompute_from_echoed_directions(self, capsys, argv):
+        code, report = run_json(capsys, "bell", *argv)
+        assert code == 0
+        psi, inputs, correlators = hvlab.singlet_state(), report["inputs"], report["outputs"]["correlators"]
+        assert list(correlators) == ["ab", "ac", "bc"]
+        for name in correlators:
+            x, y = (hvlab.sigma_dot(inputs[letter]) for letter in name)
+            assert abs(correlators[name] - np.vdot(psi, np.kron(x, y) @ psi).real) <= 1e-9, name
+        e_a, e_b, e_c = inputs["eta"]
+        lhs = e_a * e_b * correlators["ab"] + e_a * e_c * correlators["ac"] + e_b * e_c * correlators["bc"]
+        assert report["outputs"]["lhs"] == pytest.approx(lhs, rel=1e-8, abs=1e-8)
 
     def test_chsh_value(self, capsys):
         code, report = run_json(capsys, "chsh")
@@ -155,6 +178,21 @@ class TestSubcommands:
         code, report = run_json(capsys, "chsh", "--optimize", "--state", "singlet", "--restarts", "6")
         assert code == 0
         assert abs(report["outputs"]["s_star"] - 2.8284271) <= 1e-6
+
+    @pytest.mark.parametrize("state", ["singlet", "product"])
+    def test_chsh_optimize_claims_against_chsh_max(self, capsys, monkeypatch, state):
+        seen = []
+
+        def stand_in(psi):
+            seen.append(psi)
+            return 2.5
+
+        monkeypatch.setattr(hvlab.cli, "chsh_max", stand_in)
+        code, report = run_json(capsys, "chsh", "--optimize", "--state", state, "--restarts", "4")
+        claim = next(c for c in report["claims"] if c["name"] == "optimum_matches_known_maximum")
+        assert code == 1 and claim["target"] == 2.5 and not claim["pass"]
+        want = hvlab.singlet_state() if state == "singlet" else np.eye(4, dtype=complex)[0]
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
 
     def test_chsh_optimize_seed_reaches_tsirelson(self, capsys):
         code, report = run_json(capsys, "chsh", "--optimize", "--seed", "1228853484")
@@ -338,6 +376,14 @@ class TestReportContract:
         assert code == 0
         assert out == ""
 
+    def test_no_pass_on_a_non_finite_number(self):
+        for kind in ("close", "le", "ge"):
+            assert evaluate_claim({"name": "c", "kind": kind, "value": 0.0, "target": 0.0, "tol": 1.0})
+            for field in ("value", "target", "tol"):
+                for bad in (math.inf, -math.inf, math.nan):
+                    claim = {"name": "c", "kind": kind, "value": 0.0, "target": 0.0, "tol": 1.0, field: bad}
+                    assert evaluate_claim(claim) is False, (kind, field, bad)
+
     def test_report_echoes_seed_and_command(self, capsys):
         _, report = run_json(capsys, "ghz", "--seed", "77")
         assert report["seed"] == 77
@@ -469,6 +515,27 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and "must be at least" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ghz", "--seed=-1"), "non-negative"),
+            (("wigner", "--seed=-1"), "non-negative"),
+            (("simulate", "--seed=-1"), "non-negative"),
+            (("simulate", "--samples=100000000000000000000"), "n_pairs must be at most"),
+            (("bell-hv", "--beta=1e300,1e300,0"), "beta"),
+            (("bell-hv", "--psi=1,0,0,0,0,0"), "single spin-1/2"),
+        ],
+        ids=["ghz-seed", "wigner-seed", "simulate-seed", "simulate-samples", "bell-hv-beta", "bell-hv-qutrit"],
+    )
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{argv[0]}:") and message in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("psi", ["nan,0,0,0", "inf,0,0,0"], ids=["nan", "inf"])

@@ -60,6 +60,37 @@ class TestBellHVValue:
             BellHVState(KET0, 0.6)
 
 
+class TestBellHVInputs:
+    QUTRIT = np.array([1.0, 0.0, 0.0], dtype=complex)
+
+    @pytest.mark.parametrize("beta", [(1e300, 1e300, 0.0), (1e154, 1e154, 1e154), (np.inf, 0.0, 0.0)])
+    def test_overflowing_beta_is_a_value_error_without_warning(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: bell_hv_average_exact(0.0, beta, KET0),
+                lambda: bell_hv_average_mc(0.0, beta, KET0, 100, seed=0),
+                lambda: bell_hv_value(0.0, beta, BellHVState(KET0, 0.1)),
+            ):
+                with pytest.raises(ValueError, match="beta"):
+                    call()
+
+    def test_beta_length_is_the_norm(self):
+        rng = np.random.default_rng(22)
+        for beta in [(1e153, 1e153, 1e153), (1e-200, 0.0, 0.0)] + list(rng.normal(size=(100, 3))):
+            want = float(np.linalg.norm(beta))
+            assert bell_hv_value(0.0, beta, BellHVState(KET0, 0.5)) in (want, -want)
+
+    def test_state_must_be_one_qubit(self):
+        for call in (
+            lambda: bell_hv_average_exact(0.0, (0, 0, 1), self.QUTRIT),
+            lambda: bell_hv_average_mc(0.0, (0, 0, 1), self.QUTRIT, 100, seed=0),
+            lambda: BellHVState(self.QUTRIT, 0.0),
+        ):
+            with pytest.raises(ValueError, match="single spin-1/2"):
+                call()
+
+
 class TestBellHVAverageExact:
     def test_z_state_z_direction(self):
         assert bell_hv_average_exact(0, (0, 0, 1), KET0) == 1.0

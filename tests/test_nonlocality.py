@@ -17,8 +17,10 @@ from hvlab.nonlocality import (
     _hardy_construct,
     _hardy_grid_argmax,
     _tensor_of_bytes,
+    bell_correlators,
     bell_original_lhs,
     chsh_correlators,
+    chsh_max,
     chsh_optimize,
     chsh_value,
     correlation_tensor,
@@ -148,6 +150,8 @@ class TestTensorMemo:
                     correlation_tensor(bad)
                 with pytest.raises(ValueError, match="normalized"):
                     chsh_value(bad, settings)
+                with pytest.raises(ValueError, match="normalized"):
+                    chsh_max(bad)
 
     def test_size_is_bounded(self):
         rng = np.random.default_rng(47)
@@ -254,6 +258,9 @@ def test_correlators_match_kron_oracle():
         etas = [int(e) for e in rng.choice([1, -1], size=3)]
         want_lhs = etas[0] * etas[1] * p(a, b) + etas[0] * etas[2] * p(a, c) + etas[1] * etas[2] * p(b, c)
         assert abs(bell_original_lhs(psi, a, b, c, *etas) - want_lhs) <= 1e-12
+        correlators = bell_correlators(psi, a, b, c)
+        assert all(type(x) is float for x in correlators)
+        assert np.max(np.abs(np.subtract(correlators, [p(a, b), p(a, c), p(b, c)]))) <= 1e-12
 
 
 def test_unit_setting_rejects_nan():
@@ -311,6 +318,22 @@ class TestChshValue:
                 b_prime=random_unit3(rng),
             )
             assert chsh_value(psi, settings) <= CHSH_QUANTUM_MAX + 1e-9
+
+
+class TestChshMax:
+    def test_matches_kron_built_horodecki_bound(self):
+        for psi in oracle_states():
+            assert abs(chsh_max(psi) - horodecki_bound(psi)) <= 1e-12
+
+    def test_singlet_and_product_state(self):
+        assert abs(chsh_max(singlet_state()) - CHSH_QUANTUM_MAX) <= 1e-14
+        assert abs(chsh_max(PRODUCT_00) - 2.0) <= 1e-14
+
+    def test_optimizer_reaches_it(self):
+        rng = np.random.default_rng(49)
+        for psi in [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(5)]:
+            _, s_star = chsh_optimize(psi, restarts=8)
+            assert abs(s_star - chsh_max(psi)) <= 1e-9
 
 
 class TestChshOptimize:

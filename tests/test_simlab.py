@@ -264,6 +264,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="singlet source only"):
             load_config(path)
 
+    def test_unknown_strategy_is_rejected_when_built_and_loaded(self, tmp_path):
+        with pytest.raises(ValueError, match=r"strategy 'nope'; known: \['constant', 'sign'\]"):
+            make_config(source="lhv:nope")
+        path = tmp_path / "experiment.cfg"
+        path.write_text(
+            "source = lhv:nope\nn_pairs = 1000\nvisibility = 1.0\nseed = 0\n"
+            "a = 0 1 0\na_prime = 1 0 0\nb = 1 0 0\nb_prime = 0 1 0\n"
+        )
+        with pytest.raises(ValueError, match="strategy 'nope'"):
+            load_config(path)
+
+    def test_n_pairs_fits_the_binomial_draw(self):
+        assert make_config(n_pairs=2**63 - 1).n_pairs == 2**63 - 1
+        for n_pairs in (2**63, 10**20):
+            with pytest.raises(ValueError, match="at most"):
+                make_config(n_pairs=n_pairs)
+            with pytest.raises(ValueError, match="at most"):
+                simulate_lhv(sign_strategy(), optimal_chsh_settings(), n_pairs, seed=0)
+
     def test_needs_two_pairs_per_setting(self):
         with pytest.raises(ValueError, match="n_pairs"):
             make_config(n_pairs=7)
