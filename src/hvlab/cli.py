@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .qmath import (
+    ID2,
+    PAULIS,
     TAU_EQ,
     eig_herm2,
     pauli_obs,
@@ -400,9 +402,12 @@ def _cmd_bell(args, rng):
     psi = singlet_state()
     dirs = _directions(args, "a_dir", "b_dir", "c_dir")
     a, b, c = dirs or (TRINE_A, TRINE_B, TRINE_C)
-    etas = tuple(int(e) for e in args.eta.split(","))
-    if len(etas) != 3:
-        raise ValueError("eta must be three comma-separated values of +-1")
+    try:
+        etas = tuple(int(e) for e in args.eta.split(","))
+    except ValueError:  # int()'s own message names neither the option nor its value
+        etas = ()
+    if len(etas) != 3 or not set(etas) <= {1, -1}:
+        raise ValueError(f"--eta must be three comma-separated values of +-1, got {args.eta!r}")
     lhs = bell_original_lhs(psi, a, b, c, *etas)
     inputs = {
         "a": [float(x) for x in a],
@@ -546,19 +551,21 @@ def _cmd_hardy(args, rng):
     return inputs, outputs, claims, {"closed_form": args.tol}
 
 
+NOSIGNAL_BLOCK = 256  # trials checked as one stack, so memory stays bounded for any --trials
+
+
 def _cmd_nosignal(args, rng):
     trials = _at_least_one(args.trials, "--trials")
-    eye2 = np.eye(2, dtype=complex)
     max_dev = 0.0
-    for _ in range(trials):
-        rho = random_density(rng, 4)
-        a_obs = np.kron(sigma_dot(random_unit3(rng)), eye2)
-        b_hat = random_unit3(rng)
-        projs = [
-            np.kron(eye2, 0.5 * (eye2 + sigma_dot(b_hat))),
-            np.kron(eye2, 0.5 * (eye2 - sigma_dot(b_hat))),
-        ]
-        max_dev = max(max_dev, no_signalling_check(rho, a_obs, projs))
+    for start in range(0, trials, NOSIGNAL_BLOCK):
+        # each trial draws as it would alone: the state, then A's axis, then B's axis
+        draws = [(random_density(rng, 4), random_unit3(rng), random_unit3(rng))
+                 for _ in range(min(NOSIGNAL_BLOCK, trials - start))]
+        rho, a_hat, b_hat = (np.array(column) for column in zip(*draws))
+        a_obs = np.kron(np.einsum("ti,ijk->tjk", a_hat, PAULIS), ID2)  # a.sigma x I, per trial
+        b_obs = np.einsum("ti,ijk->tjk", b_hat, PAULIS)
+        projs = np.stack([np.kron(ID2, 0.5 * (ID2 + b_obs)), np.kron(ID2, 0.5 * (ID2 - b_obs))], axis=1)
+        max_dev = max(max_dev, float(no_signalling_check(rho, a_obs, projs).max()))
     inputs = {"trials": trials}
     outputs = {"max_deviation": max_dev}
     claims = [_claim("expectations_unchanged_by_remote_measurement", "le", max_dev, 0.0, args.tol)]
@@ -717,14 +724,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
-    if tol is not None and not 0.0 <= tol < np.inf:  # also false for NaN
-        print(f"{args.command}: --tol must be finite and non-negative, got {tol}", file=sys.stderr)
-        return 2
-
     start = time.perf_counter()
     try:
-        rng = np.random.default_rng(args.seed)  # a negative --seed is a ValueError
+        tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
+        if tol is not None and not 0.0 <= tol < np.inf:  # also false for NaN
+            raise ValueError(f"--tol must be finite and non-negative, got {tol}")
+        if args.seed is not None and args.seed < 0:  # numpy's own message would not name the option
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        rng = np.random.default_rng(args.seed)
         inputs, outputs, claims, tolerances = HANDLERS[args.command](args, rng)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -84,18 +84,12 @@ def orthogonality_structure(rays, tol: float = TAU_ORTH) -> OrthogonalityStructu
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     if rays.shape[1] != 3:
         raise ValueError("rays must be 3-vectors")
-    n = rays.shape[0]
-    dots = np.abs(rays @ rays.T)
-    pairs = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if dots[i, j] <= tol
-    )
-    pair_set = set(pairs)
-    triads = tuple(
-        (i, j, k)
-        for (i, j) in pairs
-        for k in range(j + 1, n)
-        if (i, k) in pair_set and (j, k) in pair_set
-    )
+    rows, cols = np.nonzero(np.triu(np.abs(rays @ rays.T) <= tol, 1))  # row-major: lexicographic
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
+    later: list[set[int]] = [set() for _ in range(rays.shape[0])]  # the partners j > i of each ray i
+    for i, j in pairs:
+        later[i].add(j)
+    triads = tuple((i, j, k) for i, j in pairs for k in sorted(later[i] & later[j]))
     return OrthogonalityStructure(rays=rays, pairs=pairs, triads=triads)
 
 
@@ -140,6 +134,7 @@ def verify_coloring(structure: OrthogonalityStructure, colors) -> bool:
     colors = np.asarray(colors, dtype=int)
     if colors.shape != (structure.rays.shape[0],) or not set(np.unique(colors)) <= {GREEN, RED}:
         return False
+    colors = colors.tolist()
     for (i, j, k) in structure.triads:
         if (colors[i] == GREEN) + (colors[j] == GREEN) + (colors[k] == GREEN) != 1:
             return False
@@ -163,13 +158,13 @@ def ks_color(structure: OrthogonalityStructure) -> KsResult:
     for (i, j) in structure.pairs:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    triads_of: list[list[int]] = [[] for _ in range(n)]
-    for t, triad in enumerate(structure.triads):
+    triads_of: list[list[tuple]] = [[] for _ in range(n)]
+    for triad in structure.triads:
         for m in triad:
-            triads_of[m].append(t)
+            triads_of[m].append(triad)
 
     order = sorted(range(n), key=lambda i: (-len(neighbors[i]), i))
-    colors = np.full(n, UNASSIGNED, dtype=int)
+    colors = [UNASSIGNED] * n
     nodes = 0
 
     def assign(i: int, c: int, trail: list[int], queue: list[int]) -> bool:
@@ -187,19 +182,16 @@ def ks_color(structure: OrthogonalityStructure) -> KsResult:
                 for j in neighbors[i]:
                     if not assign(j, RED, trail, queue):
                         return False
-            for t in triads_of[i]:
-                members = structure.triads[t]
-                greens = sum(1 for m in members if colors[m] == GREEN)
-                reds = sum(1 for m in members if colors[m] == RED)
+            for members in triads_of[i]:
+                triad_colors = [colors[m] for m in members]
+                greens = triad_colors.count(GREEN)
+                reds = triad_colors.count(RED)
                 if greens > 1 or reds == 3:
                     return False
-                if greens == 1:
+                if greens == 1 or reds == 2:  # the rest of the triad is forced
+                    forced = RED if greens == 1 else GREEN
                     for m in members:
-                        if colors[m] == UNASSIGNED and not assign(m, RED, trail, queue):
-                            return False
-                elif reds == 2:
-                    for m in members:
-                        if colors[m] == UNASSIGNED and not assign(m, GREEN, trail, queue):
+                        if colors[m] == UNASSIGNED and not assign(m, forced, trail, queue):
                             return False
         return True
 
@@ -221,7 +213,7 @@ def ks_color(structure: OrthogonalityStructure) -> KsResult:
     if search():
         if not verify_coloring(structure, colors):
             raise AssertionError("solver produced a certificate that fails verification")
-        return KsResult(satisfiable=True, colors=colors.copy(), nodes_explored=nodes)
+        return KsResult(satisfiable=True, colors=np.array(colors), nodes_explored=nodes)
     return KsResult(satisfiable=False, colors=None, nodes_explored=nodes)
 
 

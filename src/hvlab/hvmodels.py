@@ -70,16 +70,22 @@ class BellHVState:
             raise ValueError(f"lambda = {self.lam} outside [-1/2, 1/2]")
 
 
-def _beta_and_m(beta, psi) -> tuple[float, float]:
-    """(|beta|, <psi|beta.sigma|psi>) for a validated state psi; ValueError unless psi is one
-    qubit and |beta|^2 is finite."""
-    if psi.shape[0] != 2:
-        raise ValueError(_SPIN_HALF_ONLY)
+def _beta_length(beta) -> tuple[np.ndarray, float]:
+    """(beta as a 3-vector, |beta| as np.linalg.norm gives it); ValueError unless |beta|^2 is finite."""
     beta = np.asarray(beta, dtype=float).reshape(3)
     with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
         beta_len = float(np.linalg.norm(beta))
     if not math.isfinite(beta_len):
         raise ValueError(f"|beta|^2 must be finite, got beta = {beta.tolist()}")
+    return beta, beta_len
+
+
+def _beta_and_m(beta, psi) -> tuple[float, float]:
+    """(|beta|, <psi|beta.sigma|psi>); ValueError unless psi is a one-qubit state and |beta|^2 is finite."""
+    psi = assert_state_vector(psi)
+    if psi.shape[0] != 2:
+        raise ValueError(_SPIN_HALF_ONLY)
+    beta, beta_len = _beta_length(beta)
     m = float(np.vdot(psi, sigma_dot(beta) @ psi).real)
     return beta_len, m
 
@@ -87,10 +93,18 @@ def _beta_and_m(beta, psi) -> tuple[float, float]:
 def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
     """Value assigned to alpha*I + beta.sigma in the state (psi, lambda).
 
-    Always one of the eigenvalues alpha +/- |beta|.
+    Always one of the eigenvalues alpha +/- |beta|.  Evaluated on Python
+    floats: m = beta . r, with r = (2 Re c, 2 Im c, |u|^2 - |d|^2) the Bloch
+    vector of psi = (u, d), c = u* d, and sgn(0) = +1 as in `sgn`.
     """
-    beta_len, m = _beta_and_m(beta, state.psi)
-    return float(alpha + beta_len * sgn(m) * sgn(state.lam * beta_len + 0.5 * abs(m)))
+    beta, beta_len = _beta_length(beta)
+    bx, by, bz = beta.tolist()
+    up, down = state.psi.tolist()
+    c = up.conjugate() * down
+    m = 2.0 * (bx * c.real + by * c.imag) + bz * (abs(up) ** 2 - abs(down) ** 2)
+    sign_m = 1.0 if m >= 0.0 else -1.0
+    side = 1.0 if state.lam * beta_len + 0.5 * abs(m) >= 0.0 else -1.0
+    return float(alpha + beta_len * sign_m * side)
 
 
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
@@ -100,7 +114,6 @@ def bell_hv_average_exact(alpha: float, beta, psi) -> float:
     sgn over the uniform lambda range gives |m|/|beta| and the average
     collapses to the quantum expectation value.
     """
-    psi = assert_state_vector(psi)
     _, m = _beta_and_m(beta, psi)
     return float(alpha) + m
 
@@ -117,7 +130,6 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    psi = assert_state_vector(psi)
     beta_len, m = _beta_and_m(beta, psi)
     rng = np.random.default_rng(seed)
     plus = 0
@@ -177,7 +189,12 @@ def wigner_correlators(w) -> tuple:
 
     Floats for one model; for a batch, four arrays over the batch shape.
     """
-    arr = validate_wigner_weights(w)
+    arr = np.asarray(w, dtype=float)
+    if arr.shape in ((16,), (2, 2, 2, 2)):  # one model: checked on Python floats
+        weights = arr.ravel().tolist()
+        if min(weights) >= -TAU_EQ and abs(sum(weights) - 1.0) <= TAU_EQ:  # NaN fails the sum
+            return tuple((arr.reshape(16) @ _PARITY).tolist())
+    arr = validate_wigner_weights(arr)  # batches, and the message for a model that fails
     p = np.moveaxis(arr.reshape(arr.shape[:-4] + (16,)) @ _PARITY, -1, 0)
     return tuple(map(float, p)) if p.ndim == 1 else tuple(p)
 

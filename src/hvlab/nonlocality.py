@@ -441,28 +441,36 @@ def hardy_optimize(grid: int = 100, tol: float = 1e-8) -> tuple[HardyParams, flo
     return HardyParams(p1=p1, p2=p2), hardy_build(p1, p2).p
 
 
-def no_signalling_check(rho, a, b_projectors) -> float:
+def no_signalling_check(rho, a, b_projectors):
     """|Tr(rho' A) - Tr(rho A)| with rho' = sum_beta P_beta rho P_beta.
 
     Requires the P_beta to be mutually orthogonal projectors resolving the
     identity, all commuting with A; the deviation is then zero up to
     roundoff, so a prior measurement cannot signal through expectations.
+    Takes one trial, or a stack: (..., n, n) and (..., k, n, n), giving an
+    array; a stack raises the message of the first check that a trial fails.
     """
-    rho = assert_density_operator(rho)
+    rho = assert_density_operator(rho, stack=True)
     a = np.asarray(a, dtype=complex)
     if a.shape != rho.shape:
         raise ValueError("observable dimension does not match the state")
-    projs = [assert_projector(p) for p in b_projectors]
-    total = sum(projs)
-    if np.max(np.abs(total - np.eye(rho.shape[0]))) > TAU_EQ:
+    projs = assert_projector(b_projectors, stack=True)
+    if projs.ndim != rho.ndim + 1 or projs.shape[:-3] + projs.shape[-2:] != rho.shape:
+        raise ValueError("projectors do not match the state's dimension")
+    if np.max(np.abs(projs.sum(axis=-3) - np.eye(rho.shape[-1]))) > TAU_EQ:
         raise ValueError("projectors do not resolve the identity")
-    for i, p in enumerate(projs):
-        for q in projs[i + 1 :]:
-            if np.max(np.abs(p @ q)) > TAU_EQ:
-                raise ValueError("projectors are not mutually orthogonal")
-        if np.max(np.abs(a @ p - p @ a)) > TAU_EQ:
+    overlapping = np.abs(projs[..., :, None, :, :] @ projs[..., None, :, :, :]).max(axis=(-2, -1)) > TAU_EQ
+    a_each = a[..., None, :, :]
+    noncommuting = np.abs(a_each @ projs - projs @ a_each).max(axis=(-2, -1)) > TAU_EQ
+    for i in range(projs.shape[-3]):  # in the order one trial checks them
+        if overlapping[..., i, i + 1 :].any():
+            raise ValueError("projectors are not mutually orthogonal")
+        if noncommuting[..., i].any():
             raise ValueError("observable does not commute with every projector")
-    rho_after = sum(p @ rho @ p for p in projs)
-    before = complex(np.trace(rho @ a))
-    after = complex(np.trace(rho_after @ a))
-    return abs(after - before)
+    # per trial and projector one product, summed over the projectors: a lone trial's bits
+    rho_after = (projs @ rho[..., None, :, :] @ projs).sum(axis=-3)
+    before = np.trace(rho @ a, axis1=-2, axis2=-1)
+    after = np.trace(rho_after @ a, axis1=-2, axis2=-1)
+    change = after - before
+    deviation = np.hypot(change.real, change.imag)  # the bits of Python's abs(complex); np.abs's differ
+    return float(deviation) if deviation.ndim == 0 else deviation

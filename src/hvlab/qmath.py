@@ -28,18 +28,14 @@ def as_matrix(m) -> np.ndarray:
     return mat
 
 
-def is_hermitian(m, tol: float = TAU_EQ) -> bool:
-    mat = as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        return False
+def assert_hermitian(m, tol: float = TAU_EQ, stack: bool = False) -> np.ndarray:
+    """Validate a Hermitian matrix or, with `stack`, each matrix of a stack (..., n, n)."""
+    mat = np.asarray(m, dtype=complex)
+    if mat.ndim != 2 and not (stack and mat.ndim > 2):
+        raise ValueError(f"expected a 2D matrix, got ndim={mat.ndim}")
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf deviation fails the test
-        return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
-
-
-def assert_hermitian(m, tol: float = TAU_EQ) -> np.ndarray:
-    mat = as_matrix(m)
-    if not is_hermitian(mat, tol):
-        raise ValueError("matrix is not finite and Hermitian within tolerance")
+        if mat.shape[-1] != mat.shape[-2] or not np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) <= tol:
+            raise ValueError("matrix is not finite and Hermitian within tolerance")
     return mat
 
 
@@ -60,21 +56,26 @@ def assert_state_vector(psi, tol: float = TAU_EQ) -> np.ndarray:
     return vec
 
 
-def assert_density_operator(rho, tol: float = TAU_EQ, psd_tol: float = TAU_PSD) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positive semidefiniteness."""
-    mat = assert_hermitian(rho, tol)
+def assert_density_operator(
+    rho, tol: float = TAU_EQ, psd_tol: float = TAU_PSD, stack: bool = False
+) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positive semidefiniteness, of one matrix or, with
+    `stack`, of each in a stack; a failure reports the first matrix that fails."""
+    mat = assert_hermitian(rho, tol, stack)
     with np.errstate(over="ignore"):  # an infinite trace fails the check below
-        tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density operator trace is {tr}, expected 1")
-    evals = np.linalg.eigvalsh(mat)
-    if evals.min() < -psd_tol:
-        raise ValueError(f"density operator has negative eigenvalue {evals.min()}")
+        traces = np.trace(mat, axis1=-2, axis2=-1).ravel().tolist()
+    for tr in traces:
+        if abs(tr - 1.0) > tol:
+            raise ValueError(f"density operator trace is {tr}, expected 1")
+    for lowest in np.linalg.eigvalsh(mat).min(axis=-1).ravel().tolist():
+        if lowest < -psd_tol:
+            raise ValueError(f"density operator has negative eigenvalue {lowest}")
     return mat
 
 
-def assert_projector(p, tol: float = TAU_EQ) -> np.ndarray:
-    mat = assert_hermitian(p, tol)
+def assert_projector(p, tol: float = TAU_EQ, stack: bool = False) -> np.ndarray:
+    """Validate a Hermitian idempotent matrix or, with `stack`, each of a stack."""
+    mat = assert_hermitian(p, tol, stack)
     if np.max(np.abs(mat @ mat - mat)) > tol:
         raise ValueError("matrix is not idempotent within tolerance")
     return mat

@@ -50,6 +50,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_n_pairs(self.n_pairs)
+        if self.seed < 0:  # numpy's own message would not name the seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility {self.visibility} outside [0, 1]")
         if self.source != "singlet" and not self.source.startswith("lhv:"):

@@ -16,6 +16,7 @@ from hvlab.cli import evaluate_claim, main
 from hvlab.hvmodels import chsh_combination, chsh_from_wigner, wigner_correlators
 from hvlab.simlab import ExperimentConfig, save_config
 from hvlab.nonlocality import optimal_chsh_settings
+from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
 def run(capsys, *argv):
@@ -254,6 +255,36 @@ class TestSubcommands:
         code, report = run_json(capsys, "nosignal", "--trials", "50")
         assert code == 0
         assert report["outputs"]["max_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("seed, trials", [(seed, 50) for seed in range(20)] + [(7, 1), (7, 257), (7, 1000)])
+    def test_nosignal_blocks_match_one_trial_at_a_time(self, capsys, seed, trials):
+        # the deviation is roundoff, so any change in how a trial is computed shows in its printed digits
+        rng = np.random.default_rng(seed)
+        eye2 = np.eye(2, dtype=complex)
+        want = 0.0
+        for _ in range(trials):
+            rho = random_density(rng, 4)
+            a = np.kron(sigma_dot(random_unit3(rng)), eye2)
+            b = random_unit3(rng)
+            projs = [np.kron(eye2, 0.5 * (eye2 + sigma_dot(b))), np.kron(eye2, 0.5 * (eye2 - sigma_dot(b)))]
+            after = complex(np.trace(sum(p @ rho @ p for p in projs) @ a))
+            want = max(want, abs(after - complex(np.trace(rho @ a))))
+        code, report = run_json(capsys, "nosignal", f"--seed={seed}", f"--trials={trials}")
+        assert code == 0
+        assert report["outputs"]["max_deviation"] == float(f"{want:.9g}")
+        if (seed, trials) == (7, 1000):
+            assert report["outputs"]["max_deviation"] == 2.23018252e-16
+
+    def test_nosignal_memory_does_not_grow_with_trials(self):
+        def peak_bytes(trials):
+            tracemalloc.start()
+            try:
+                assert main(["nosignal", f"--trials={trials}", "--quiet"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(20000) <= peak_bytes(2000) + 2 * 2**20
 
     def test_simulate_flags(self, capsys):
         code, report = run_json(capsys, "simulate", "--samples", "20000", "--seed", "3")
@@ -537,6 +568,31 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("nosignal", "--seed=-1"), "--seed must be non-negative, got -1"),
+            (("bell", "--eta=1,1,x"), "--eta must be three comma-separated values of +-1, got '1,1,x'"),
+            (("bell", "--eta=1,1,2"), "--eta must be three comma-separated values of +-1, got '1,1,2'"),
+            (("bell", "--eta=1,1"), "--eta must be three comma-separated values of +-1, got '1,1'"),
+        ],
+        ids=["seed", "eta-not-int", "eta-not-sign", "eta-two"],
+    )
+    def test_message_names_option_and_value(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"{argv[0]}: {message}\n"
+
+    def test_negative_config_seed_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
+        path.write_text(path.read_text().replace("seed = 1", "seed = -1"))
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "simulate: seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("psi", ["nan,0,0,0", "inf,0,0,0"], ids=["nan", "inf"])
     def test_non_finite_state_exits_2(self, capsys, psi):

@@ -157,6 +157,13 @@ class TestKsColor:
         st = orthogonality_structure(peres_rays())
         assert ks_color(st).nodes_explored == ks_color(st).nodes_explored
 
+    def test_node_counts_pinned(self):
+        # variable, value and propagation order fix these; a solver change that moves them is visible
+        rays = peres_rays()
+        assert ks_color(orthogonality_structure(rays)).nodes_explored == 46
+        deletions = [ks_color(orthogonality_structure(np.delete(rays, i, axis=0))) for i in range(len(rays))]
+        assert sum(r.nodes_explored for r in deletions) == 167
+
     def test_delete_one_ray_certificates_verified(self):
         rays = peres_rays()
         sat_seen = 0
@@ -167,7 +174,31 @@ class TestKsColor:
             if result.satisfiable:
                 sat_seen += 1
                 assert verify_coloring(st, result.colors)
-        assert sat_seen >= 0  # verdicts recorded; certificates all re-verified
+        assert sat_seen == 33  # the 33-ray set is critical: every one-ray deletion is colorable
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5, 0.7])
+    def test_verdict_matches_brute_force(self, tol):
+        # rotated subsets of at most 16 rays; the loose tolerances add pairs, so that some are uncolorable
+        rng = np.random.default_rng(31)
+        rays = peres_rays()
+        verdicts = set()
+        for _ in range(12):
+            n = int(rng.integers(1, 17))
+            rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            st = orthogonality_structure(rays[rng.choice(len(rays), size=n, replace=False)] @ rotation.T, tol)
+            green = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) == GREEN  # all 2^n colorings
+            valid = np.ones(2**n, dtype=bool)
+            for triad in st.triads:
+                valid &= green[:, list(triad)].sum(axis=1) == 1
+            for i, j in st.pairs:
+                valid &= ~(green[:, i] & green[:, j])
+            result = ks_color(st)
+            assert result.satisfiable == valid.any()
+            if result.satisfiable:
+                assert valid[np.sum((result.colors == RED) << np.arange(n))]
+            verdicts.add(result.satisfiable)
+        if tol == 0.7:
+            assert verdicts == {True, False}
 
     def test_verifier_rejects_bad_coloring(self):
         st = orthogonality_structure(np.eye(3))

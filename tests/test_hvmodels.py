@@ -266,6 +266,22 @@ class TestWignerBatch:
             assert np.allclose([c[k] for c in correlators], want, rtol=0, atol=1e-14)
             assert np.allclose([c[k] for c in correlators], wigner_correlators(w[k]), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 0.5, 1e-9], ids=["nan", "inf", "negative", "sum", "near"])
+    def test_one_model_fails_with_the_validators_message(self, value):
+        w = np.full(16, 1 / 16)
+        w[3] += value
+        with pytest.raises(ValueError) as want:
+            validate_wigner_weights(w)
+        for model in (w, w.reshape(2, 2, 2, 2)):
+            with pytest.raises(ValueError) as got:
+                wigner_correlators(model)
+            assert str(got.value) == str(want.value)
+
+    def test_one_model_gives_python_floats(self):
+        correlators = wigner_correlators(deterministic_weights(1, -1, 1, 1))
+        assert correlators == (1.0, 1.0, -1.0, -1.0)
+        assert all(type(c) is float for c in correlators)
+
     def test_empty_batch_gives_empty_results(self):
         assert chsh_from_wigner(np.empty((0, 16))).shape == (0,)
         assert [c.shape for c in wigner_correlators(np.empty((0, 2, 2, 2, 2)))] == [(0,)] * 4

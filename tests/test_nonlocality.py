@@ -585,6 +585,74 @@ class TestNoSignalling:
             no_signalling_check(rho, a, projs)
 
 
+def _nosignal_trials(seed, count):
+    """`count` compliant trials (rho, A, [P+, P-]): A acts on qubit 1, the P on qubit 2."""
+    rng = np.random.default_rng(seed)
+    trials = []
+    for _ in range(count):
+        rho = random_density(rng, 4)
+        a = kron(sigma_dot(random_unit3(rng)), ID2)
+        b = sigma_dot(random_unit3(rng))
+        trials.append((rho, a, [kron(ID2, 0.5 * (ID2 + b)), kron(ID2, 0.5 * (ID2 - b))]))
+    return trials
+
+
+def _stacked(trials):
+    return tuple(np.array([trial[k] for trial in trials]) for k in range(3))
+
+
+class TestNoSignallingStack:
+    def test_stack_equals_one_trial_at_a_time(self):
+        trials = _nosignal_trials(46, 200)
+        lone = [no_signalling_check(*trial) for trial in trials]
+        assert all(type(dev) is float for dev in lone)
+        stacked = no_signalling_check(*_stacked(trials))
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (200,)
+        assert stacked.tolist() == lone  # bit for bit
+        # and both are the per-trial formula's bits: the deviation is roundoff, so any reordering shows
+        for dev, (rho, a, projs) in zip(lone, trials):
+            assert dev == abs(complex(np.trace(sum(p @ rho @ p for p in projs) @ a)) - complex(np.trace(rho @ a)))
+
+    def test_every_projector_must_commute(self):
+        # A commutes with the first of three projectors only
+        a = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+        projs = np.eye(3)[:, :, None] * np.eye(3)[:, None, :]
+        with pytest.raises(ValueError, match="commute"):
+            no_signalling_check(np.eye(3) / 3, a, projs)
+        assert no_signalling_check(np.eye(3) / 3, np.diag([1.0, 2.0, 3.0]), projs) == 0.0
+
+    def test_stack_shape_is_kept(self):
+        rho, a, projs = _stacked(_nosignal_trials(47, 6))
+        grid = no_signalling_check(rho.reshape(2, 3, 4, 4), a.reshape(2, 3, 4, 4), projs.reshape(2, 3, 2, 4, 4))
+        assert np.array_equal(grid, no_signalling_check(rho, a, projs).reshape(2, 3))
+
+    @staticmethod
+    def _spoil(mode, rho, a, projs):
+        if mode == "density":
+            return 2.0 * rho, a, projs
+        if mode == "projector":
+            return rho, a, [2.0 * projs[0], projs[1]]
+        if mode == "identity":
+            return rho, a, [projs[0], projs[0]]
+        return rho, kron(ID2, SIGMA_Z), projs  # "commute": A acts on the measured qubit
+
+    @pytest.mark.parametrize("mode", ["density", "projector", "identity", "commute"])
+    def test_one_bad_trial_raises_its_own_message(self, mode):
+        trials = _nosignal_trials(48, 5)
+        trials[3] = self._spoil(mode, *trials[3])
+        with pytest.raises(ValueError) as lone:
+            no_signalling_check(*trials[3])
+        with pytest.raises(ValueError) as stacked:
+            no_signalling_check(*_stacked(trials))
+        assert str(stacked.value) == str(lone.value)
+
+    def test_mismatched_projectors_rejected(self):
+        rho, a, projs = _stacked(_nosignal_trials(49, 3))
+        for bad in (projs[0], projs[:2], projs[..., :2, :2]):
+            with pytest.raises(ValueError, match="match the state"):
+                no_signalling_check(rho, a, bad)
+
+
 def test_ghz_stabilizers_on_explicit_state():
     psi = ghz_state()
     from hvlab.qmath import SIGMA_X, SIGMA_Y

@@ -7,6 +7,7 @@ from hvlab.qmath import (
     SIGMA_Z,
     TAU_EQ,
     assert_density_operator,
+    assert_projector,
     assert_state_vector,
     eig_herm2,
     expectation,
@@ -165,6 +166,34 @@ def test_density_operator_overflowing_trace_raises_only_value_error():
     # overflow warning would end the call before the ValueError
     with pytest.raises(ValueError, match="trace"):
         assert_density_operator(np.diag([1e308, 1e308]))
+
+
+class TestStackedValidators:
+    def test_one_matrix_unless_a_stack_is_asked_for(self):
+        rhos = np.stack([np.eye(2) / 2] * 3)
+        with pytest.raises(ValueError, match="2D matrix"):
+            assert_density_operator(rhos)
+        assert assert_density_operator(rhos, stack=True) is not None
+        with pytest.raises(ValueError, match="2D matrix"):
+            assert_projector(np.stack([ID2, ID2]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([0.7, 0.7]), np.diag([1.2, -0.2]), np.array([[0.5, 1.0], [0.0, 0.5]]), np.diag([np.nan, 0.5])],
+        ids=["trace", "negative", "not-hermitian", "nan"],
+    )
+    def test_stack_reports_what_the_bad_matrix_reports(self, bad):
+        with pytest.raises(ValueError) as lone:
+            assert_density_operator(bad)
+        with pytest.raises(ValueError) as stacked:
+            assert_density_operator(np.stack([np.eye(2) / 2, bad, np.eye(2) / 2]), stack=True)
+        assert str(stacked.value) == str(lone.value)
+
+    def test_projector_stack(self):
+        up, down = projector([1, 0]), projector([0, 1])
+        assert assert_projector(np.stack([up, down]), stack=True).shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="idempotent"):
+            assert_projector(np.stack([up, 2 * down]), stack=True)
 
 
 class TestIntersectionProjector:
