@@ -175,17 +175,20 @@ def _at_least_one(count: int, option: str) -> int:
     return count
 
 
-def _finite_components(text: str) -> list[float]:
-    parts = [float(p) for p in text.split(",")]
+def _finite_components(text: str, option: str) -> list[float]:
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:  # float()'s own message names neither the option nor its text
+        raise ValueError(f"{option} must be comma-separated numbers, got {text!r}") from None
     if not all(np.isfinite(parts)):
-        raise ValueError(f"components must be finite, got {text!r}")
+        raise ValueError(f"{option} components must be finite, got {text!r}")
     return parts
 
 
-def _vec3(text: str) -> np.ndarray:
-    parts = _finite_components(text)
+def _vec3(text: str, option: str) -> np.ndarray:
+    parts = _finite_components(text, option)
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
+        raise ValueError(f"{option} expects three comma-separated components, got {text!r}")
     return np.array(parts)
 
 
@@ -198,9 +201,13 @@ def _scaled(parts, what: str) -> np.ndarray:
     return np.ldexp(parts, -math.frexp(largest)[1])
 
 
-def _unit3(text: str) -> np.ndarray:
-    v = _scaled(_vec3(text), "direction")
+def _unit3(text: str, option: str) -> np.ndarray:
+    v = _scaled(_vec3(text, option), option)
     return v / np.linalg.norm(v)
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _directions(args, *dests: str):
@@ -209,26 +216,25 @@ def _directions(args, *dests: str):
     if all(text is None for text in texts):
         return None
     if any(text is None for text in texts):
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in dests)
-        raise ValueError(f"provide all of {flags} or none")
-    return [_unit3(text) for text in texts]
+        raise ValueError(f"provide all of {', '.join(map(_option, dests))} or none")
+    return [_unit3(text, _option(dest)) for text, dest in zip(texts, dests)]
 
 
 def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
     """Reject the options `mode` does not read (given ones are not None); default the rest."""
     for dest in unused:
         if getattr(args, dest) is not None:
-            raise ValueError(f"--{dest.replace('_', '-')} has no effect {mode}")
+            raise ValueError(f"{_option(dest)} has no effect {mode}")
     for dest, default in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
 
 
 def _parse_psi(text: str) -> np.ndarray:
-    parts = _finite_components(text)
+    parts = _finite_components(text, "--psi")
     if len(parts) % 2 != 0:
-        raise ValueError("state must be re,im pairs")
-    scaled = _scaled(parts, "state")
+        raise ValueError(f"--psi must be re,im pairs, got {text!r}")
+    scaled = _scaled(parts, "--psi")
     vec = scaled[0::2] + 1j * scaled[1::2]
     return vec / np.linalg.norm(vec)
 
@@ -295,7 +301,7 @@ def _cmd_dispersion(args, rng):
 
 
 def _cmd_jauch_piron(args, rng):
-    report = jauch_piron_contradiction(_unit3(args.a_dir), _unit3(args.b_dir))
+    report = jauch_piron_contradiction(_unit3(args.a_dir, "--a-dir"), _unit3(args.b_dir, "--b-dir"))
     inputs = {"a": list(report.a_hat), "b": list(report.b_hat)}
     ranks = [r for row in report.cross_ranks for r in row]
     outputs = {
@@ -312,7 +318,7 @@ def _cmd_jauch_piron(args, rng):
 
 def _cmd_bell_hv(args, rng):
     psi = _parse_psi(args.psi)
-    beta = _vec3(args.beta)
+    beta = _vec3(args.beta, "--beta")
     exact = bell_hv_average_exact(args.alpha, beta, psi)
     quantum = args.alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)
     estimate, stderr = bell_hv_average_mc(args.alpha, beta, psi, args.samples, args.seed)

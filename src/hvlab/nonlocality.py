@@ -25,6 +25,7 @@ from .qmath import (
     PAULIS,
     TAU_EQ,
     assert_density_operator,
+    assert_hermitian,
     assert_projector,
     assert_state_vector,
     kron,
@@ -52,37 +53,59 @@ BELL_ORIGINAL_BOUND = 1.0
 # Names of the four CHSH setting pairs, in the order `ChshSettings.pairs` gives them.
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
+_FLOAT = np.dtype(float)
 
-def unit_setting(v) -> np.ndarray:
-    """v as a float array of shape (3,); ValueError unless |v| = 1 within TAU_EQ."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (3,):
-        vec = vec.reshape(3)
-    x, y, z = vec.tolist()  # on Python floats a huge component gives inf, not a warning
-    norm = math.sqrt(x * x + y * y + z * z)
-    if not (abs(norm - 1.0) <= TAU_EQ):
-        raise ValueError(f"setting must be a unit vector, |v| = {norm}")
+
+def _unit_floats(*vectors) -> tuple:
+    """(x, y, z) of each vector, shape (3,) or reshapeable to it, as Python floats; ValueError
+    unless each is a unit vector within TAU_EQ."""
+    triples = []
+    for v in vectors:
+        vec = np.asarray(v, _FLOAT)
+        if vec.shape != (3,):
+            vec = vec.reshape(3)
+        x, y, z = vec.tolist()  # on Python floats a huge component gives inf, not a warning
+        norm = math.sqrt(x * x + y * y + z * z)
+        if not (abs(norm - 1.0) <= TAU_EQ):
+            raise ValueError(f"setting must be a unit vector, |v| = {norm}")
+        triples.append((x, y, z))
+    return tuple(triples)
+
+
+def _read_only(xyz) -> np.ndarray:
+    vec = np.array(xyz)
+    vec.setflags(write=False)
     return vec
+
+
+def _direction(k: int, name: str) -> property:
+    return property(lambda self: _read_only(self.floats[k]), doc=f"{name} as a new read-only float array")
 
 
 @dataclass(frozen=True, init=False)
 class ChshSettings:
-    """Four analyzer directions (a, a', b, b'), all unit vectors."""
+    """Four analyzer directions (a, a', b, b'), all unit vectors.
 
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
+    The settings keep the components of each direction as Python floats,
+    copied once when they are made, so a later change to the caller's array
+    leaves them alone; the correlators contract those floats directly, and
+    a, a_prime, b and b_prime give each direction as a new read-only array.
+    """
+
+    floats: tuple  # ((x, y, z) of a, of a', of b, of b')
 
     def __init__(self, a, a_prime, b, b_prime):
-        object.__setattr__(self, "a", unit_setting(a))
-        object.__setattr__(self, "a_prime", unit_setting(a_prime))
-        object.__setattr__(self, "b", unit_setting(b))
-        object.__setattr__(self, "b_prime", unit_setting(b_prime))
+        object.__setattr__(self, "floats", _unit_floats(a, a_prime, b, b_prime))
+
+    a = _direction(0, "a")
+    a_prime = _direction(1, "a'")
+    b = _direction(2, "b")
+    b_prime = _direction(3, "b'")
 
     def pairs(self) -> tuple:
         """(a, b), (a, b'), (a', b), (a', b'), named by SETTING_PAIR_NAMES."""
-        return ((self.a, self.b), (self.a, self.b_prime), (self.a_prime, self.b), (self.a_prime, self.b_prime))
+        a, a_prime, b, b_prime = map(_read_only, self.floats)
+        return ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
 
 
 def optimal_chsh_settings() -> ChshSettings:
@@ -109,17 +132,22 @@ TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
 _COMPLEX = np.dtype(complex)
 
 
+class _MemoTensor(NamedTuple):
+    array: np.ndarray  # T, read-only: shared by every caller that hits the memo
+    floats: tuple  # the rows of T as tuples of Python floats, for the scalar correlators
+
+
 @functools.lru_cache(maxsize=TENSOR_MEMO_SIZE)
-def _tensor_of_bytes(key: bytes) -> np.ndarray:
-    """Read-only T of the state whose complex128 bytes are key; ValueError unless it is a unit vector."""
+def _tensor_of_bytes(key: bytes) -> _MemoTensor:
+    """T of the state whose complex128 bytes are key; ValueError unless it is a unit vector."""
     psi = assert_state_vector(np.frombuffer(key, _COMPLEX))
     tensor = (psi.conj() @ _PAULI_PAIRS @ psi).real
-    tensor.setflags(write=False)  # shared by every caller that hits the memo
-    return tensor
+    tensor.setflags(write=False)
+    return _MemoTensor(tensor, tuple(map(tuple, tensor.tolist())))
 
 
-def _memo_tensor(psi) -> np.ndarray:
-    """Read-only T of psi, computed (and psi validated) once per state.
+def _memo_tensor(psi) -> _MemoTensor:
+    """T of psi, computed (and psi validated) once per state.
 
     The memo is keyed by the complex128 bytes of a 4-entry state, so an
     in-place change to psi gives a new key.  Any other size is only
@@ -137,25 +165,24 @@ def correlation_tensor(psi) -> np.ndarray:
 
     The correlator is bilinear in the settings, so P(a, b) = a . T b exactly.
     For the singlet T = -identity.  T is memoized per state (the last
-    TENSOR_MEMO_SIZE states); each call returns a fresh writable copy.
+    TENSOR_MEMO_SIZE states), as a read-only array and as Python floats for
+    the scalar correlators; each call returns a fresh writable copy.
     """
-    return _memo_tensor(psi).copy()
+    return _memo_tensor(psi).array.copy()
 
 
 def _bilinear(psi, rows, cols) -> list:
     """[u . T v for u in rows for v in cols] on Python floats, T from the memo.
 
-    rows and cols are unit float arrays of shape (3,); plain loops, because
+    rows and cols are (x, y, z) triples of Python floats; plain loops, because
     per call the scalar API is a handful of 3-vectors.
     """
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi).tolist()
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi).floats
     t_cols = []
-    for v in cols:
-        x, y, z = v.tolist()
+    for x, y, z in cols:
         t_cols.append((t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z))
     values = []
-    for u in rows:
-        x, y, z = u.tolist()
+    for x, y, z in rows:
         for tx, ty, tz in t_cols:
             values.append(x * tx + y * ty + z * tz)
     return values
@@ -163,12 +190,13 @@ def _bilinear(psi, rows, cols) -> list:
 
 def qm_correlator(psi, a, b) -> float:
     """<psi| (a.sigma) x (b.sigma) |psi> = a . T b; equals -a.b on the singlet."""
-    return _bilinear(psi, [unit_setting(a)], [unit_setting(b)])[0]
+    a, b = _unit_floats(a, b)
+    return _bilinear(psi, [a], [b])[0]
 
 
 def bell_correlators(psi, a, b, c) -> tuple:
     """(P(a,b), P(a,c), P(b,c)) on Python floats, off one contraction with the memoized T."""
-    a, b, c = (unit_setting(v) for v in (a, b, c))
+    a, b, c = _unit_floats(a, b, c)
     ab, ac, _, bc = _bilinear(psi, [a, b], [b, c])
     return ab, ac, bc
 
@@ -189,7 +217,8 @@ def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float
 def chsh_correlators(psi, settings: ChshSettings) -> list:
     """[a.Tb, a.Tb', a'.Tb, a'.Tb'] in SETTING_PAIR_NAMES order, on Python floats; T from the
     per-state memo, so a scan over many settings on one state validates it and builds T once."""
-    return _bilinear(psi, [settings.a, settings.a_prime], [settings.b, settings.b_prime])
+    a, a_prime, b, b_prime = settings.floats
+    return _bilinear(psi, (a, a_prime), (b, b_prime))
 
 
 def chsh_value(psi, settings: ChshSettings) -> float:
@@ -200,7 +229,7 @@ def chsh_value(psi, settings: ChshSettings) -> float:
 def chsh_max(psi) -> float:
     """Largest CHSH value over all settings: the Horodecki value 2 sqrt(m1 + m2), m1 and m2 the two
     largest eigenvalues of T^t T (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995))."""
-    tensor = _memo_tensor(psi)
+    tensor = _memo_tensor(psi).array
     m = np.linalg.eigvalsh(tensor.T @ tensor)  # ascending
     return 2.0 * math.sqrt(m[1] + m[2])
 
@@ -305,8 +334,8 @@ class HardyConstruction:
     single-qubit bases (u', v') are fixed by the one-dimensional
     orthogonality conditions; p is the probability of the jointly primed
     outcome that local realism forbids.  From `hardy_build`, p is a float and
-    condition_residuals a tuple of floats; the batched construction behind
-    it runs the same code and gives every field as an array over a grid.
+    condition_residuals a tuple of floats; the batched construction runs the
+    same arithmetic and gives every field as an array over a grid.
     """
 
     psi: np.ndarray
@@ -340,13 +369,13 @@ def _orthogonal_2d(x, y) -> tuple:
     return ox * sign, oy * sign
 
 
-def _hardy_construct(p1, p2) -> HardyConstruction:
-    """The Hardy construction on floats or broadcast arrays of parameters in (0, 1).
+def _hardy_fields(p1, p2) -> tuple:
+    """The Hardy arithmetic on floats or broadcast arrays of parameters in (0, 1).
 
+    Returns (components, p, residuals): the twelve amplitudes of psi, u1',
+    v1', u2', v2' in that order, p, and the three condition residuals.
     Floats and arrays run the same operations, so a point and a grid entry
-    agree bit for bit; a point runs on Python floats.  Every field carries
-    the broadcast shape of (p1, p2) in front, with the vector components (or
-    the three residuals) last.
+    agree bit for bit.
     """
     norm = _sqrt(1.0 - p1 * p2)
     # Amplitudes a_j1j2 of |j1, j2> with u = |0>, v = |1>.
@@ -360,13 +389,22 @@ def _hardy_construct(p1, p2) -> HardyConstruction:
     # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
     residuals = abs(a00), abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
     u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
+    return (a00, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), overlap * overlap, residuals
+
+
+def _construction(vec: np.ndarray, p, residuals) -> HardyConstruction:
+    """The construction whose vectors are the slices of vec's last axis, in `_hardy_fields` order."""
+    return HardyConstruction(vec[..., :4], vec[..., 4:6], vec[..., 6:8], vec[..., 8:10], vec[..., 10:12], p, residuals)
+
+
+def _hardy_construct(p1, p2) -> HardyConstruction:
+    """`_hardy_fields` over a grid: every field carries the broadcast shape of (p1, p2) in
+    front, with the vector components (or the three residuals) last."""
+    components, p, residuals = _hardy_fields(p1, p2)
     # built as complex in one step: a float copy first would raise a grid's peak memory
-    vec = np.array([a00, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y], dtype=complex)
+    vec = np.array(components, dtype=complex)
     last = (*range(1, vec.ndim), 0)  # components on the last axis
-    vec, residuals = vec.transpose(last), np.array(residuals).transpose(last)
-    return HardyConstruction(
-        vec[..., :4], vec[..., 4:6], vec[..., 6:8], vec[..., 8:10], vec[..., 10:12], overlap * overlap, residuals
-    )
+    return _construction(vec.transpose(last), p, np.array(residuals).transpose(last))
 
 
 def hardy_build(p1: float, p2: float) -> HardyConstruction:
@@ -377,18 +415,18 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     whose squared coefficients sum to 1 - p1 p2, so dividing by
     sqrt(1 - p1 p2) normalizes it exactly.  v2' is the unique direction
     with <v, v2'|psi> = 0, v1' the unique direction with <v1', v|psi> = 0;
-    u' completes each primed basis.  p = |<v1', v2'|psi>|^2.
+    u' completes each primed basis.  p = |<v1', v2'|psi>|^2.  The arithmetic
+    runs on Python floats, the same operations as the grid's, and the five
+    vectors are views of one complex array of twelve amplitudes.
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-    c = _hardy_construct(float(p1), float(p2))
-    residuals = tuple(c.condition_residuals.tolist())
-    p = float(c.p)
+    components, p, residuals = _hardy_fields(float(p1), float(p2))
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise AssertionError("jointly primed probability vanished")
-    return HardyConstruction(c.psi, c.u1_prime, c.v1_prime, c.u2_prime, c.v2_prime, p, residuals)
+    return _construction(np.array(components, dtype=complex), p, residuals)
 
 
 _HARDY_ZOOM_POINTS = 41
@@ -444,16 +482,18 @@ def hardy_optimize(grid: int = 100, tol: float = 1e-8) -> tuple[HardyParams, flo
 def no_signalling_check(rho, a, b_projectors):
     """|Tr(rho' A) - Tr(rho A)| with rho' = sum_beta P_beta rho P_beta.
 
-    Requires the P_beta to be mutually orthogonal projectors resolving the
-    identity, all commuting with A; the deviation is then zero up to
-    roundoff, so a prior measurement cannot signal through expectations.
-    Takes one trial, or a stack: (..., n, n) and (..., k, n, n), giving an
-    array; a stack raises the message of the first check that a trial fails.
+    Requires a density operator rho, a Hermitian A and mutually orthogonal
+    projectors P_beta resolving the identity, all commuting with A; the
+    deviation is then zero up to roundoff, so a prior measurement cannot
+    signal through expectations.  Takes one trial, or a stack: (..., n, n)
+    and (..., k, n, n), giving an array; a stack raises the message of the
+    first check that a trial fails.
     """
     rho = assert_density_operator(rho, stack=True)
     a = np.asarray(a, dtype=complex)
     if a.shape != rho.shape:
         raise ValueError("observable dimension does not match the state")
+    a = assert_hermitian(a, stack=True)  # a NaN in A would pass the commutator test below
     projs = assert_projector(b_projectors, stack=True)
     if projs.ndim != rho.ndim + 1 or projs.shape[:-3] + projs.shape[-2:] != rho.shape:
         raise ValueError("projectors do not match the state's dimension")

@@ -576,8 +576,30 @@ class TestErrors:
             (("bell", "--eta=1,1,x"), "--eta must be three comma-separated values of +-1, got '1,1,x'"),
             (("bell", "--eta=1,1,2"), "--eta must be three comma-separated values of +-1, got '1,1,2'"),
             (("bell", "--eta=1,1"), "--eta must be three comma-separated values of +-1, got '1,1'"),
+            (
+                ("chsh", "--a-dir=x,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
+                "--a-dir must be comma-separated numbers, got 'x,0,0'",
+            ),
+            (
+                ("chsh", "--a-dir=1,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,,1"),
+                "--b-prime must be comma-separated numbers, got '0,,1'",
+            ),
+            (("bell", "--a-dir=1,0,0", "--b-dir=0,1,0", "--c-dir=z"), "--c-dir must be comma-separated numbers, got 'z'"),
+            (("bell-hv", "--beta=1,x,0"), "--beta must be comma-separated numbers, got '1,x,0'"),
+            (("bell-hv", "--psi=1,0,y,0"), "--psi must be comma-separated numbers, got '1,0,y,0'"),
+            (("bell-hv", "--psi=1,0,0"), "--psi must be re,im pairs, got '1,0,0'"),
+            (("jauch-piron", "--a-dir=1,0"), "--a-dir expects three comma-separated components, got '1,0'"),
+            (("jauch-piron", "--b-dir=0,0,0"), "--b-dir cannot be the zero vector"),
+            (
+                ("chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
+                "--a-dir components must be finite, got 'nan,0,0'",
+            ),
         ],
-        ids=["seed", "eta-not-int", "eta-not-sign", "eta-two"],
+        ids=[
+            "seed", "eta-not-int", "eta-not-sign", "eta-two", "chsh-a-dir-text", "chsh-b-prime-empty", "bell-c-dir-text",
+            "bell-hv-beta-text", "bell-hv-psi-text", "bell-hv-psi-odd", "jauch-piron-two", "jauch-piron-zero",
+            "chsh-a-dir-nan",
+        ],
     )
     def test_message_names_option_and_value(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -34,7 +34,6 @@ from hvlab.nonlocality import (
     optimal_chsh_settings,
     qm_correlator,
     singlet_state,
-    unit_setting,
 )
 from hvlab.qmath import (
     ID2,
@@ -174,6 +173,27 @@ class TestTensorMemo:
         real = np.array([0.6, 0.0, 0.0, 0.8])
         assert np.array_equal(correlation_tensor(real), correlation_tensor(real.astype(complex)))
 
+    def test_memo_floats_are_the_tensor(self):
+        rng = np.random.default_rng(50)
+        for psi in [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(20)]:
+            memo = _tensor_of_bytes(np.asarray(psi, dtype=complex).tobytes())
+            assert not memo.array.flags.writeable
+            assert list(map(list, memo.floats)) == correlation_tensor(psi).tolist()
+            assert all(type(t) is float for row in memo.floats for t in row)
+
+    def test_values_survive_eviction(self):
+        rng = np.random.default_rng(51)
+        psi = random_state(rng, 4)
+        settings = ChshSettings(*(random_unit3(rng) for _ in range(4)))
+        a, b = random_unit3(rng), random_unit3(rng)
+        before = (chsh_value(psi, settings), qm_correlator(psi, a, b), bell_correlators(psi, a, b, settings.b))
+        for _ in range(TENSOR_MEMO_SIZE + 5):
+            correlation_tensor(random_state(rng, 4))
+        misses = _tensor_of_bytes.cache_info().misses
+        after = chsh_value(psi, settings)
+        assert _tensor_of_bytes.cache_info().misses == misses + 1  # psi had been evicted: T is rebuilt
+        assert (after, qm_correlator(psi, a, b), bell_correlators(psi, a, b, settings.b)) == before
+
     def test_other_sizes_raise_as_before(self):
         with pytest.raises(ValueError, match="between 2 and 8"):
             correlation_tensor(np.ones(9) / 3.0)
@@ -196,6 +216,29 @@ class TestChshSettings:
         settings = optimal_chsh_settings()
         with pytest.raises(AttributeError):
             settings.a = np.array([1.0, 0.0, 0.0])
+
+    def test_fields_are_copies(self):
+        rng = np.random.default_rng(52)
+        vectors = [random_unit3(rng) for _ in range(4)]
+        settings = ChshSettings(*vectors)
+        psi = random_state(rng, 4)
+        want_a, want_s = settings.a.tolist(), chsh_value(psi, settings)
+        for v in vectors:
+            v[:] = [0.0, 0.0, 1.0]
+        assert settings.a.tolist() == want_a
+        assert chsh_value(psi, settings) == want_s
+
+    def test_fields_are_read_only(self):
+        settings = optimal_chsh_settings()
+        for name in ("a", "a_prime", "b", "b_prime"):
+            value = getattr(settings, name)
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 5.0
+        for pair in settings.pairs():
+            for value in pair:
+                assert not value.flags.writeable
+        assert settings.floats[0] == (0.0, 1.0, 0.0)
 
 
 class TestBellOriginal:
@@ -265,7 +308,9 @@ def test_correlators_match_kron_oracle():
 
 def test_unit_setting_rejects_nan():
     with pytest.raises(ValueError, match="unit vector"):
-        unit_setting((np.nan, 0.0, 0.0))
+        ChshSettings((np.nan, 0.0, 0.0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="unit vector"):
+        qm_correlator(singlet_state(), (0, 0, 1), (0.0, np.nan, 0.0))
 
 
 def test_unit_setting_rejects_huge_components_without_warning():
@@ -273,7 +318,9 @@ def test_unit_setting_rejects_huge_components_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="unit vector"):
-            unit_setting((1e200, 0.0, 0.0))
+            ChshSettings((1, 0, 0), (0, 1, 0), (0, 0, 1), (1e200, 0.0, 0.0))
+        with pytest.raises(ValueError, match="unit vector"):
+            qm_correlator(singlet_state(), (1e200, 0.0, 0.0), (0, 0, 1))
 
 
 class TestChshValue:
@@ -645,6 +692,54 @@ class TestNoSignallingStack:
         with pytest.raises(ValueError) as stacked:
             no_signalling_check(*_stacked(trials))
         assert str(stacked.value) == str(lone.value)
+
+    @staticmethod
+    def _bad_observables():
+        nan = kron(SIGMA_Z, ID2)
+        nan[0, 0] = np.nan
+        inf = kron(SIGMA_Z, ID2)
+        inf[1, 2] = np.inf
+        return {"nan": nan, "inf": inf, "anti-hermitian": 1j * kron(SIGMA_Z, ID2)}
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "anti-hermitian"])
+    def test_observable_must_be_finite_and_hermitian(self, kind):
+        bad = self._bad_observables()[kind]
+        rho, a, projs = _nosignal_trials(53, 1)[0]
+        if kind == "anti-hermitian":  # it commutes with the projectors: only the Hermiticity check rejects it
+            assert all(np.array_equal(bad @ p, p @ bad) for p in projs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite and Hermitian"):
+                no_signalling_check(rho, bad, projs)
+            trials = _nosignal_trials(53, 5)
+            trials[2] = (trials[2][0], bad, trials[2][2])  # only trial 2 is bad
+            with pytest.raises(ValueError, match="not finite and Hermitian"):
+                no_signalling_check(*_stacked(trials))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_finite_projector_rejected(self, k):
+        rho, a, projs = _nosignal_trials(55, 1)[0]
+        projs = [p.copy() for p in projs]
+        projs[k][3, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite and Hermitian"):
+                no_signalling_check(rho, a, projs)
+
+    def test_non_idempotent_projectors_rejected(self):
+        # 2 P+ and P- - P+ are Hermitian, commute with A and sum to the identity: only idempotency fails
+        trials = _nosignal_trials(56, 5)
+        rho, a, (plus, minus) = trials[2]
+        trials[2] = (rho, a, [2.0 * plus, minus - plus])
+        for args in (trials[2], _stacked(trials)):
+            with pytest.raises(ValueError, match="idempotent"):
+                no_signalling_check(*args)
+
+    def test_observable_shape_must_match(self):
+        rho, a, projs = _nosignal_trials(54, 1)[0]
+        for bad in (a[:2, :2], a[None], np.zeros(4)):
+            with pytest.raises(ValueError, match="observable dimension"):
+                no_signalling_check(rho, bad, projs)
 
     def test_mismatched_projectors_rejected(self):
         rho, a, projs = _stacked(_nosignal_trials(49, 3))
