@@ -38,7 +38,7 @@ for p1 in (0.3, 0.5, inv_tau, 0.8):
     row = "  ".join(f"{hl.hardy_probability(p1, p2):.5f}" for p2 in (0.3, 0.5, inv_tau, 0.8))
     print(f"  p1 = {p1:.3f}:  {row}")
 
-params, p_max = hl.hardy_optimize(grid=60, tol=1e-8)
+params, p_max = hl.hardy_optimize(grid=60)
 print()
 print(f"optimizer argmax: p1 = {params.p1:.7f}, p2 = {params.p2:.7f}")
 print(f"golden ratio inverse:  {inv_tau:.7f}")

@@ -175,6 +175,30 @@ def _at_least_one(count: int, option: str) -> int:
     return count
 
 
+# Largest accepted sizes, checked before anything is allocated: dispersion holds every step's
+# state, chsh --optimize iterates four settings per restart, hardy --optimize holds each grid
+# axis and scans grid^2 points.
+MAX_STEPS = 10**6
+MAX_RESTARTS = 10**5
+MAX_GRID = 10**4
+
+
+def _at_most(count: int, limit: int, option: str) -> int:
+    if count > limit:
+        raise ValueError(f"{option} must be at most {limit}, got {count}")
+    return count
+
+
+def _finite(text: str, option: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # float()'s own message names neither the option nor its text
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be a finite number, got {text!r}")
+    return value
+
+
 def _finite_components(text: str, option: str) -> list[float]:
     try:
         parts = [float(p) for p in text.split(",")]
@@ -273,7 +297,7 @@ def _cmd_dispersion(args, rng):
     rho = random_density(rng, args.dim)
     evals, evecs = np.linalg.eigh(rho)
     phi1, phi2 = evecs[:, -1], evecs[:, 0]
-    thetas, values = dispersion_scan(rho, phi1, phi2, args.steps)
+    thetas, values = dispersion_scan(rho, phi1, phi2, _at_most(args.steps, MAX_STEPS, "--steps"))
     end_dev = max(
         abs(values[0] - float(np.vdot(phi1, rho @ phi1).real)),
         abs(values[-1] - float(np.vdot(phi2, rho @ phi2).real)),
@@ -317,16 +341,17 @@ def _cmd_jauch_piron(args, rng):
 
 
 def _cmd_bell_hv(args, rng):
+    alpha = _finite(args.alpha, "--alpha")
     psi = _parse_psi(args.psi)
     beta = _vec3(args.beta, "--beta")
-    exact = bell_hv_average_exact(args.alpha, beta, psi)
-    quantum = args.alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)
-    estimate, stderr = bell_hv_average_mc(args.alpha, beta, psi, args.samples, args.seed)
-    eig_hi, eig_lo = eig_herm2(pauli_obs(args.alpha, beta))
+    exact = bell_hv_average_exact(alpha, beta, psi)
+    quantum = alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)  # the matrix expectation
+    estimate, stderr = bell_hv_average_mc(alpha, beta, psi, args.samples, args.seed)
+    eig_hi, eig_lo = eig_herm2(pauli_obs(alpha, beta))
     # from the report: |beta| is half the eigenvalue gap and m = exact_average - alpha
-    model_stderr = bell_hv_model_stderr((eig_hi - eig_lo) / 2.0, exact - args.alpha, args.samples)
+    model_stderr = bell_hv_model_stderr((eig_hi - eig_lo) / 2.0, exact - alpha, args.samples)
     inputs = {
-        "alpha": args.alpha,
+        "alpha": alpha,
         "beta": [float(b) for b in beta],
         "psi_re": [float(x) for x in psi.real],
         "psi_im": [float(x) for x in psi.imag],
@@ -381,7 +406,7 @@ def _cmd_ks_color(args, rng):
 
 
 def _cmd_mermin(args, rng):
-    report = mermin_verify(mermin_square(), tol=TAU_EQ)
+    report = mermin_verify(mermin_square())
     search = mermin_assignment_search()
     inputs = {}
     outputs = {
@@ -446,7 +471,8 @@ def _cmd_chsh(args, rng):
     inputs = {"state": args.state, "optimize": bool(args.optimize)}
     if args.optimize:
         _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
-        settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=args.tol, seed=args.seed)
+        restarts = _at_most(args.restarts, MAX_RESTARTS, "--restarts")
+        settings, s_star = chsh_optimize(psi, restarts=restarts, tol=args.tol, seed=args.seed)
         inputs["restarts"] = args.restarts
         outputs = {
             "s_star": s_star,
@@ -525,7 +551,7 @@ def _cmd_ghz(args, rng):
 def _cmd_hardy(args, rng):
     if args.optimize:
         _mode_options(args, "with --optimize", {"grid": 100, "tol": 1e-6}, ("p1", "p2"))
-        params, p_max = hardy_optimize(grid=args.grid, tol=1e-8)
+        params, p_max = hardy_optimize(grid=_at_most(args.grid, MAX_GRID, "--grid"))
         inputs = {"optimize": True, "grid": args.grid}
         outputs = {
             "p1": params.p1,
@@ -656,14 +682,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=int, default=1000, help=f"default 1000, at most {MAX_STEPS}")
 
     p = sub.add_parser("jauch-piron", parents=[common], help="projector-intersection contradiction for two directions")
     p.add_argument("--a-dir", default="0,0,1")
     p.add_argument("--b-dir", default="1,0,0")
 
     p = sub.add_parser("bell-hv", parents=[common], help="spin-1/2 hidden-variable model: exact and Monte Carlo averages")
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", default="0.0")
     p.add_argument("--beta", default="1,1,0")
     p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
     p.add_argument("--samples", type=int, default=10**6)
@@ -689,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
     p.add_argument("--state", choices=("singlet", "product"), default="singlet")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=None, help="default 20; only with --optimize")
+    p.add_argument("--restarts", type=int, default=None, help=f"default 20, at most {MAX_RESTARTS}; only with --optimize")
     for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
         p.add_argument(flag, default=None, help="not with --optimize")
     p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
@@ -705,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
     p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid", type=int, default=None, help="default 100; only with --optimize")
+    p.add_argument("--grid", type=int, default=None, help=f"default 100, at most {MAX_GRID}; only with --optimize")
     p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")

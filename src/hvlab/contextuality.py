@@ -30,8 +30,8 @@ PERES_SQUARED_TRIPLES = ((0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.0, 1 / 3, 2 / 3), 
 _MIN_RAY_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
-def canonical_ray(v, zero_tol: float = 1e-12) -> np.ndarray:
-    """Unit vector with the first nonzero component positive.
+def canonical_ray(v) -> np.ndarray:
+    """Unit vector with the first component above 1e-12 in size positive.
 
     A vector whose length is NaN or infinite, or whose squared length
     overflows or underflows (so that dividing by the length would not give
@@ -44,7 +44,7 @@ def canonical_ray(v, zero_tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"ray must have a finite length of at least {_MIN_RAY_NORM:.3g}, got {ray.tolist()}")
     ray = ray / norm
     for c in ray:
-        if abs(c) > zero_tol:
+        if abs(c) > 1e-12:
             if c < 0:
                 ray = -ray
             break
@@ -251,9 +251,9 @@ class MerminReport:
     max_commutator: float
 
 
-def mermin_verify(square, tol: float = TAU_EQ) -> MerminReport:
+def mermin_verify(square) -> MerminReport:
     """Check the row products are +I, the column products (+I, +I, -I),
-    every entry squares to I, and rows/columns commute internally.
+    every entry squares to I, and rows/columns commute internally, each within TAU_EQ.
 
     Raises ValueError if any check fails, so a returned report always passed.
     """
@@ -267,11 +267,11 @@ def mermin_verify(square, tol: float = TAU_EQ) -> MerminReport:
         fwd = line[0] @ line[1] @ line[2]
         rev = line[2] @ line[1] @ line[0]
         prod_dev = max(prod_dev, float(np.max(np.abs(fwd - sign * eye4))))
-        reversed_match &= bool(np.max(np.abs(fwd - rev)) <= tol)
+        reversed_match &= bool(np.max(np.abs(fwd - rev)) <= TAU_EQ)
         for a, b in itertools.combinations(line, 2):
             comm = max(comm, float(np.max(np.abs(a @ b - b @ a))))
     sq_dev = float(np.max(np.abs(square @ square - eye4)))
-    if not (prod_dev <= tol and sq_dev <= tol and comm <= tol and reversed_match):
+    if not (prod_dev <= TAU_EQ and sq_dev <= TAU_EQ and comm <= TAU_EQ and reversed_match):
         raise ValueError(
             f"operator square fails verification: product dev {prod_dev}, "
             f"square dev {sq_dev}, commutator {comm}, reversed products match {reversed_match}"

@@ -84,14 +84,10 @@ def basis_observables(dim: int) -> BasisObservables:
     return basis
 
 
-def oracle_from_density(rho, quantum: bool = True) -> ExpectationOracle:
+def oracle_from_density(rho) -> ExpectationOracle:
     """Expectation oracle <A> = Tr(rho A) generated by a density operator."""
     rho = assert_density_operator(rho)
-    return ExpectationOracle(
-        dim=rho.shape[0],
-        expect=lambda a: expectation(rho, a),
-        quantum=quantum,
-    )
+    return ExpectationOracle(dim=rho.shape[0], expect=lambda a: expectation(rho, a))
 
 
 def reconstruct_density(oracle: ExpectationOracle) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import TAU_EQ, assert_state_vector, sigma_dot
+from .qmath import TAU_EQ, assert_state_vector
 
 _SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
 
@@ -55,6 +55,14 @@ def sgn(x):
     return np.copysign(1.0, np.asarray(x, dtype=float) + 0.0)
 
 
+def _qubit(psi) -> np.ndarray:
+    """psi validated as a unit state vector of one qubit."""
+    psi = assert_state_vector(psi)
+    if psi.shape[0] != 2:
+        raise ValueError(_SPIN_HALF_ONLY)
+    return psi
+
+
 @dataclass(frozen=True)
 class BellHVState:
     """Dispersion-free state (psi, lambda) with lambda in [-1/2, 1/2]."""
@@ -63,59 +71,51 @@ class BellHVState:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "psi", assert_state_vector(self.psi))
-        if self.psi.shape[0] != 2:
-            raise ValueError(_SPIN_HALF_ONLY)
+        object.__setattr__(self, "psi", _qubit(self.psi))
         if not -0.5 <= self.lam <= 0.5:
             raise ValueError(f"lambda = {self.lam} outside [-1/2, 1/2]")
 
 
-def _beta_length(beta) -> tuple[np.ndarray, float]:
-    """(beta as a 3-vector, |beta| as np.linalg.norm gives it); ValueError unless |beta|^2 is finite."""
+def _beta_and_m(beta, psi: np.ndarray) -> tuple[float, float]:
+    """(|beta| as np.linalg.norm gives it, m) on Python floats for a one-qubit psi = (u, d):
+    m = beta . r, r = (2 Re c, 2 Im c, |u|^2 - |d|^2) the Bloch vector of psi and c = u* d.
+    ValueError unless |beta|^2 is finite."""
     beta = np.asarray(beta, dtype=float).reshape(3)
     with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
         beta_len = float(np.linalg.norm(beta))
     if not math.isfinite(beta_len):
         raise ValueError(f"|beta|^2 must be finite, got beta = {beta.tolist()}")
-    return beta, beta_len
-
-
-def _beta_and_m(beta, psi) -> tuple[float, float]:
-    """(|beta|, <psi|beta.sigma|psi>); ValueError unless psi is a one-qubit state and |beta|^2 is finite."""
-    psi = assert_state_vector(psi)
-    if psi.shape[0] != 2:
-        raise ValueError(_SPIN_HALF_ONLY)
-    beta, beta_len = _beta_length(beta)
-    m = float(np.vdot(psi, sigma_dot(beta) @ psi).real)
-    return beta_len, m
+    bx, by, bz = beta.tolist()
+    up, down = psi.tolist()
+    c = up.conjugate() * down
+    return beta_len, 2.0 * (bx * c.real + by * c.imag) + bz * (abs(up) ** 2 - abs(down) ** 2)
 
 
 def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
     """Value assigned to alpha*I + beta.sigma in the state (psi, lambda).
 
-    Always one of the eigenvalues alpha +/- |beta|.  Evaluated on Python
-    floats: m = beta . r, with r = (2 Re c, 2 Im c, |u|^2 - |d|^2) the Bloch
-    vector of psi = (u, d), c = u* d, and sgn(0) = +1 as in `sgn`.
+    Always one of the eigenvalues alpha +/- |beta|, with sgn(0) = +1 as in `sgn`.
     """
-    beta, beta_len = _beta_length(beta)
-    bx, by, bz = beta.tolist()
-    up, down = state.psi.tolist()
-    c = up.conjugate() * down
-    m = 2.0 * (bx * c.real + by * c.imag) + bz * (abs(up) ** 2 - abs(down) ** 2)
+    beta_len, m = _beta_and_m(beta, state.psi)
     sign_m = 1.0 if m >= 0.0 else -1.0
     side = 1.0 if state.lam * beta_len + 0.5 * abs(m) >= 0.0 else -1.0
     return float(alpha + beta_len * sign_m * side)
 
 
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
-    """Closed-form lambda average of the model: alpha + <psi|beta.sigma|psi>.
+    """Closed-form lambda average of the model, the quantum expectation alpha + m.
 
-    The sgn threshold sits at lambda0 = -|m| / (2 |beta|), so integrating
-    sgn over the uniform lambda range gives |m|/|beta| and the average
-    collapses to the quantum expectation value.
+    The value is alpha + |beta| sgn(m) above the threshold lambda0 =
+    -|m| / (2 |beta|) and alpha - |beta| sgn(m) below it, so over the uniform
+    lambda in [-1/2, 1/2] the average is alpha + |beta| sgn(m) times the
+    measure above lambda0 less the measure below; alpha when beta = 0.
     """
-    _, m = _beta_and_m(beta, psi)
-    return float(alpha) + m
+    beta_len, m = _beta_and_m(beta, _qubit(psi))
+    if beta_len == 0.0:
+        return float(alpha)
+    threshold = max(-0.5, -0.5 * abs(m) / beta_len)  # |m| <= |beta| up to roundoff
+    sign_m = 1.0 if m >= 0.0 else -1.0
+    return float(alpha + beta_len * sign_m * ((0.5 - threshold) - (threshold + 0.5)))
 
 
 def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tuple[float, float]:
@@ -130,7 +130,7 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    beta_len, m = _beta_and_m(beta, psi)
+    beta_len, m = _beta_and_m(beta, _qubit(psi))
     rng = np.random.default_rng(seed)
     plus = 0
     for start in range(0, n_samples, BATCH_PAIRS):

@@ -23,6 +23,8 @@ from .contextuality import AssignmentSearchResult, count_sign_assignments
 from .hvmodels import BATCH_PAIRS, chsh_combination
 from .qmath import (
     PAULIS,
+    SIGMA_X,
+    SIGMA_Y,
     TAU_EQ,
     assert_density_operator,
     assert_hermitian,
@@ -298,17 +300,12 @@ def ghz_assignment_search(xxx_target: int = -1) -> AssignmentSearchResult:
     )
 
 
-def ghz_stabilizer_deviations(psi=None) -> dict[str, float]:
+def ghz_stabilizer_deviations() -> dict[str, float]:
     """Max entrywise deviations of the four parity identities on the GHZ state.
 
     X Y Y, Y X Y and Y Y X fix the state; X X X flips its sign.
     """
-    if psi is None:
-        psi = ghz_state()
-    psi = assert_state_vector(psi)
-    if psi.shape[0] != 8:
-        raise ValueError("GHZ identities need a three-qubit state")
-    from .qmath import SIGMA_X, SIGMA_Y
+    psi = ghz_state()
 
     def triple(p1, p2, p3):
         return kron(kron(p1, p2), p3)
@@ -333,9 +330,8 @@ class HardyConstruction:
     psi lives in the (u, v) product basis with u = |0>, v = |1>.  The primed
     single-qubit bases (u', v') are fixed by the one-dimensional
     orthogonality conditions; p is the probability of the jointly primed
-    outcome that local realism forbids.  From `hardy_build`, p is a float and
-    condition_residuals a tuple of floats; the batched construction runs the
-    same arithmetic and gives every field as an array over a grid.
+    outcome that local realism forbids, a float, and condition_residuals
+    are three floats.
     """
 
     psi: np.ndarray
@@ -392,21 +388,6 @@ def _hardy_fields(p1, p2) -> tuple:
     return (a00, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), overlap * overlap, residuals
 
 
-def _construction(vec: np.ndarray, p, residuals) -> HardyConstruction:
-    """The construction whose vectors are the slices of vec's last axis, in `_hardy_fields` order."""
-    return HardyConstruction(vec[..., :4], vec[..., 4:6], vec[..., 6:8], vec[..., 8:10], vec[..., 10:12], p, residuals)
-
-
-def _hardy_construct(p1, p2) -> HardyConstruction:
-    """`_hardy_fields` over a grid: every field carries the broadcast shape of (p1, p2) in
-    front, with the vector components (or the three residuals) last."""
-    components, p, residuals = _hardy_fields(p1, p2)
-    # built as complex in one step: a float copy first would raise a grid's peak memory
-    vec = np.array(components, dtype=complex)
-    last = (*range(1, vec.ndim), 0)  # components on the last axis
-    return _construction(vec.transpose(last), p, np.array(residuals).transpose(last))
-
-
 def hardy_build(p1: float, p2: float) -> HardyConstruction:
     """Build the Hardy state and primed bases for parameters in (0, 1).
 
@@ -416,8 +397,8 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     sqrt(1 - p1 p2) normalizes it exactly.  v2' is the unique direction
     with <v, v2'|psi> = 0, v1' the unique direction with <v1', v|psi> = 0;
     u' completes each primed basis.  p = |<v1', v2'|psi>|^2.  The arithmetic
-    runs on Python floats, the same operations as the grid's, and the five
-    vectors are views of one complex array of twelve amplitudes.
+    runs on Python floats, the same operations as the grid scan's, and the
+    five vectors are views of one complex array of twelve amplitudes.
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
@@ -426,52 +407,51 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise AssertionError("jointly primed probability vanished")
-    return _construction(np.array(components, dtype=complex), p, residuals)
+    vec = np.array(components, dtype=complex)
+    return HardyConstruction(vec[:4], vec[4:6], vec[6:8], vec[8:10], vec[10:12], p, residuals)
 
 
 _HARDY_ZOOM_POINTS = 41
-# Grid points built at once: a point holds about 370 bytes of construction, so a block is about 6 MB.
+# Grid points whose p is computed at once: about 200 bytes of intermediates each, so about 3 MB.
 _HARDY_BLOCK_POINTS = BATCH_PAIRS // 4
 
 
 def _hardy_grid_argmax(axis1: np.ndarray, axis2: np.ndarray) -> np.ndarray:
     """(axis1[i], axis2[j]) at the first maximum of p over the grid, in row-major order.
 
-    The grid is built in blocks of whole rows, at most _HARDY_BLOCK_POINTS
-    points each (one row if a row is longer), so memory does not grow with
-    it; a block wins only with a strictly larger p, so ties go to the earliest.
+    p is computed over row-major flat blocks of at most _HARDY_BLOCK_POINTS
+    points, so memory does not grow with the grid; a block wins only with a
+    strictly larger p, so ties go to the earliest.
     """
-    rows = max(1, _HARDY_BLOCK_POINTS // len(axis2))
-    best_p, best = -np.inf, (0, 0)
-    for start in range(0, len(axis1), rows):
-        q1, q2 = np.meshgrid(axis1[start : start + rows], axis2, indexing="ij")
-        p = _hardy_construct(q1, q2).p
-        k = int(np.argmax(p))
-        if p.flat[k] > best_p:
-            best_p, best = p.flat[k], (start + k // len(axis2), k % len(axis2))
-    i, j = best
-    return np.array([axis1[i], axis2[j]])
+    n2 = len(axis2)
+    size = len(axis1) * n2
+    best_p, best = -np.inf, 0
+    for start in range(0, size, _HARDY_BLOCK_POINTS):
+        k = np.arange(start, min(start + _HARDY_BLOCK_POINTS, size))
+        p = _hardy_fields(axis1[k // n2], axis2[k % n2])[1]
+        i = int(np.argmax(p))
+        if p[i] > best_p:
+            best_p, best = p[i], start + i
+    return np.array([axis1[best // n2], axis2[best % n2]])
 
 
-def hardy_optimize(grid: int = 100, tol: float = 1e-8) -> tuple[HardyParams, float]:
+def hardy_optimize(grid: int = 100) -> tuple[HardyParams, float]:
     """Maximize the forbidden-outcome probability over (p1, p2) in (0, 1)^2.
 
     The constructed (not closed-form) probability is evaluated on the whole
-    grid x grid scan, in row blocks of at most BATCH_PAIRS / 4 points, then
+    grid x grid scan, in blocks of at most BATCH_PAIRS / 4 points, then
     refined by zooming: a 41 x 41 batch spanning two spacings either side of
     the best point so far, so that the spacing shrinks tenfold per level,
-    until it is below tol * 1e-2.  The maximum sits at p1 = p2 =
+    until it is below 1e-10.  The maximum sits at p1 = p2 =
     1/golden-ratio with p = golden-ratio^-5.
     """
     if grid < 10:
         raise ValueError("grid must be at least 10")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     points = np.arange(1, grid + 1) / (grid + 1.0)
     best = _hardy_grid_argmax(points, points)
     spacing = 1.0 / (grid + 1.0)
     offsets = np.linspace(-2.0, 2.0, _HARDY_ZOOM_POINTS)
-    while spacing >= tol * 1e-2:
+    while spacing >= 1e-10:
         axes = [np.clip(x + spacing * offsets, 1e-9, 1.0 - 1e-9) for x in best]
         best = _hardy_grid_argmax(*axes)
         spacing *= 4.0 / (_HARDY_ZOOM_POINTS - 1)

@@ -28,19 +28,19 @@ def as_matrix(m) -> np.ndarray:
     return mat
 
 
-def assert_hermitian(m, tol: float = TAU_EQ, stack: bool = False) -> np.ndarray:
-    """Validate a Hermitian matrix or, with `stack`, each matrix of a stack (..., n, n)."""
+def assert_hermitian(m, stack: bool = False) -> np.ndarray:
+    """Validate a Hermitian matrix, within TAU_EQ, or, with `stack`, each matrix of a stack (..., n, n)."""
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 and not (stack and mat.ndim > 2):
         raise ValueError(f"expected a 2D matrix, got ndim={mat.ndim}")
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf deviation fails the test
-        if mat.shape[-1] != mat.shape[-2] or not np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) <= tol:
+        if mat.shape[-1] != mat.shape[-2] or not np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) <= TAU_EQ:
             raise ValueError("matrix is not finite and Hermitian within tolerance")
     return mat
 
 
-def assert_state_vector(psi, tol: float = TAU_EQ) -> np.ndarray:
-    """Validate a unit-norm state vector at desk scale (dim 2 to 8).
+def assert_state_vector(psi) -> np.ndarray:
+    """Validate a state vector of unit norm, within TAU_EQ, at desk scale (dim 2 to 8).
 
     Qubit-system operations (dim 2, 4 or 8) enforce their exact dimension
     at the call site; ensemble reconstruction also runs in dimension 3.
@@ -51,32 +51,30 @@ def assert_state_vector(psi, tol: float = TAU_EQ) -> np.ndarray:
     if not 2 <= vec.shape[0] <= 8:
         raise ValueError(f"state dimension must be between 2 and 8, got {vec.shape[0]}")
     norm_sq = float(np.vdot(vec, vec).real)
-    if not (abs(norm_sq - 1.0) <= tol):  # also true for NaN
+    if not (abs(norm_sq - 1.0) <= TAU_EQ):  # also true for NaN
         raise ValueError(f"state is not normalized: ||psi||^2 = {norm_sq}")
     return vec
 
 
-def assert_density_operator(
-    rho, tol: float = TAU_EQ, psd_tol: float = TAU_PSD, stack: bool = False
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positive semidefiniteness, of one matrix or, with
-    `stack`, of each in a stack; a failure reports the first matrix that fails."""
-    mat = assert_hermitian(rho, tol, stack)
+def assert_density_operator(rho, stack: bool = False) -> np.ndarray:
+    """Validate Hermiticity and unit trace within TAU_EQ and no eigenvalue below -TAU_PSD, of one
+    matrix or, with `stack`, of each in a stack; a failure reports the first matrix that fails."""
+    mat = assert_hermitian(rho, stack)
     with np.errstate(over="ignore"):  # an infinite trace fails the check below
         traces = np.trace(mat, axis1=-2, axis2=-1).ravel().tolist()
     for tr in traces:
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > TAU_EQ:
             raise ValueError(f"density operator trace is {tr}, expected 1")
     for lowest in np.linalg.eigvalsh(mat).min(axis=-1).ravel().tolist():
-        if lowest < -psd_tol:
+        if lowest < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lowest}")
     return mat
 
 
-def assert_projector(p, tol: float = TAU_EQ, stack: bool = False) -> np.ndarray:
-    """Validate a Hermitian idempotent matrix or, with `stack`, each of a stack."""
-    mat = assert_hermitian(p, tol, stack)
-    if np.max(np.abs(mat @ mat - mat)) > tol:
+def assert_projector(p, stack: bool = False) -> np.ndarray:
+    """Validate a Hermitian idempotent matrix, within TAU_EQ, or, with `stack`, each of a stack."""
+    mat = assert_hermitian(p, stack)
+    if np.max(np.abs(mat @ mat - mat)) > TAU_EQ:
         raise ValueError("matrix is not idempotent within tolerance")
     return mat
 
@@ -153,7 +151,7 @@ def random_unit3(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def intersection_projector(p, q, tol: float = TAU_EQ) -> tuple[np.ndarray, int]:
+def intersection_projector(p, q) -> tuple[np.ndarray, int]:
     """Projector onto range(P) & range(Q) and its rank.
 
     Computed as the projector onto the null space of 2I - P - Q, whose
@@ -161,8 +159,8 @@ def intersection_projector(p, q, tol: float = TAU_EQ) -> tuple[np.ndarray, int]:
     Eigenvalues below TAU_PSD count as zero; genuine nonzero eigenvalues
     in the constructions used here are orders of magnitude larger.
     """
-    p = assert_projector(p, tol)
-    q = assert_projector(q, tol)
+    p = assert_projector(p)
+    q = assert_projector(q)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     gap = 2.0 * np.eye(p.shape[0], dtype=complex) - p - q

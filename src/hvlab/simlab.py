@@ -94,14 +94,13 @@ def sign_strategy() -> LhvStrategy:
     )
 
 
-def constant_strategy(a_value: int = 1, b_value: int = -1) -> LhvStrategy:
-    if a_value not in (1, -1) or b_value not in (1, -1):
-        raise ValueError("constant outcomes must be +1 or -1")
+def constant_strategy() -> LhvStrategy:
+    """A = +1 and B = -1 at every setting, so every correlator is -1 and S = 2."""
     return LhvStrategy(
         name="constant",
         sample=lambda rng, n: np.zeros(n),
-        response_a=lambda setting, lams: np.full(len(lams), float(a_value)),
-        response_b=lambda setting, lams: np.full(len(lams), float(b_value)),
+        response_a=lambda setting, lams: np.full(len(lams), 1.0),
+        response_b=lambda setting, lams: np.full(len(lams), -1.0),
     )
 
 

@@ -206,7 +206,7 @@ def test_criterion_12_hardy_probability(capsys):
         for p2 in np.linspace(0.02, 0.98, 50):
             got = hl.hardy_build(p1, p2).p
             max_err = max(max_err, abs(got - hl.hardy_probability(p1, p2)))
-    params, p_max = hl.hardy_optimize(grid=100, tol=1e-8)
+    params, p_max = hl.hardy_optimize(grid=100)
     argmax_ok = abs(params.p1 - INV_TAU) <= 1e-6 and abs(params.p2 - INV_TAU) <= 1e-6
     max_ok = abs(p_max - hl.GOLDEN_RATIO**-5) <= 1e-7
     elapsed = time.perf_counter() - start

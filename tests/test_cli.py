@@ -594,11 +594,13 @@ class TestErrors:
                 ("chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
                 "--a-dir components must be finite, got 'nan,0,0'",
             ),
+            (("bell-hv", "--alpha=inf"), "--alpha must be a finite number, got 'inf'"),
+            (("bell-hv", "--alpha=nan"), "--alpha must be a finite number, got 'nan'"),
         ],
         ids=[
             "seed", "eta-not-int", "eta-not-sign", "eta-two", "chsh-a-dir-text", "chsh-b-prime-empty", "bell-c-dir-text",
             "bell-hv-beta-text", "bell-hv-psi-text", "bell-hv-psi-odd", "jauch-piron-two", "jauch-piron-zero",
-            "chsh-a-dir-nan",
+            "chsh-a-dir-nan", "bell-hv-alpha-inf", "bell-hv-alpha-nan",
         ],
     )
     def test_message_names_option_and_value(self, capsys, argv, message):
@@ -606,6 +608,23 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err == f"{argv[0]}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, limit, option",
+        [
+            (("dispersion", "--steps=11"), "MAX_STEPS", "--steps"),
+            (("chsh", "--optimize", "--restarts=11"), "MAX_RESTARTS", "--restarts"),
+            (("hardy", "--optimize", "--grid=11"), "MAX_GRID", "--grid"),
+        ],
+        ids=["dispersion-steps", "chsh-restarts", "hardy-grid"],
+    )
+    def test_size_above_its_limit_exits_2(self, capsys, monkeypatch, argv, limit, option):
+        # the limit is lowered so that a missing check would still run a small case
+        monkeypatch.setattr(hvlab.cli, limit, 10)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"{argv[0]}: {option} must be at most 10, got 11\n"
 
     def test_negative_config_seed_exits_2(self, capsys, tmp_path):
         path = tmp_path / "exp.cfg"

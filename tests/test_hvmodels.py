@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -97,6 +98,25 @@ class TestBellHVAverageExact:
 
     def test_x_direction_symmetry(self):
         assert bell_hv_average_exact(0, (1, 0, 0), KET0) == 0.0
+
+    def test_is_the_lambda_integral_of_the_value_map(self):
+        # a midpoint sum over n cells differs from the integral only in the cell holding the
+        # threshold, by at most 2 |beta| / n, plus the roundoff of the sum and the closed form
+        n = 10**4
+        lams = -0.5 + (np.arange(n) + 0.5) / n
+        rng = np.random.default_rng(23)
+        eigen_beta = rng.normal(size=3)
+        cases = [(rng.normal(), rng.normal(size=3), random_state(rng, 2)) for _ in range(8)]
+        cases += [
+            (0.7, np.zeros(3), random_state(rng, 2)),
+            (-0.2, eigen_beta, np.linalg.eigh(sigma_dot(eigen_beta))[1][:, 0]),
+            (0.0, (1.0, 0.0, 0.0), KET0),
+        ]
+        for alpha, beta, psi in cases:
+            beta_len = float(np.linalg.norm(beta))
+            riemann = math.fsum(bell_hv_value(alpha, beta, BellHVState(psi, lam)) for lam in lams.tolist()) / n
+            got = bell_hv_average_exact(alpha, beta, psi)
+            assert abs(got - riemann) <= 2 * beta_len / n + 4 * math.ulp(abs(alpha) + beta_len)
 
     def test_reproduces_quantum_expectation(self):
         rng = np.random.default_rng(21)

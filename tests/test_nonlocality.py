@@ -14,7 +14,7 @@ from hvlab.nonlocality import (
     TRINE_C,
     TENSOR_MEMO_SIZE,
     ChshSettings,
-    _hardy_construct,
+    _hardy_fields,
     _hardy_grid_argmax,
     _tensor_of_bytes,
     bell_correlators,
@@ -488,11 +488,21 @@ class TestHardyBuild:
             first = next(c for c in vec if abs(c) > 1e-14)
             assert first.real > 0 and abs(first.imag) <= 1e-14
 
+    @staticmethod
+    def _batch(p1, p2):
+        """`_hardy_fields` on arrays, with hardy_build's field names: vectors and residuals on the last axis."""
+        components, p, residuals = _hardy_fields(p1, p2)
+        vec = np.stack(components, axis=-1)
+        return SimpleNamespace(
+            psi=vec[..., :4], u1_prime=vec[..., 4:6], v1_prime=vec[..., 6:8], u2_prime=vec[..., 8:10],
+            v2_prime=vec[..., 10:12], p=p, condition_residuals=np.stack(residuals, axis=-1),
+        )
+
     def test_batched_construction_matches_build(self):
         # hardy_build and the grid run one construction, so they agree bit for bit
         axis = np.linspace(0.05, 0.95, 13)
         q1, q2 = np.meshgrid(axis, axis, indexing="ij")
-        grid = _hardy_construct(q1, q2)
+        grid = self._batch(q1, q2)
         assert grid.p.shape == (13, 13)
         assert grid.psi.shape == (13, 13, 4)
         assert grid.condition_residuals.shape == (13, 13, 3)
@@ -506,7 +516,7 @@ class TestHardyBuild:
         ]
         random = np.random.default_rng(8).uniform(size=(500, 2))
         points = np.vstack([np.column_stack([q1.ravel(), q2.ravel()]), random, edges])
-        batch = _hardy_construct(points[:, 0], points[:, 1])
+        batch = self._batch(points[:, 0], points[:, 1])
         assert np.array_equal(grid.p.ravel(), batch.p[:169])
         assert np.array_equal(grid.psi.reshape(-1, 4), batch.psi[:169])
         fields = ("psi", "u1_prime", "v1_prime", "u2_prime", "v2_prime")
@@ -530,7 +540,7 @@ class TestHardyBuild:
 
 class TestHardyOptimize:
     def test_finds_golden_ratio_argmax(self):
-        params, p_max = hardy_optimize(grid=30, tol=1e-8)
+        params, p_max = hardy_optimize(grid=30)
         inv_tau = 1.0 / GOLDEN_RATIO
         assert abs(params.p1 - inv_tau) <= 1e-5
         assert abs(params.p2 - inv_tau) <= 1e-5
@@ -541,7 +551,7 @@ class TestHardyOptimize:
             assert abs(hardy_probability(p1, p2) - hardy_probability(p2, p1)) <= 1e-15
 
     def test_dominates_half_half(self):
-        _, p_max = hardy_optimize(grid=15, tol=1e-6)
+        _, p_max = hardy_optimize(grid=15)
         assert p_max >= 1.0 / 12.0
 
     def test_rejects_small_grid(self):
@@ -552,7 +562,7 @@ class TestHardyOptimize:
         for grid in (100, 317, 1000):
             axis = np.arange(1, grid + 1) / (grid + 1.0)
             # p of every grid point, one row per call: elementwise, so equal to one full-grid batch
-            full = np.array([_hardy_construct(np.full(grid, x), axis).p for x in axis])
+            full = np.array([_hardy_fields(np.full(grid, x), axis)[1] for x in axis])
             i, j = np.unravel_index(np.argmax(full), full.shape)
             assert _hardy_grid_argmax(axis, axis).tolist() == [axis[i], axis[j]]
 
@@ -560,13 +570,28 @@ class TestHardyOptimize:
         axis1, axis2 = np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 5)
         monkeypatch.setattr(nonlocality, "_HARDY_BLOCK_POINTS", 10)  # two rows per block, one in the last
         # every row peaks at the same column: the tie goes to the first row
-        monkeypatch.setattr(nonlocality, "_hardy_construct", lambda q1, q2: SimpleNamespace(p=(q2 == axis2[3]) + 0.0))
+        monkeypatch.setattr(nonlocality, "_hardy_fields", lambda q1, q2: ((), (q2 == axis2[3]) + 0.0, ()))
         assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[0], axis2[3]]
         # a single peak in the last, partial block is found
         monkeypatch.setattr(
-            nonlocality, "_hardy_construct", lambda q1, q2: SimpleNamespace(p=(q1 == axis1[6]) * (q2 == axis2[1]) + 0.0)
+            nonlocality, "_hardy_fields", lambda q1, q2: ((), (q1 == axis1[6]) * (q2 == axis2[1]) + 0.0, ())
         )
         assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[6], axis2[1]]
+
+    def test_blocks_shorter_than_a_row(self, monkeypatch):
+        axis1, axis2 = np.linspace(0.05, 0.95, 11), np.linspace(0.1, 0.9, 13)
+        full = _hardy_fields(*np.meshgrid(axis1, axis2, indexing="ij"))[1]
+        i, j = np.unravel_index(np.argmax(full), full.shape)
+        sizes = []
+
+        def fields(q1, q2):
+            sizes.append(np.size(q1))
+            return _hardy_fields(q1, q2)
+
+        monkeypatch.setattr(nonlocality, "_HARDY_BLOCK_POINTS", 7)  # below the 13 points of one row
+        monkeypatch.setattr(nonlocality, "_hardy_fields", fields)
+        assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[i], axis2[j]]
+        assert max(sizes) <= 7 and sum(sizes) == full.size
 
     def test_memory_does_not_grow_with_grid(self):
         def peak_bytes(grid):
@@ -578,12 +603,6 @@ class TestHardyOptimize:
                 tracemalloc.stop()
 
         assert peak_bytes(1000) <= peak_bytes(200) + 5 * 2**20
-
-    def test_rejects_nonpositive_tol(self):
-        # The zoom refines until its spacing drops below tol * 1e-2.
-        for bad in (0.0, -1e-8, np.nan):
-            with pytest.raises(ValueError, match="tol"):
-                hardy_optimize(grid=10, tol=bad)
 
 
 class TestNoSignalling:
