@@ -65,6 +65,7 @@ from .nonlocality import (
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
     GOLDEN_RATIO,
+    SETTING_NAMES,
     SETTING_PAIR_NAMES,
     TRINE_A,
     TRINE_B,
@@ -463,7 +464,7 @@ CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
 
 
 def _settings_report(settings: ChshSettings) -> dict:
-    return {name: getattr(settings, name).tolist() for name in ("a", "a_prime", "b", "b_prime")}
+    return {name: list(v) for name, v in zip(SETTING_NAMES, settings.floats)}
 
 
 def _cmd_chsh(args, rng):

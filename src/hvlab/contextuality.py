@@ -104,7 +104,10 @@ def load_rays(path) -> np.ndarray:
             parts = stripped.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 components, got {len(parts)}")
-            rays.append(canonical_ray([float(p) for p in parts]))
+            try:
+                rays.append(canonical_ray([float(p) for p in parts]))
+            except ValueError as exc:  # float()'s and canonical_ray's messages name neither file nor line
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rays:
         raise ValueError(f"{path}: no rays found")
     return np.array(rays)

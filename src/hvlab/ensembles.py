@@ -147,16 +147,14 @@ def dispersion_free_witness(rho) -> np.ndarray:
     rho = assert_density_operator(rho)
     if rho.shape[0] < 2:
         raise ValueError("witness needs dimension >= 2")
-    evals, evecs = np.linalg.eigh(rho)
-    order = np.argsort(evals)[::-1]
-    top = evecs[:, order[0]]
-    second = evecs[:, order[1]]
+    evals, evecs = np.linalg.eigh(rho)  # ascending
+    top, second = evecs[:, -1], evecs[:, -2]
     for phi in (np.cos(np.pi / 4) * top + np.sin(np.pi / 4) * second, top):
         val = float(np.vdot(phi, rho @ phi).real)
         if WITNESS_EPSILON < val < 1.0 - WITNESS_EPSILON:
             return phi
     raise ValueError(
-        f"no dispersion witness exists: the largest eigenvalue {evals[order[0]]:.6g} is at most "
+        f"no dispersion witness exists: the largest eigenvalue {evals[-1]:.6g} is at most "
         f"eps = {WITNESS_EPSILON}, and every <phi|rho|phi> is at most the largest eigenvalue"
     )
 

@@ -52,7 +52,9 @@ TRINE_C = np.array([-0.5, -np.sqrt(3.0) / 2.0, 0.0])
 
 BELL_ORIGINAL_BOUND = 1.0
 
-# Names of the four CHSH setting pairs, in the order `ChshSettings.pairs` gives them.
+# Names of the four directions, in `ChshSettings.floats` order, and of the four setting pairs,
+# in the order `ChshSettings.pairs` gives them.
+SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 _FLOAT = np.dtype(float)
@@ -134,22 +136,15 @@ TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
 _COMPLEX = np.dtype(complex)
 
 
-class _MemoTensor(NamedTuple):
-    array: np.ndarray  # T, read-only: shared by every caller that hits the memo
-    floats: tuple  # the rows of T as tuples of Python floats, for the scalar correlators
-
-
 @functools.lru_cache(maxsize=TENSOR_MEMO_SIZE)
-def _tensor_of_bytes(key: bytes) -> _MemoTensor:
-    """T of the state whose complex128 bytes are key; ValueError unless it is a unit vector."""
+def _tensor_of_bytes(key: bytes) -> tuple:
+    """T, as rows of Python floats, of the state whose complex128 bytes are key; ValueError unless unit."""
     psi = assert_state_vector(np.frombuffer(key, _COMPLEX))
-    tensor = (psi.conj() @ _PAULI_PAIRS @ psi).real
-    tensor.setflags(write=False)
-    return _MemoTensor(tensor, tuple(map(tuple, tensor.tolist())))
+    return tuple(map(tuple, (psi.conj() @ _PAULI_PAIRS @ psi).real.tolist()))
 
 
-def _memo_tensor(psi) -> _MemoTensor:
-    """T of psi, computed (and psi validated) once per state.
+def _memo_tensor(psi) -> tuple:
+    """The rows of T of psi, computed (and psi validated) once per state.
 
     The memo is keyed by the complex128 bytes of a 4-entry state, so an
     in-place change to psi gives a new key.  Any other size is only
@@ -167,10 +162,10 @@ def correlation_tensor(psi) -> np.ndarray:
 
     The correlator is bilinear in the settings, so P(a, b) = a . T b exactly.
     For the singlet T = -identity.  T is memoized per state (the last
-    TENSOR_MEMO_SIZE states), as a read-only array and as Python floats for
-    the scalar correlators; each call returns a fresh writable copy.
+    TENSOR_MEMO_SIZE states) as rows of Python floats, which the scalar
+    correlators contract directly; each call returns a new array built from them.
     """
-    return _memo_tensor(psi).array.copy()
+    return np.array(_memo_tensor(psi))
 
 
 def _bilinear(psi, rows, cols) -> list:
@@ -179,7 +174,7 @@ def _bilinear(psi, rows, cols) -> list:
     rows and cols are (x, y, z) triples of Python floats; plain loops, because
     per call the scalar API is a handful of 3-vectors.
     """
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi).floats
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi)
     t_cols = []
     for x, y, z in cols:
         t_cols.append((t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z))
@@ -231,7 +226,7 @@ def chsh_value(psi, settings: ChshSettings) -> float:
 def chsh_max(psi) -> float:
     """Largest CHSH value over all settings: the Horodecki value 2 sqrt(m1 + m2), m1 and m2 the two
     largest eigenvalues of T^t T (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995))."""
-    tensor = _memo_tensor(psi).array
+    tensor = correlation_tensor(psi)
     m = np.linalg.eigvalsh(tensor.T @ tensor)  # ascending
     return 2.0 * math.sqrt(m[1] + m[2])
 
@@ -366,26 +361,21 @@ def _orthogonal_2d(x, y) -> tuple:
 
 
 def _hardy_fields(p1, p2) -> tuple:
-    """The Hardy arithmetic on floats or broadcast arrays of parameters in (0, 1).
+    """The Hardy arithmetic up to p, on floats or broadcast arrays of parameters in (0, 1).
 
-    Returns (components, p, residuals): the twelve amplitudes of psi, u1',
-    v1', u2', v2' in that order, p, and the three condition residuals.
-    Floats and arrays run the same operations, so a point and a grid entry
-    agree bit for bit.
+    Returns (a01, a10, a11, v1x, v1y, v2x, v2y, p): the amplitudes of psi on
+    |u,v>, |v,u>, |v,v> (that on |u,u> is 0), v1', v2' and p.  Floats and arrays
+    run the same operations, so a point and a grid entry agree bit for bit.
     """
     norm = _sqrt(1.0 - p1 * p2)
     # Amplitudes a_j1j2 of |j1, j2> with u = |0>, v = |1>.
-    a00 = 0.0 * norm
     a01 = -_sqrt(p1 * (1.0 - p2)) / norm
     a10 = -_sqrt(p2 * (1.0 - p1)) / norm
     a11 = _sqrt((1.0 - p1) * (1.0 - p2)) / norm
     v2x, v2y = _orthogonal_2d(a10, a11)
     v1x, v1y = _orthogonal_2d(a01, a11)
-    overlap = v1x * (v2x * a00 + v2y * a01) + v1y * (v2x * a10 + v2y * a11)
-    # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
-    residuals = abs(a00), abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
-    u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
-    return (a00, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), overlap * overlap, residuals
+    overlap = v1x * (v2y * a01) + v1y * (v2x * a10 + v2y * a11)
+    return a01, a10, a11, v1x, v1y, v2x, v2y, overlap * overlap
 
 
 def hardy_build(p1: float, p2: float) -> HardyConstruction:
@@ -396,23 +386,26 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     whose squared coefficients sum to 1 - p1 p2, so dividing by
     sqrt(1 - p1 p2) normalizes it exactly.  v2' is the unique direction
     with <v, v2'|psi> = 0, v1' the unique direction with <v1', v|psi> = 0;
-    u' completes each primed basis.  p = |<v1', v2'|psi>|^2.  The arithmetic
-    runs on Python floats, the same operations as the grid scan's, and the
-    five vectors are views of one complex array of twelve amplitudes.
+    u' completes each primed basis.  p = |<v1', v2'|psi>|^2 is the grid scan's
+    arithmetic run on Python floats; u1', u2' and the three condition residuals
+    are derived here only, and the five vectors are views of one complex array.
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-    components, p, residuals = _hardy_fields(float(p1), float(p2))
+    a01, a10, a11, v1x, v1y, v2x, v2y, p = _hardy_fields(float(p1), float(p2))
+    # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
+    residuals = 0.0, abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise AssertionError("jointly primed probability vanished")
-    vec = np.array(components, dtype=complex)
+    u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
+    vec = np.array((0.0, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), dtype=complex)
     return HardyConstruction(vec[:4], vec[4:6], vec[6:8], vec[8:10], vec[10:12], p, residuals)
 
 
 _HARDY_ZOOM_POINTS = 41
-# Grid points whose p is computed at once: about 200 bytes of intermediates each, so about 3 MB.
+# Grid points whose p is computed at once: about 100 bytes of intermediates each, so about 1.6 MB.
 _HARDY_BLOCK_POINTS = BATCH_PAIRS // 4
 
 
@@ -428,7 +421,7 @@ def _hardy_grid_argmax(axis1: np.ndarray, axis2: np.ndarray) -> np.ndarray:
     best_p, best = -np.inf, 0
     for start in range(0, size, _HARDY_BLOCK_POINTS):
         k = np.arange(start, min(start + _HARDY_BLOCK_POINTS, size))
-        p = _hardy_fields(axis1[k // n2], axis2[k % n2])[1]
+        p = _hardy_fields(axis1[k // n2], axis2[k % n2])[-1]
         i = int(np.argmax(p))
         if p[i] > best_p:
             best_p, best = p[i], start + i

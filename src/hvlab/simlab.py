@@ -25,7 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .hvmodels import BATCH_PAIRS, chsh_combination, count_correlator, sgn
-from .nonlocality import CHSH_LHV_BOUND, SETTING_PAIR_NAMES, ChshSettings, chsh_correlators, singlet_state
+from .nonlocality import (
+    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, ChshSettings, chsh_correlators, singlet_state
+)
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
@@ -114,7 +116,8 @@ STRATEGIES: dict[str, Callable[[], LhvStrategy]] = {
 class SimReport:
     """Estimates and errors for one simulation campaign.
 
-    `pairs_per_setting` holds n_k for each setting pair, so each stderr is
+    `settings` is the campaign's `ChshSettings.floats`: (x, y, z) of a, a',
+    b and b' as Python floats.  `pairs_per_setting` holds n_k for each setting pair, so each stderr is
     sqrt((1 - E_k^2) / (n_k - 1)) with E_k from `correlators`, and S's model
     standard error, which cannot collapse to 0, is `s_model_stderr` =
     sqrt(sum_k (1 - q_k^2) / n_k), q_k from `expected_correlators` (0 if None).
@@ -154,7 +157,7 @@ def _summarize(n_k, plus_k, settings, source, seed, visibility, q=None):
         n_pairs=int(n_k.sum()),
         seed=seed,
         visibility=visibility,
-        settings=tuple(tuple(v) for v in (settings.a, settings.a_prime, settings.b, settings.b_prime)),
+        settings=settings.floats,
         pairs_per_setting=dict(zip(SETTING_PAIR_NAMES, map(int, n_k))),
         correlators=dict(zip(SETTING_PAIR_NAMES, map(float, est))),
         stderrs=dict(zip(SETTING_PAIR_NAMES, map(float, err))),
@@ -235,7 +238,7 @@ def load_config(path) -> ExperimentConfig:
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             raw[key] = value
-    required = {"source", "n_pairs", "visibility", "seed", "a", "a_prime", "b", "b_prime"}
+    required = {"source", "n_pairs", "visibility", "seed", *SETTING_NAMES}
     missing = required - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
@@ -243,33 +246,34 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
 
-    def vec(key):
-        parts = raw[key].split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: key {key} must be a 3-vector")
-        return np.array([float(p) for p in parts])
+    def parse(key, convert, what):
+        try:
+            return convert(raw[key])
+        except ValueError:  # int()'s and float()'s own messages name neither the file nor the key
+            raise ValueError(f"{path}: key {key} must be {what}, got {raw[key]!r}") from None
 
-    settings = ChshSettings(a=vec("a"), a_prime=vec("a_prime"), b=vec("b"), b_prime=vec("b_prime"))
+    def vec(text):
+        parts = [float(p) for p in text.split()]
+        if len(parts) != 3:
+            raise ValueError
+        return parts
+
     return ExperimentConfig(
-        settings=settings,
-        n_pairs=int(raw["n_pairs"]),
-        visibility=float(raw["visibility"]),
-        seed=int(raw["seed"]),
+        settings=ChshSettings(*(parse(key, vec, "a 3-vector of numbers") for key in SETTING_NAMES)),
+        n_pairs=parse("n_pairs", int, "an integer"),
+        visibility=parse("visibility", float, "a number"),
+        seed=parse("seed", int, "an integer"),
         source=raw["source"],
     )
 
 
 def save_config(path, config: ExperimentConfig) -> None:
-    s = config.settings
     lines = [
         f"source = {config.source}",
         f"n_pairs = {config.n_pairs}",
         f"visibility = {config.visibility}",
         f"seed = {config.seed}",
-        f"a = {s.a[0]} {s.a[1]} {s.a[2]}",
-        f"a_prime = {s.a_prime[0]} {s.a_prime[1]} {s.a_prime[2]}",
-        f"b = {s.b[0]} {s.b[1]} {s.b[2]}",
-        f"b_prime = {s.b_prime[0]} {s.b_prime[1]} {s.b_prime[2]}",
+        *(f"{key} = {x} {y} {z}" for key, (x, y, z) in zip(SETTING_NAMES, config.settings.floats)),
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

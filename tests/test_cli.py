@@ -19,6 +19,17 @@ from hvlab.nonlocality import optimal_chsh_settings
 from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block after `heading` in the README."""
+    text = README.read_text()
+    text = text[text.index(heading) :]
+    start = text.index("\n", text.index("```")) + 1
+    return text[start : text.index("```", start)]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -121,6 +132,16 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["satisfiable"] is True
         assert sorted(report["outputs"]["coloring"]) == [0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "heading, argv",
+        [("### Ray files", ("ks-color", "--rays")), ("### Experiment configs", ("simulate", "--config"))],
+        ids=["rays", "config"],
+    )
+    def test_readme_file_example_runs(self, capsys, tmp_path, heading, argv):
+        path = tmp_path / "example.txt"
+        path.write_text(readme_block(heading))
+        assert run(capsys, *argv, str(path), "--quiet") == (0, "", "")
 
     def test_mermin(self, capsys):
         code, report = run_json(capsys, "mermin")
@@ -674,6 +695,37 @@ class TestErrors:
         assert out == ""
         assert err.startswith("ks-color:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("n_pairs", "1e6", "key n_pairs must be an integer, got '1e6'"),
+            ("seed", "1.5", "key seed must be an integer, got '1.5'"),
+            ("visibility", "high", "key visibility must be a number, got 'high'"),
+            ("a", "0 x 0", "key a must be a 3-vector of numbers, got '0 x 0'"),
+        ],
+        ids=["n_pairs", "seed", "visibility", "a"],
+    )
+    def test_config_value_error_names_file_and_key(self, capsys, tmp_path, key, text, message):
+        path = tmp_path / "exp.cfg"
+        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
+        lines = [f"{key} = {text}" if line.startswith(f"{key} = ") else line for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"simulate: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("1 0 x", "could not convert string to float: 'x'"), ("0 0 0", "ray must have a finite length")],
+        ids=["text", "zero"],
+    )
+    def test_ray_line_error_names_file_and_line(self, capsys, tmp_path, line, message):
+        path = tmp_path / "rays.txt"
+        path.write_text(f"# axes\n1 0 0\n{line}\n0 0 1\n")
+        code, out, err = run(capsys, "ks-color", "--rays", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ks-color: {path}:3: {message}") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,6 +16,7 @@ from hvlab.nonlocality import (
     ChshSettings,
     _hardy_fields,
     _hardy_grid_argmax,
+    _orthogonal_2d,
     _tensor_of_bytes,
     bell_correlators,
     bell_original_lhs,
@@ -177,9 +178,10 @@ class TestTensorMemo:
         rng = np.random.default_rng(50)
         for psi in [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(20)]:
             memo = _tensor_of_bytes(np.asarray(psi, dtype=complex).tobytes())
-            assert not memo.array.flags.writeable
-            assert list(map(list, memo.floats)) == correlation_tensor(psi).tolist()
-            assert all(type(t) is float for row in memo.floats for t in row)
+            # T is kept once, as three rows of three Python floats: the bits of the uncached tensor
+            assert type(memo) is tuple and [type(row) for row in memo] == [tuple] * 3
+            assert all(type(t) is float for row in memo for t in row)
+            assert list(map(list, memo)) == uncached_tensor(psi).tolist() == correlation_tensor(psi).tolist()
 
     def test_values_survive_eviction(self):
         rng = np.random.default_rng(51)
@@ -490,9 +492,13 @@ class TestHardyBuild:
 
     @staticmethod
     def _batch(p1, p2):
-        """`_hardy_fields` on arrays, with hardy_build's field names: vectors and residuals on the last axis."""
-        components, p, residuals = _hardy_fields(p1, p2)
-        vec = np.stack(components, axis=-1)
+        """`_hardy_fields` on arrays, with hardy_build's field names: u1', u2' and the residuals
+        derived here as hardy_build derives them, vectors and residuals on the last axis."""
+        a01, a10, a11, v1x, v1y, v2x, v2y, p = _hardy_fields(p1, p2)
+        zero = np.zeros_like(a01)
+        u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
+        vec = np.stack([zero, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y], axis=-1)
+        residuals = zero, abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
         return SimpleNamespace(
             psi=vec[..., :4], u1_prime=vec[..., 4:6], v1_prime=vec[..., 6:8], u2_prime=vec[..., 8:10],
             v2_prime=vec[..., 10:12], p=p, condition_residuals=np.stack(residuals, axis=-1),
@@ -562,7 +568,7 @@ class TestHardyOptimize:
         for grid in (100, 317, 1000):
             axis = np.arange(1, grid + 1) / (grid + 1.0)
             # p of every grid point, one row per call: elementwise, so equal to one full-grid batch
-            full = np.array([_hardy_fields(np.full(grid, x), axis)[1] for x in axis])
+            full = np.array([_hardy_fields(np.full(grid, x), axis)[-1] for x in axis])
             i, j = np.unravel_index(np.argmax(full), full.shape)
             assert _hardy_grid_argmax(axis, axis).tolist() == [axis[i], axis[j]]
 
@@ -570,17 +576,17 @@ class TestHardyOptimize:
         axis1, axis2 = np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 5)
         monkeypatch.setattr(nonlocality, "_HARDY_BLOCK_POINTS", 10)  # two rows per block, one in the last
         # every row peaks at the same column: the tie goes to the first row
-        monkeypatch.setattr(nonlocality, "_hardy_fields", lambda q1, q2: ((), (q2 == axis2[3]) + 0.0, ()))
+        monkeypatch.setattr(nonlocality, "_hardy_fields", lambda q1, q2: ((q2 == axis2[3]) + 0.0,))  # p only
         assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[0], axis2[3]]
         # a single peak in the last, partial block is found
         monkeypatch.setattr(
-            nonlocality, "_hardy_fields", lambda q1, q2: ((), (q1 == axis1[6]) * (q2 == axis2[1]) + 0.0, ())
+            nonlocality, "_hardy_fields", lambda q1, q2: ((q1 == axis1[6]) * (q2 == axis2[1]) + 0.0,)
         )
         assert _hardy_grid_argmax(axis1, axis2).tolist() == [axis1[6], axis2[1]]
 
     def test_blocks_shorter_than_a_row(self, monkeypatch):
         axis1, axis2 = np.linspace(0.05, 0.95, 11), np.linspace(0.1, 0.9, 13)
-        full = _hardy_fields(*np.meshgrid(axis1, axis2, indexing="ij"))[1]
+        full = _hardy_fields(*np.meshgrid(axis1, axis2, indexing="ij"))[-1]
         i, j = np.unravel_index(np.argmax(full), full.shape)
         sizes = []
 

@@ -13,6 +13,7 @@ from hvlab.nonlocality import (
     optimal_chsh_settings,
     singlet_state,
 )
+from hvlab.qmath import random_unit3
 from hvlab.simlab import (
     ExperimentConfig,
     LhvStrategy,
@@ -298,15 +299,21 @@ class TestConfig:
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "experiment.cfg"
-        config = make_config(n_pairs=123, visibility=0.75, seed=99)
-        save_config(path, config)
-        loaded = load_config(path)
-        assert loaded.n_pairs == 123
-        assert loaded.visibility == 0.75
-        assert loaded.seed == 99
-        assert loaded.source == "singlet"
-        assert np.allclose(loaded.settings.a, config.settings.a)
-        assert simulate_chsh(loaded) == simulate_chsh(config)
+        rng = np.random.default_rng(53)
+        random_settings = [ChshSettings(*(random_unit3(rng) for _ in range(4))) for _ in range(20)]
+        for settings in [optimal_chsh_settings(), *random_settings]:
+            config = make_config(settings=settings, n_pairs=123, visibility=0.75, seed=99)
+            save_config(path, config)
+            loaded = load_config(path)
+            assert loaded.n_pairs == 123
+            assert loaded.visibility == 0.75
+            assert loaded.seed == 99
+            assert loaded.source == "singlet"
+            assert loaded.settings.floats == config.settings.floats  # the same bits, not only close
+            report = simulate_chsh(loaded)
+            assert report == simulate_chsh(config)
+            assert report.settings == settings.floats
+            assert all(type(x) is float for v in report.settings for x in v)
 
     def test_file_with_comments(self, tmp_path):
         path = tmp_path / "experiment.cfg"
