@@ -1,19 +1,13 @@
-"""Command-line front end: every verification as a subcommand.
+"""Subcommand handlers: each verification as a report with recomputable claims.
 
-Reports are JSON (canonical) or CSV (flat name,value projection) on stdout.
-Each report carries the inputs, the computed numbers, and a list of claims
-whose pass/fail is recomputable from the numbers in the same report.  Exit
-codes: 0 all claims pass, 1 a declared bound or claim failed, 2 input error.
-All numbers are printed with 9 significant digits; for a fixed argv
-(including seed) the JSON output is byte-identical apart from wall_time_s.
-Every subcommand takes --format, --seed and --quiet; --tol and --samples
-belong only to the subcommands that read them, each with its own default;
-an option a subcommand does not take exits 2.
+`run` takes the options that `hvlab.options` parsed and checked, calls the
+subcommand's handler and prints its report; `main(argv)` is the in-process
+entry, the same parse and run as the console script.  The library calls are
+imported here at module level, so `import hvlab.cli` loads every module.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -22,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import options
 from .qmath import (
     ID2,
     PAULIS,
@@ -169,97 +163,27 @@ def _emit(report: dict, fmt: str, quiet: bool) -> int:
     return 0 if report["verdict"] == "PASS" else 1
 
 
-def _at_least_one(count: int, option: str) -> int:
-    """A run over zero trials or samples would pass on no evidence."""
-    if count < 1:
-        raise ValueError(f"{option} must be at least 1, got {count}")
-    return count
+def _scaled(parts) -> np.ndarray:
+    """parts, not all zero, times the power of two that brings the largest into [1/2, 1): exact
+    (bar subnormals), and the norm taken afterwards can neither overflow nor underflow."""
+    return np.ldexp(parts, -math.frexp(max(abs(p) for p in parts))[1])
 
 
-# Largest accepted sizes, checked before anything is allocated: dispersion holds every step's
-# state, chsh --optimize iterates four settings per restart, hardy --optimize holds each grid
-# axis and scans grid^2 points.
-MAX_STEPS = 10**6
-MAX_RESTARTS = 10**5
-MAX_GRID = 10**4
-
-
-def _at_most(count: int, limit: int, option: str) -> int:
-    if count > limit:
-        raise ValueError(f"{option} must be at most {limit}, got {count}")
-    return count
-
-
-def _finite(text: str, option: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:  # float()'s own message names neither the option nor its text
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{option} must be a finite number, got {text!r}")
-    return value
-
-
-def _finite_components(text: str, option: str) -> list[float]:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:  # float()'s own message names neither the option nor its text
-        raise ValueError(f"{option} must be comma-separated numbers, got {text!r}") from None
-    if not all(np.isfinite(parts)):
-        raise ValueError(f"{option} components must be finite, got {text!r}")
-    return parts
-
-
-def _vec3(text: str, option: str) -> np.ndarray:
-    parts = _finite_components(text, option)
-    if len(parts) != 3:
-        raise ValueError(f"{option} expects three comma-separated components, got {text!r}")
-    return np.array(parts)
-
-
-def _scaled(parts, what: str) -> np.ndarray:
-    """parts times the power of two that brings the largest into [1/2, 1): exact (bar
-    subnormals), and the norm taken afterwards can neither overflow nor underflow."""
-    largest = max(abs(p) for p in parts)
-    if largest == 0:
-        raise ValueError(f"{what} cannot be the zero vector")
-    return np.ldexp(parts, -math.frexp(largest)[1])
-
-
-def _unit3(text: str, option: str) -> np.ndarray:
-    v = _scaled(_vec3(text, option), option)
+def _unit(parts) -> np.ndarray:
+    v = _scaled(parts)
     return v / np.linalg.norm(v)
 
 
-def _option(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
-def _directions(args, *dests: str):
+def _units(args, *dests: str):
     """Unit vectors from the named direction options, or None if none is given."""
-    texts = [getattr(args, dest) for dest in dests]
-    if all(text is None for text in texts):
+    if getattr(args, dests[0]) is None:  # the parser took all or none
         return None
-    if any(text is None for text in texts):
-        raise ValueError(f"provide all of {', '.join(map(_option, dests))} or none")
-    return [_unit3(text, _option(dest)) for text, dest in zip(texts, dests)]
+    return [_unit(getattr(args, dest)) for dest in dests]
 
 
-def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
-    """Reject the options `mode` does not read (given ones are not None); default the rest."""
-    for dest in unused:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"{_option(dest)} has no effect {mode}")
-    for dest, default in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-
-
-def _parse_psi(text: str) -> np.ndarray:
-    parts = _finite_components(text, "--psi")
-    if len(parts) % 2 != 0:
-        raise ValueError(f"--psi must be re,im pairs, got {text!r}")
-    scaled = _scaled(parts, "--psi")
+def _state(parts) -> np.ndarray:
+    """The state vector of the re,im pairs of --psi, normalized."""
+    scaled = _scaled(parts)
     vec = scaled[0::2] + 1j * scaled[1::2]
     return vec / np.linalg.norm(vec)
 
@@ -268,11 +192,11 @@ def _parse_psi(text: str) -> np.ndarray:
 # subcommand handlers: each returns (inputs, outputs, claims, tolerances)
 
 
-def _cmd_vn_reconstruct(args, rng):
-    trials = _at_least_one(args.trials, "--trials")
+def _cmd_vn_reconstruct(args):
+    rng = np.random.default_rng(args.seed)
     max_err = 0.0
     witness_lo, witness_hi = 1.0, 0.0
-    for _ in range(trials):
+    for _ in range(args.trials):
         rho = random_density(rng, args.dim)
         rebuilt = reconstruct_density(oracle_from_density(rho))
         max_err = max(max_err, float(np.max(np.abs(rebuilt - rho))))
@@ -280,7 +204,7 @@ def _cmd_vn_reconstruct(args, rng):
         val = float(np.vdot(phi, rho @ phi).real)
         witness_lo = min(witness_lo, val)
         witness_hi = max(witness_hi, val)
-    inputs = {"dim": args.dim, "trials": trials}
+    inputs = {"dim": args.dim, "trials": args.trials}
     outputs = {
         "max_reconstruction_error": max_err,
         "witness_value_min": witness_lo,
@@ -294,11 +218,11 @@ def _cmd_vn_reconstruct(args, rng):
     return inputs, outputs, claims, {"entrywise": args.tol, "witness_epsilon": 0.01}
 
 
-def _cmd_dispersion(args, rng):
-    rho = random_density(rng, args.dim)
+def _cmd_dispersion(args):
+    rho = random_density(np.random.default_rng(args.seed), args.dim)
     evals, evecs = np.linalg.eigh(rho)
     phi1, phi2 = evecs[:, -1], evecs[:, 0]
-    thetas, values = dispersion_scan(rho, phi1, phi2, _at_most(args.steps, MAX_STEPS, "--steps"))
+    thetas, values = dispersion_scan(rho, phi1, phi2, args.steps)
     end_dev = max(
         abs(values[0] - float(np.vdot(phi1, rho @ phi1).real)),
         abs(values[-1] - float(np.vdot(phi2, rho @ phi2).real)),
@@ -325,8 +249,8 @@ def _cmd_dispersion(args, rng):
     return inputs, outputs, claims, {"endpoint": 1e-12}
 
 
-def _cmd_jauch_piron(args, rng):
-    report = jauch_piron_contradiction(_unit3(args.a_dir, "--a-dir"), _unit3(args.b_dir, "--b-dir"))
+def _cmd_jauch_piron(args):
+    report = jauch_piron_contradiction(_unit(args.a_dir), _unit(args.b_dir))
     inputs = {"a": list(report.a_hat), "b": list(report.b_hat)}
     ranks = [r for row in report.cross_ranks for r in row]
     outputs = {
@@ -341,10 +265,10 @@ def _cmd_jauch_piron(args, rng):
     return inputs, outputs, claims, {"entrywise": TAU_EQ}
 
 
-def _cmd_bell_hv(args, rng):
-    alpha = _finite(args.alpha, "--alpha")
-    psi = _parse_psi(args.psi)
-    beta = _vec3(args.beta, "--beta")
+def _cmd_bell_hv(args):
+    alpha = args.alpha
+    psi = _state(args.psi)
+    beta = np.array(args.beta)
     exact = bell_hv_average_exact(alpha, beta, psi)
     quantum = alpha + float(np.vdot(psi, sigma_dot(beta) @ psi).real)  # the matrix expectation
     estimate, stderr = bell_hv_average_mc(alpha, beta, psi, args.samples, args.seed)
@@ -373,7 +297,7 @@ def _cmd_bell_hv(args, rng):
     return inputs, outputs, claims, {"exact": args.tol, "mc_sigma": 5.0}
 
 
-def _cmd_ks_color(args, rng):
+def _cmd_ks_color(args):
     if args.peres:
         rays = peres_rays()
         source = "peres"
@@ -406,7 +330,7 @@ def _cmd_ks_color(args, rng):
     return inputs, outputs, claims, {"orthogonality": args.tol}
 
 
-def _cmd_mermin(args, rng):
+def _cmd_mermin(args):
     report = mermin_verify(mermin_square())
     search = mermin_assignment_search()
     inputs = {}
@@ -430,16 +354,11 @@ def _cmd_mermin(args, rng):
     return inputs, outputs, claims, {"entrywise": args.tol}
 
 
-def _cmd_bell(args, rng):
+def _cmd_bell(args):
     psi = singlet_state()
-    dirs = _directions(args, "a_dir", "b_dir", "c_dir")
+    dirs = _units(args, "a_dir", "b_dir", "c_dir")
     a, b, c = dirs or (TRINE_A, TRINE_B, TRINE_C)
-    try:
-        etas = tuple(int(e) for e in args.eta.split(","))
-    except ValueError:  # int()'s own message names neither the option nor its value
-        etas = ()
-    if len(etas) != 3 or not set(etas) <= {1, -1}:
-        raise ValueError(f"--eta must be three comma-separated values of +-1, got {args.eta!r}")
+    etas = args.eta
     lhs = bell_original_lhs(psi, a, b, c, *etas)
     inputs = {
         "a": [float(x) for x in a],
@@ -460,20 +379,15 @@ def _cmd_bell(args, rng):
     return inputs, outputs, claims, {"lhs": args.tol}
 
 
-CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
-
-
 def _settings_report(settings: ChshSettings) -> dict:
     return {name: list(v) for name, v in zip(SETTING_NAMES, settings.floats)}
 
 
-def _cmd_chsh(args, rng):
+def _cmd_chsh(args):
     psi = singlet_state() if args.state == "singlet" else np.array([1, 0, 0, 0], dtype=complex)
     inputs = {"state": args.state, "optimize": bool(args.optimize)}
     if args.optimize:
-        _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
-        restarts = _at_most(args.restarts, MAX_RESTARTS, "--restarts")
-        settings, s_star = chsh_optimize(psi, restarts=restarts, tol=args.tol, seed=args.seed)
+        settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=args.tol, seed=args.seed)
         inputs["restarts"] = args.restarts
         outputs = {
             "s_star": s_star,
@@ -486,8 +400,7 @@ def _cmd_chsh(args, rng):
             _claim("within_tsirelson", "le", s_star, CHSH_QUANTUM_MAX, 1e-9),
         ]
         return inputs, outputs, claims, {"optimum": args.tol, "tsirelson": 1e-9}
-    _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
-    dirs = _directions(args, *CHSH_DIRECTIONS)
+    dirs = _units(args, *options.CHSH_DIRECTIONS)
     settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
     correlators = chsh_correlators(psi, settings)
     s = chsh_combination(correlators)
@@ -505,8 +418,9 @@ def _cmd_chsh(args, rng):
     return inputs, outputs, claims, {"value": args.tol, "tsirelson": 1e-9}
 
 
-def _cmd_wigner(args, rng):
-    n = _at_least_one(args.samples, "--samples")
+def _cmd_wigner(args):
+    rng = np.random.default_rng(args.seed)
+    n = args.samples
     # the 16 one-hot weights are the deterministic models, the vertices of the weight simplex
     vertex_max = chsh_from_wigner(np.eye(16)).max()
     random_max = 0.0
@@ -530,7 +444,7 @@ def _cmd_wigner(args, rng):
     return inputs, outputs, claims, {"bound_slack": args.tol}
 
 
-def _cmd_ghz(args, rng):
+def _cmd_ghz(args):
     devs = ghz_stabilizer_deviations()
     search = ghz_assignment_search()
     flipped = ghz_assignment_search(xxx_target=1)
@@ -549,10 +463,9 @@ def _cmd_ghz(args, rng):
     return inputs, outputs, claims, {"entrywise": args.tol}
 
 
-def _cmd_hardy(args, rng):
+def _cmd_hardy(args):
     if args.optimize:
-        _mode_options(args, "with --optimize", {"grid": 100, "tol": 1e-6}, ("p1", "p2"))
-        params, p_max = hardy_optimize(grid=_at_most(args.grid, MAX_GRID, "--grid"))
+        params, p_max = hardy_optimize(grid=args.grid)
         inputs = {"optimize": True, "grid": args.grid}
         outputs = {
             "p1": params.p1,
@@ -567,7 +480,6 @@ def _cmd_hardy(args, rng):
             _claim("max_probability", "close", p_max, GOLDEN_RATIO**-5, 1e-7),
         ]
         return inputs, outputs, claims, {"argmax": args.tol, "max": 1e-7}
-    _mode_options(args, "without --optimize", {"p1": 0.5, "p2": 0.5, "tol": 1e-10}, ("grid",))
     construction = hardy_build(args.p1, args.p2)
     closed = hardy_probability(args.p1, args.p2)
     inputs = {"p1": args.p1, "p2": args.p2}
@@ -587,8 +499,9 @@ def _cmd_hardy(args, rng):
 NOSIGNAL_BLOCK = 256  # trials checked as one stack, so memory stays bounded for any --trials
 
 
-def _cmd_nosignal(args, rng):
-    trials = _at_least_one(args.trials, "--trials")
+def _cmd_nosignal(args):
+    rng = np.random.default_rng(args.seed)
+    trials = args.trials
     max_dev = 0.0
     for start in range(0, trials, NOSIGNAL_BLOCK):
         # each trial draws as it would alone: the state, then A's axis, then B's axis
@@ -605,13 +518,10 @@ def _cmd_nosignal(args, rng):
     return inputs, outputs, claims, {"deviation": args.tol}
 
 
-def _cmd_simulate(args, rng):
-    flags = {"source": "singlet", "visibility": 1.0, "samples": 10**6, "seed": 0}
+def _cmd_simulate(args):
     if args.config:
-        _mode_options(args, "with --config", {}, flags)
         config = load_config(args.config)
     else:
-        _mode_options(args, "without --config", flags)
         config = ExperimentConfig(
             settings=optimal_chsh_settings(),
             n_pairs=args.samples,
@@ -665,107 +575,12 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    unseeded = argparse.ArgumentParser(add_help=False)
-    unseeded.add_argument("--format", choices=("json", "csv"), default="json")
-    unseeded.add_argument("--quiet", action="store_true")
-    common = argparse.ArgumentParser(add_help=False, parents=[unseeded])
-    common.add_argument("--seed", type=int, default=0)
-
-    parser = argparse.ArgumentParser(prog="hvlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"hvlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
-    p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
-    p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--steps", type=int, default=1000, help=f"default 1000, at most {MAX_STEPS}")
-
-    p = sub.add_parser("jauch-piron", parents=[common], help="projector-intersection contradiction for two directions")
-    p.add_argument("--a-dir", default="0,0,1")
-    p.add_argument("--b-dir", default="1,0,0")
-
-    p = sub.add_parser("bell-hv", parents=[common], help="spin-1/2 hidden-variable model: exact and Monte Carlo averages")
-    p.add_argument("--alpha", default="0.0")
-    p.add_argument("--beta", default="1,1,0")
-    p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--peres", action="store_true")
-    group.add_argument("--rays", metavar="FILE")
-    p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("bell", parents=[common], help="original three-correlator inequality")
-    p.add_argument("--a-dir", default=None)
-    p.add_argument("--b-dir", default=None)
-    p.add_argument("--c-dir", default=None)
-    p.add_argument("--eta", default="1,1,1")
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
-    p.add_argument("--state", choices=("singlet", "product"), default="singlet")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=None, help=f"default 20, at most {MAX_RESTARTS}; only with --optimize")
-    for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
-        p.add_argument(flag, default=None, help="not with --optimize")
-    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
-
-    p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
-    p.add_argument("--samples", type=int, default=10**4)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
-    p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
-    p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
-    p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid", type=int, default=None, help=f"default 100, at most {MAX_GRID}; only with --optimize")
-    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
-
-    p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
-    p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
-    p.add_argument("--config", metavar="FILE", default=None)
-    p.add_argument("--source", default=None, help="default singlet; not with --config")
-    p.add_argument("--visibility", type=float, default=None, help="default 1.0; not with --config")
-    p.add_argument("--samples", type=int, default=None, help="default 10^6; not with --config")
-    p.add_argument("--seed", type=int, default=None, help="default 0; not with --config")
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-
+def run(args) -> int:
+    """Run the subcommand of checked options: its report on stdout and exit 0 or 1, or exit 2
+    with one line on stderr for an input error that only the library can see."""
     start = time.perf_counter()
     try:
-        tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
-        if tol is not None and not 0.0 <= tol < np.inf:  # also false for NaN
-            raise ValueError(f"--tol must be finite and non-negative, got {tol}")
-        if args.seed is not None and args.seed < 0:  # numpy's own message would not name the option
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        rng = np.random.default_rng(args.seed)
-        inputs, outputs, claims, tolerances = HANDLERS[args.command](args, rng)
+        inputs, outputs, claims, tolerances = HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
@@ -780,6 +595,11 @@ def main(argv=None) -> int:
         "wall_time_s": time.perf_counter() - start,
     }
     return _emit(report, args.format, args.quiet)
+
+
+def main(argv=None) -> int:
+    """The console script's parse and run, `options.main`, for callers in process."""
+    return options.main(argv)
 
 
 if __name__ == "__main__":

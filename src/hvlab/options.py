@@ -1,0 +1,318 @@
+"""Command-line front end: every verification as a subcommand.
+
+Reports are JSON (canonical) or CSV (flat name,value projection) on stdout.
+Each report carries the inputs, the computed numbers, and a list of claims
+whose pass/fail is recomputable from the numbers in the same report.  Exit
+codes: 0 all claims pass, 1 a declared bound or claim failed, 2 input error.
+All numbers are printed with 9 significant digits; for a fixed argv
+(including seed) the JSON output is byte-identical apart from wall_time_s.
+Every subcommand takes --format, --seed and --quiet; --tol and --samples
+belong only to the subcommands that read them, each with its own default;
+an option a subcommand does not take exits 2.
+"""
+
+# This module holds the parser and every check that reads only argv, and imports no numpy:
+# an argv error exits 2 with one line on stderr, `<subcommand>: <message>`, before any numeric
+# module loads, and only a valid argv imports `hvlab.cli` to run.  The handlers there
+# normalize and compute.
+
+from __future__ import annotations
+
+import argparse
+import math
+
+from . import __version__
+
+EPILOG = (
+    "An input error exits 2 with one line on stderr before any computation runs. "
+    "A value that starts with '-' must be given as --opt=VALUE, for example --beta=-1,0,0."
+)
+
+# Largest accepted sizes, checked before anything is allocated: dispersion holds every step's
+# state, chsh --optimize iterates four settings per restart, hardy --optimize holds each grid
+# axis and scans grid^2 points.
+MAX_STEPS = 10**6
+MAX_RESTARTS = 10**5
+MAX_GRID = 10**4
+
+# A campaign's pair count, `simulate --samples` here and `n_pairs` in `simlab`.
+MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
+MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
+
+CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
+SIMULATE_FLAGS = {"source": "singlet", "visibility": 1.0, "samples": 10**6, "seed": 0}  # not with --config
+
+
+def check_n_pairs(n_pairs: int) -> None:
+    if n_pairs < MIN_PAIRS:
+        raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
+    if n_pairs > MAX_PAIRS:
+        raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
+
+
+def _at_least_one(count: int, option: str) -> None:
+    """A run over zero trials or samples would pass on no evidence."""
+    if count < 1:
+        raise ValueError(f"{option} must be at least 1, got {count}")
+
+
+def _at_most(count: int, limit: int, option: str) -> None:
+    if count > limit:
+        raise ValueError(f"{option} must be at most {limit}, got {count}")
+
+
+def _finite(text: str, option: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # float()'s own message names neither the option nor its text
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_components(text: str, option: str) -> list[float]:
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:  # float()'s own message names neither the option nor its text
+        raise ValueError(f"{option} must be comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{option} components must be finite, got {text!r}")
+    return parts
+
+
+def _vec3(text: str, option: str) -> list[float]:
+    parts = _finite_components(text, option)
+    if len(parts) != 3:
+        raise ValueError(f"{option} expects three comma-separated components, got {text!r}")
+    return parts
+
+
+def _nonzero(parts: list[float], option: str) -> list[float]:
+    if not any(parts):
+        raise ValueError(f"{option} cannot be the zero vector")
+    return parts
+
+
+def _direction(text: str, option: str) -> list[float]:
+    """A finite nonzero 3-vector; the handler normalizes it."""
+    return _nonzero(_vec3(text, option), option)
+
+
+def _psi(text: str) -> list[float]:
+    parts = _finite_components(text, "--psi")
+    if len(parts) % 2 != 0:
+        raise ValueError(f"--psi must be re,im pairs, got {text!r}")
+    return _nonzero(parts, "--psi")
+
+
+def _eta(text: str) -> tuple:
+    try:
+        etas = tuple(int(e) for e in text.split(","))
+    except ValueError:  # int()'s own message names neither the option nor its value
+        etas = ()
+    if len(etas) != 3 or not set(etas) <= {1, -1}:
+        raise ValueError(f"--eta must be three comma-separated values of +-1, got {text!r}")
+    return etas
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _directions(args, *dests: str) -> None:
+    """All of the named direction options, each a finite nonzero 3-vector, or none of them."""
+    texts = [getattr(args, dest) for dest in dests]
+    if all(text is None for text in texts):
+        return
+    if any(text is None for text in texts):
+        raise ValueError(f"provide all of {', '.join(map(_option, dests))} or none")
+    for text, dest in zip(texts, dests):
+        setattr(args, dest, _direction(text, _option(dest)))
+
+
+def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
+    """Reject the options `mode` does not read (given ones are not None); default the rest."""
+    for dest in unused:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"{_option(dest)} has no effect {mode}")
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
+# ---------------------------------------------------------------------------
+# per-subcommand rules, each run on the parsed options and raising ValueError
+
+
+def _check_jauch_piron(args) -> None:
+    args.a_dir = _direction(args.a_dir, "--a-dir")
+    args.b_dir = _direction(args.b_dir, "--b-dir")
+
+
+def _check_bell_hv(args) -> None:
+    args.alpha = _finite(args.alpha, "--alpha")
+    args.psi = _psi(args.psi)
+    args.beta = _vec3(args.beta, "--beta")
+
+
+def _check_bell(args) -> None:
+    _directions(args, "a_dir", "b_dir", "c_dir")
+    args.eta = _eta(args.eta)
+
+
+def _check_chsh(args) -> None:
+    if args.optimize:
+        _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
+        _at_most(args.restarts, MAX_RESTARTS, "--restarts")
+    else:
+        _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
+        _directions(args, *CHSH_DIRECTIONS)
+
+
+def _check_hardy(args) -> None:
+    if args.optimize:
+        _mode_options(args, "with --optimize", {"grid": 100, "tol": 1e-6}, ("p1", "p2"))
+        _at_most(args.grid, MAX_GRID, "--grid")
+    else:
+        _mode_options(args, "without --optimize", {"p1": 0.5, "p2": 0.5, "tol": 1e-10}, ("grid",))
+
+
+def _check_simulate(args) -> None:
+    if args.config:
+        _mode_options(args, "with --config", {}, SIMULATE_FLAGS)
+    else:
+        _mode_options(args, "without --config", SIMULATE_FLAGS)
+        check_n_pairs(args.samples)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's errors as one line, `<subcommand>: <message>` (`hvlab: ...` before one)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog.rsplit(' ', 1)[-1]}: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    unseeded = _Parser(add_help=False)
+    unseeded.add_argument("--format", choices=("json", "csv"), default="json")
+    unseeded.add_argument("--quiet", action="store_true")
+    unseeded.set_defaults(check=lambda args: None)  # argparse's types and choices settle the rest
+    common = _Parser(add_help=False, parents=[unseeded])
+    common.add_argument("--seed", type=int, default=0)
+
+    parser = _Parser(prog="hvlab", description=__doc__, epilog=EPILOG)
+    parser.add_argument("--version", action="version", version=f"hvlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
+    p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(check=lambda args: _at_least_one(args.trials, "--trials"))
+
+    p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
+    p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
+    p.add_argument("--steps", type=int, default=1000, help=f"default 1000, at most {MAX_STEPS}")
+    p.set_defaults(check=lambda args: _at_most(args.steps, MAX_STEPS, "--steps"))
+
+    p = sub.add_parser("jauch-piron", parents=[common], help="projector-intersection contradiction for two directions")
+    p.add_argument("--a-dir", default="0,0,1")
+    p.add_argument("--b-dir", default="1,0,0")
+    p.set_defaults(check=_check_jauch_piron)
+
+    p = sub.add_parser("bell-hv", parents=[common], help="spin-1/2 hidden-variable model: exact and Monte Carlo averages")
+    p.add_argument("--alpha", default="0.0")
+    p.add_argument("--beta", default="1,1,0")
+    p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
+    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(check=_check_bell_hv)
+
+    p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--peres", action="store_true")
+    group.add_argument("--rays", metavar="FILE")
+    p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
+    p.add_argument("--tol", type=float, default=1e-9)
+
+    p = sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
+    p.add_argument("--tol", type=float, default=1e-12)
+
+    p = sub.add_parser("bell", parents=[common], help="original three-correlator inequality")
+    p.add_argument("--a-dir", default=None)
+    p.add_argument("--b-dir", default=None)
+    p.add_argument("--c-dir", default=None)
+    p.add_argument("--eta", default="1,1,1")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(check=_check_bell)
+
+    p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
+    p.add_argument("--state", choices=("singlet", "product"), default="singlet")
+    p.add_argument("--optimize", action="store_true")
+    p.add_argument("--restarts", type=int, default=None, help=f"default 20, at most {MAX_RESTARTS}; only with --optimize")
+    for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
+        p.add_argument(flag, default=None, help="not with --optimize")
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
+    p.set_defaults(check=_check_chsh)
+
+    p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
+    p.add_argument("--samples", type=int, default=10**4)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.set_defaults(check=lambda args: _at_least_one(args.samples, "--samples"))
+
+    p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
+    p.add_argument("--tol", type=float, default=1e-12)
+
+    p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
+    p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
+    p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
+    p.add_argument("--optimize", action="store_true")
+    p.add_argument("--grid", type=int, default=None, help=f"default 100, at most {MAX_GRID}; only with --optimize")
+    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
+    p.set_defaults(check=_check_hardy)
+
+    p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.set_defaults(check=lambda args: _at_least_one(args.trials, "--trials"))
+
+    # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
+    p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
+    p.add_argument("--config", metavar="FILE", default=None)
+    p.add_argument("--source", default=None, help="default singlet; not with --config")
+    p.add_argument("--visibility", type=float, default=None, help="default 1.0; not with --config")
+    p.add_argument("--samples", type=int, default=None, help="default 10^6; not with --config")
+    p.add_argument("--seed", type=int, default=None, help="default 0; not with --config")
+    p.set_defaults(check=_check_simulate)
+
+    return parser
+
+
+def parse(argv=None) -> argparse.Namespace:
+    """The checked options of argv; SystemExit (2, after one line on stderr) if no run can take them."""
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    try:
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
+        if tol is not None and not 0.0 <= tol < math.inf:  # also false for NaN
+            raise ValueError(f"--tol must be finite and non-negative, got {tol}")
+        if args.seed is not None and args.seed < 0:  # numpy's own message would not name the option
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        args.check(args)
+    except ValueError as exc:
+        parser.exit(2, f"{args.command}: {exc}\n")
+    return args
+
+
+def main(argv=None) -> int:
+    """The console script and `python -m hvlab`: check argv, then load the library and run it."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:  # an input error, --help or --version
+        return int(exc.code) if exc.code is not None else 0
+    from .cli import run
+
+    return run(args)

@@ -108,8 +108,10 @@ def eig_herm2(h) -> tuple[float, float]:
     mat = assert_hermitian(h)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got {mat.shape}")
-    m = (mat[0, 0].real + mat[1, 1].real) / 2.0
-    d = (mat[0, 0].real - mat[1, 1].real) / 2.0
+    # each entry halved first, exactly, so a sum near the largest float does not overflow
+    h00, h11 = mat[0, 0].real / 2.0, mat[1, 1].real / 2.0
+    m = h00 + h11
+    d = h00 - h11
     q = np.hypot(d, abs(mat[0, 1]))
     return (m + q, m - q)
 

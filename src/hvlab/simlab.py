@@ -26,20 +26,19 @@ import numpy as np
 
 from .hvmodels import BATCH_PAIRS, chsh_combination, count_correlator, sgn
 from .nonlocality import (
-    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, ChshSettings, chsh_correlators, singlet_state
+    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, ChshSettings, _unit_floats, chsh_correlators, singlet_state
 )
+from .options import check_n_pairs
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
-MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
-MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
 
+class ConfigError(ValueError):
+    """A config field outside its domain; `key` names the field, as in a config file."""
 
-def _check_n_pairs(n_pairs: int) -> None:
-    if n_pairs < MIN_PAIRS:
-        raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
-    if n_pairs > MAX_PAIRS:
-        raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -51,18 +50,23 @@ class ExperimentConfig:
     source: str = "singlet"  # "singlet" or "lhv:<strategy name>"
 
     def __post_init__(self):
-        _check_n_pairs(self.n_pairs)
+        try:
+            check_n_pairs(self.n_pairs)
+        except ValueError as exc:
+            raise ConfigError("n_pairs", str(exc)) from None
         if self.seed < 0:  # numpy's own message would not name the seed
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError("seed", f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility {self.visibility} outside [0, 1]")
+            raise ConfigError("visibility", f"visibility {self.visibility} outside [0, 1]")
         if self.source != "singlet" and not self.source.startswith("lhv:"):
-            raise ValueError(f"unknown source {self.source!r}")
+            raise ConfigError("source", f"unknown source {self.source!r}")
         name = self.source.removeprefix("lhv:")
         if self.source != "singlet" and name not in STRATEGIES:
-            raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
+            raise ConfigError("source", f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
         if self.source != "singlet" and self.visibility != 1.0:
-            raise ValueError(f"visibility is for the singlet source only; {self.source} got {self.visibility}")
+            raise ConfigError(
+                "visibility", f"visibility is for the singlet source only; {self.source} got {self.visibility}"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
     Lambdas are drawn from one generator in batches of `BATCH_PAIRS`, and
     only the +1 counts are kept, so memory does not grow with `n_pairs`.
     """
-    _check_n_pairs(n_pairs)
+    check_n_pairs(n_pairs)
     rng = np.random.default_rng(seed)
     plus_k = np.zeros(4, dtype=np.int64)
     for start in range(0, n_pairs, BATCH_PAIRS):
@@ -216,6 +220,7 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
                 if not np.all(np.abs(vals) == 1.0):
                     raise ValueError(f"strategy {strategy.name!r} returned {name} values outside +-1")
             plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
+        del lams, lams_k, outcomes_a, outcomes_b, vals  # freed before the next batch is drawn
     return _summarize(_pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0)
 
 
@@ -258,13 +263,23 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError
         return parts
 
-    return ExperimentConfig(
-        settings=ChshSettings(*(parse(key, vec, "a 3-vector of numbers") for key in SETTING_NAMES)),
-        n_pairs=parse("n_pairs", int, "an integer"),
-        visibility=parse("visibility", float, "a number"),
-        seed=parse("seed", int, "an integer"),
-        source=raw["source"],
-    )
+    def unit(key, vector):
+        try:
+            return _unit_floats(vector)[0]
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+
+    vectors = [parse(key, vec, "a 3-vector of numbers") for key in SETTING_NAMES]
+    try:
+        return ExperimentConfig(
+            settings=ChshSettings(*map(unit, SETTING_NAMES, vectors)),
+            n_pairs=parse("n_pairs", int, "an integer"),
+            visibility=parse("visibility", float, "a number"),
+            seed=parse("seed", int, "an integer"),
+            source=raw["source"],
+        )
+    except ConfigError as exc:  # a value that parses but is outside its domain
+        raise ValueError(f"{path}: key {exc.key}: {exc}") from None
 
 
 def save_config(path, config: ExperimentConfig) -> None:

@@ -12,6 +12,7 @@ import pytest
 
 import hvlab
 import hvlab.cli
+import hvlab.options
 from hvlab.cli import evaluate_claim, main
 from hvlab.hvmodels import chsh_combination, chsh_from_wigner, wigner_correlators
 from hvlab.simlab import ExperimentConfig, save_config
@@ -77,6 +78,14 @@ class TestSubcommands:
         beta_len = (out["eigenvalues"][0] - out["eigenvalues"][1]) / 2.0
         m = out["exact_average"] - report["inputs"]["alpha"]
         assert math.isclose(out["mc_model_stderr"], math.sqrt((beta_len**2 - m**2) / 100), rel_tol=1e-7)
+
+    @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
+    def test_bell_hv_alpha_near_the_largest_float(self, capsys, alpha):
+        # the eigenvalues alpha +- |beta| once overflowed in the diagonal sum, and the claim's tol read NaN
+        code, report = run_json(capsys, "bell-hv", f"--alpha={alpha}", "--samples=100")
+        assert code == 0
+        assert report["outputs"]["eigenvalues"] == [float(alpha)] * 2  # |beta| is below alpha's ulp
+        assert all(math.isfinite(c[key]) for c in report["claims"] for key in ("value", "target", "tol"))
 
     @pytest.mark.parametrize("sigmas, want_code", [(4.0, 0), (6.0, 1)])
     def test_bell_hv_claim_width_is_five_model_sigmas(self, capsys, monkeypatch, sigmas, want_code):
@@ -641,7 +650,7 @@ class TestErrors:
     )
     def test_size_above_its_limit_exits_2(self, capsys, monkeypatch, argv, limit, option):
         # the limit is lowered so that a missing check would still run a small case
-        monkeypatch.setattr(hvlab.cli, limit, 10)
+        monkeypatch.setattr(hvlab.options, limit, 10)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -654,7 +663,7 @@ class TestErrors:
         code, out, err = run(capsys, "simulate", "--config", str(path))
         assert code == 2
         assert out == ""
-        assert err == "simulate: seed must be non-negative, got -1\n"
+        assert err == f"simulate: {path}: key seed: seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("psi", ["nan,0,0,0", "inf,0,0,0"], ids=["nan", "inf"])
     def test_non_finite_state_exits_2(self, capsys, psi):
@@ -703,8 +712,12 @@ class TestErrors:
             ("seed", "1.5", "key seed must be an integer, got '1.5'"),
             ("visibility", "high", "key visibility must be a number, got 'high'"),
             ("a", "0 x 0", "key a must be a 3-vector of numbers, got '0 x 0'"),
+            ("b", "0.70710678 0.70710678 0", "key b: setting must be a unit vector, |v| = 0.9999999983219684"),
+            ("n_pairs", "5", "key n_pairs: n_pairs must be at least 8 (two per setting pair), got 5"),
+            ("visibility", "1.5", "key visibility: visibility 1.5 outside [0, 1]"),
+            ("source", "lhv:x", "key source: unknown LHV strategy 'x'; known: ['constant', 'sign']"),
         ],
-        ids=["n_pairs", "seed", "visibility", "a"],
+        ids=["n_pairs", "seed", "visibility", "a", "b-not-unit", "n_pairs-too-few", "visibility-range", "source"],
     )
     def test_config_value_error_names_file_and_key(self, capsys, tmp_path, key, text, message):
         path = tmp_path / "exp.cfg"
@@ -744,11 +757,100 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("chsh", "--tol=abc"), "chsh: argument --tol: invalid float value: 'abc'"),
+            (("ghz", "--samples=5"), "ghz: unrecognized arguments: --samples=5"),
+            (("ks-color",), "ks-color: one of the arguments --peres --rays is required"),
+            (("nonsense",), "hvlab: argument command: invalid choice: 'nonsense'"),
+        ],
+        ids=["type", "unrecognized", "group", "subcommand"],
+    )
+    def test_parser_error_is_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+SRC = str(Path(hvlab.__file__).resolve().parents[1])
+FRESH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def fresh(*args):
+    """python -X importtime ARGS in a fresh process: the exit code, stdout, the stderr lines
+    other than the import times, and the names of the modules it imported."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=FRESH_ENV, timeout=120
+    )
+    lines = proc.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, [line for line in lines if not line.startswith("import time:")], imported
+
+
+class TestFreshProcess:
+    def test_import_hvlab_loads_no_numpy(self):
+        script = (
+            "import importlib, sys, hvlab\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+            "assert set(hvlab.__all__) <= set(dir(hvlab))\n"
+            "for name in hvlab.__all__:\n"
+            "    module = importlib.import_module('hvlab.' + hvlab._MODULE_OF[name])\n"
+            "    assert getattr(hvlab, name) is getattr(module, name), name\n"
+            "assert hvlab.qmath is sys.modules['hvlab.qmath']\n"
+            "assert not hasattr(hvlab, 'no_such_name')\n"
+        )
+        code, out, err, imported = fresh("-c", script)
+        assert (code, out, err) == (0, "", [])
+        assert "hvlab" in imported
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--samples=3"), "n_pairs must be at least 8 (two per setting pair), got 3"),
+            (
+                ("chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
+                "--a-dir components must be finite, got 'nan,0,0'",
+            ),
+            (("wigner", "--samples=0"), "--samples must be at least 1, got 0"),
+            (("chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none"),
+            (("ghz", "--tol=nan"), "--tol must be finite and non-negative, got nan"),
+            (("nosignal", "--seed=-1"), "--seed must be non-negative, got -1"),
+            (
+                ("chsh", "--optimize", f"--restarts={hvlab.options.MAX_RESTARTS + 1}"),
+                f"--restarts must be at most {hvlab.options.MAX_RESTARTS}, got {hvlab.options.MAX_RESTARTS + 1}",
+            ),
+        ],
+        ids=["simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts"],
+    )
+    def test_argv_error_exits_before_numpy_loads(self, argv, message):
+        code, out, err, imported = fresh("-m", "hvlab", *argv)
+        assert (code, out, err) == (2, "", [f"{argv[0]}: {message}"])
+        assert "hvlab.options" in imported and "numpy" not in imported
+
+    @pytest.mark.parametrize(
+        "argv, draws",
+        [
+            (("jauch-piron",), False),
+            (("mermin",), False),
+            (("ghz",), False),
+            (("hardy",), False),
+            (("bell",), False),
+            (("chsh",), False),
+            (("ks-color", "--peres"), False),
+            (("wigner", "--samples=1"), True),
+        ],
+        ids=lambda v: v if isinstance(v, bool) else "-".join(v),
+    )
+    def test_numpy_random_loads_only_where_a_subcommand_draws(self, argv, draws):
+        code, out, err, imported = fresh("-m", "hvlab", *argv, "--quiet")
+        assert (code, out, err) == (0, "", [])
+        assert "numpy" in imported and ("numpy.random" in imported) is draws
+
+
 def test_closed_stdout_keeps_exit_code_and_quiet_stderr():
-    src = str(Path(hvlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "hvlab", "ghz"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "hvlab", "ghz"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV
     )
     proc.stdout.close()  # the reader leaves before the report is written
     err = proc.stderr.read()
@@ -763,8 +865,8 @@ def test_exit_code_1_on_failed_claim(capsys, monkeypatch):
 
     original = cli_mod._cmd_ghz
 
-    def broken(args, rng):
-        inputs, outputs, claims, tols = original(args, rng)
+    def broken(args):
+        inputs, outputs, claims, tols = original(args)
         claims.append(cli_mod._claim("impossible", "close", 0.0, 1.0, 0.0))
         return inputs, outputs, claims, tols
 

@@ -95,6 +95,20 @@ class TestEigHerm2:
             for lam in eig_herm2(h):
                 assert abs(lam**2 - tr * lam + det) <= 1e-9 * max(1.0, abs(det))
 
+    def test_diagonal_near_the_largest_float(self):
+        # the diagonal sum and gap once overflowed with a RuntimeWarning, an error in this suite
+        assert eig_herm2(np.diag([1e308, 1e308])) == (1e308, 1e308)
+        assert eig_herm2(np.diag([1.5e308, -1.5e308])) == (1.5e308, -1.5e308)
+
+    def test_halving_first_keeps_the_bits(self):
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            h = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-150, 150, size=(2, 2))
+            h = h + h.T
+            m, d = (h[0, 0] + h[1, 1]) / 2.0, (h[0, 0] - h[1, 1]) / 2.0  # the mean and gap, summed first
+            q = np.hypot(d, abs(h[0, 1]))
+            assert eig_herm2(h) == (m + q, m - q)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_herm2(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -228,6 +228,21 @@ class TestSimulateLhv:
         assert report.s_model_stderr == np.sqrt(sum(1.0 / n for n in report.pairs_per_setting.values()))
 
 
+    def test_batch_is_freed_before_the_next_is_drawn(self):
+        # one batch of standard-normal 3-vectors is 24 * BATCH_PAIRS bytes; while the last batch
+        # and its outcomes were still alive during the next draw, the peak passed two batches
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                simulate_lhv(sign_strategy(), optimal_chsh_settings(), 4 * simlab.BATCH_PAIRS, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes()  # warm-up: first-call allocations
+        assert peak_bytes() < 2 * 24 * simlab.BATCH_PAIRS
+
+
 class TestCountEstimator:
     @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
     def test_memory_does_not_grow_with_n_pairs(self, source):
