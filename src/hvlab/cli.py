@@ -22,10 +22,11 @@ from .qmath import (
     PAULIS,
     TAU_EQ,
     eig_herm2,
+    normalized_wishart,
     pauli_obs,
     random_density,
-    random_unit3,
     sigma_dot,
+    unit_vectors,
 )
 from .ensembles import (
     dispersion_free_witness,
@@ -170,8 +171,7 @@ def _scaled(parts) -> np.ndarray:
 
 
 def _unit(parts) -> np.ndarray:
-    v = _scaled(parts)
-    return v / np.linalg.norm(v)
+    return unit_vectors(_scaled(parts))
 
 
 def _units(args, *dests: str):
@@ -504,10 +504,10 @@ def _cmd_nosignal(args):
     trials = args.trials
     max_dev = 0.0
     for start in range(0, trials, NOSIGNAL_BLOCK):
-        # each trial draws as it would alone: the state, then A's axis, then B's axis
-        draws = [(random_density(rng, 4), random_unit3(rng), random_unit3(rng))
-                 for _ in range(min(NOSIGNAL_BLOCK, trials - start))]
-        rho, a_hat, b_hat = (np.array(column) for column in zip(*draws))
+        # row t is trial t's stream alone: random_density(rng, 4), then random_unit3(rng) twice
+        draws = rng.normal(size=(min(NOSIGNAL_BLOCK, trials - start), 38))
+        rho = normalized_wishart((draws[:, :16] + 1j * draws[:, 16:32]).reshape(-1, 4, 4))
+        a_hat, b_hat = unit_vectors(draws[:, 32:35]), unit_vectors(draws[:, 35:])
         a_obs = np.kron(np.einsum("ti,ijk->tjk", a_hat, PAULIS), ID2)  # a.sigma x I, per trial
         b_obs = np.einsum("ti,ijk->tjk", b_hat, PAULIS)
         projs = np.stack([np.kron(ID2, 0.5 * (ID2 + b_obs)), np.kron(ID2, 0.5 * (ID2 - b_obs))], axis=1)

@@ -11,7 +11,6 @@ set built from the squared direction cosines (0,0,1), (0,1/2,1/2),
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +68,7 @@ def peres_rays() -> np.ndarray:
     return np.array(rays)
 
 
-@dataclass(frozen=True)
-class OrthogonalityStructure:
+class OrthogonalityStructure(NamedTuple):
     """Rays plus their orthogonal pairs and complete mutually-orthogonal triads."""
 
     rays: np.ndarray
@@ -121,8 +119,7 @@ def save_rays(path, rays) -> None:
             fh.write(f"{ray[0]:.12f} {ray[1]:.12f} {ray[2]:.12f}\n")
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     satisfiable: bool
     colors: np.ndarray | None
     nodes_explored: int
@@ -245,8 +242,7 @@ MERMIN_ROW_SIGNS = (1, 1, 1)
 MERMIN_COL_SIGNS = (1, 1, -1)
 
 
-@dataclass(frozen=True)
-class MerminReport:
+class MerminReport(NamedTuple):
     row_signs: tuple
     col_signs: tuple
     max_product_dev: float

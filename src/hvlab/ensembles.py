@@ -13,8 +13,7 @@ intermediate probability whenever one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .qmath import (
 WITNESS_EPSILON = 0.01
 
 
-@dataclass(frozen=True)
-class ExpectationOracle:
+class ExpectationOracle(NamedTuple):
     """Queryable expectation functional <.> over a dim-dimensional system.
 
     `expect` maps a Hermitian matrix to a real number.  `quantum` declares
@@ -45,14 +43,13 @@ class ExpectationOracle:
     quantum: bool = True
 
 
-@dataclass(frozen=True)
-class BasisObservables:
+class BasisObservables(NamedTuple):
     """The dim^2 Hermitian basis observables U_nn, V_nm, W_nm (n > m)."""
 
     dim: int
-    u: list = field(default_factory=list)
-    v: dict = field(default_factory=dict)
-    w: dict = field(default_factory=dict)
+    u: list
+    v: dict
+    w: dict
 
     def members(self):
         yield from self.u
@@ -66,7 +63,7 @@ class BasisObservables:
 def basis_observables(dim: int) -> BasisObservables:
     if dim < 1:
         raise ValueError("dimension must be positive")
-    basis = BasisObservables(dim=dim)
+    basis = BasisObservables(dim, [], {}, {})  # each call builds its own containers
     for n in range(dim):
         u = np.zeros((dim, dim), dtype=complex)
         u[n, n] = 1.0
@@ -168,8 +165,7 @@ def homogeneity_check(rho) -> tuple[bool, int]:
     return pure, rank
 
 
-@dataclass(frozen=True)
-class JauchPironReport:
+class JauchPironReport(NamedTuple):
     """Outcome of the two-direction projector-intersection contradiction."""
 
     a_hat: tuple

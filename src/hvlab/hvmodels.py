@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,17 +63,16 @@ def _qubit(psi) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class BellHVState:
-    """Dispersion-free state (psi, lambda) with lambda in [-1/2, 1/2]."""
+class BellHVState(NamedTuple("BellHVState", [("psi", np.ndarray), ("lam", float)])):
+    """Dispersion-free state (psi, lambda) with lambda in [-1/2, 1/2], both checked when it is built."""
 
-    psi: np.ndarray
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _qubit(self.psi))
-        if not -0.5 <= self.lam <= 0.5:
-            raise ValueError(f"lambda = {self.lam} outside [-1/2, 1/2]")
+    def __new__(cls, psi, lam):
+        psi = _qubit(psi)
+        if not -0.5 <= lam <= 0.5:
+            raise ValueError(f"lambda = {lam} outside [-1/2, 1/2]")
+        return tuple.__new__(cls, (psi, lam))
 
 
 def _beta_and_m(beta, psi: np.ndarray) -> tuple[float, float]:

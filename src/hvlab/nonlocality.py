@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,20 +85,22 @@ def _direction(k: int, name: str) -> property:
     return property(lambda self: _read_only(self.floats[k]), doc=f"{name} as a new read-only float array")
 
 
-@dataclass(frozen=True, init=False)
-class ChshSettings:
+class ChshSettings(NamedTuple("ChshSettings", [("floats", tuple)])):
     """Four analyzer directions (a, a', b, b'), all unit vectors.
 
-    The settings keep the components of each direction as Python floats,
-    copied once when they are made, so a later change to the caller's array
-    leaves them alone; the correlators contract those floats directly, and
-    a, a_prime, b and b_prime give each direction as a new read-only array.
+    `floats` keeps ((x, y, z) of a, of a', of b, of b') as Python floats,
+    copied once when the settings are made, so a later change to the caller's
+    array leaves them alone; the correlators contract those floats directly,
+    and a, a_prime, b and b_prime give each direction as a new read-only array.
     """
 
-    floats: tuple  # ((x, y, z) of a, of a', of b, of b')
+    __slots__ = ()
 
-    def __init__(self, a, a_prime, b, b_prime):
-        object.__setattr__(self, "floats", _unit_floats(a, a_prime, b, b_prime))
+    def __new__(cls, a, a_prime, b, b_prime):
+        return tuple.__new__(cls, (_unit_floats(a, a_prime, b, b_prime),))
+
+    def __getnewargs__(self):  # copy and pickle rebuild the settings from the four directions
+        return self.floats
 
     a = _direction(0, "a")
     a_prime = _direction(1, "a'")
@@ -318,8 +319,7 @@ class HardyParams(NamedTuple):
     p2: float
 
 
-@dataclass(frozen=True)
-class HardyConstruction:
+class HardyConstruction(NamedTuple):
     """Two-qubit state with the four joint-outcome conditions built in.
 
     psi lives in the (u, v) product basis with u = |0>, v = |1>.  The primed

@@ -30,10 +30,15 @@ EPILOG = (
 
 # Largest accepted sizes, checked before anything is allocated: dispersion holds every step's
 # state, chsh --optimize iterates four settings per restart, hardy --optimize holds each grid
-# axis and scans grid^2 points.
+# axis and scans grid^2 points.  The sample and trial counts below bound time, not memory: each
+# is about a minute's run on one core (2-core VM, Python 3.11, numpy 2.4).
 MAX_STEPS = 10**6
 MAX_RESTARTS = 10**5
 MAX_GRID = 10**4
+MAX_BELL_HV_SAMPLES = 10**10
+MAX_WIGNER_SAMPLES = 3 * 10**8
+MAX_NOSIGNAL_TRIALS = 4 * 10**6
+MAX_VN_TRIALS = 2 * 10**5
 
 # A campaign's pair count, `simulate --samples` here and `n_pairs` in `simlab`.
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
@@ -50,15 +55,16 @@ def check_n_pairs(n_pairs: int) -> None:
         raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
 
 
-def _at_least_one(count: int, option: str) -> None:
-    """A run over zero trials or samples would pass on no evidence."""
-    if count < 1:
-        raise ValueError(f"{option} must be at least 1, got {count}")
-
-
 def _at_most(count: int, limit: int, option: str) -> None:
     if count > limit:
         raise ValueError(f"{option} must be at most {limit}, got {count}")
+
+
+def _count(count: int, limit: int, option: str) -> None:
+    """A run over zero trials or samples would pass on no evidence."""
+    if count < 1:
+        raise ValueError(f"{option} must be at least 1, got {count}")
+    _at_most(count, limit, option)
 
 
 def _finite(text: str, option: str) -> float:
@@ -154,6 +160,7 @@ def _check_bell_hv(args) -> None:
     args.alpha = _finite(args.alpha, "--alpha")
     args.psi = _psi(args.psi)
     args.beta = _vec3(args.beta, "--beta")
+    _at_most(args.samples, MAX_BELL_HV_SAMPLES, "--samples")
 
 
 def _check_bell(args) -> None:
@@ -207,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10, help=f"default 10, at most {MAX_VN_TRIALS}")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(check=lambda args: _at_least_one(args.trials, "--trials"))
+    p.set_defaults(check=lambda args: _count(args.trials, MAX_VN_TRIALS, "--trials"))
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.0")
     p.add_argument("--beta", default="1,1,0")
     p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=int, default=10**6, help=f"default 10^6, at most {MAX_BELL_HV_SAMPLES}")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(check=_check_bell_hv)
 
@@ -257,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=_check_chsh)
 
     p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
-    p.add_argument("--samples", type=int, default=10**4)
+    p.add_argument("--samples", type=int, default=10**4, help=f"default 10^4, at most {MAX_WIGNER_SAMPLES}")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(check=lambda args: _at_least_one(args.samples, "--samples"))
+    p.set_defaults(check=lambda args: _count(args.samples, MAX_WIGNER_SAMPLES, "--samples"))
 
     p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
     p.add_argument("--tol", type=float, default=1e-12)
@@ -273,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=_check_hardy)
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help=f"default 1000, at most {MAX_NOSIGNAL_TRIALS}")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(check=lambda args: _at_least_one(args.trials, "--trials"))
+    p.set_defaults(check=lambda args: _count(args.trials, MAX_NOSIGNAL_TRIALS, "--trials"))
 
     # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
     p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")

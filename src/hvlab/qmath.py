@@ -140,17 +140,25 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def normalized_wishart(g) -> np.ndarray:
+    """g g^dagger / Tr(g g^dagger) of a complex matrix g, or of each matrix of a stack (..., n, n)."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def unit_vectors(v) -> np.ndarray:
+    """v / |v| of a real vector or each row of a stack (..., n); |v|^2 is np.linalg.norm's dot product."""
+    return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random full-rank density operator (normalized Wishart matrix)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return normalized_wishart(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_unit3(rng: np.random.Generator) -> np.ndarray:
     """Uniform random direction on the unit sphere."""
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return unit_vectors(rng.normal(size=3))
 
 
 def intersection_projector(p, q) -> tuple[np.ndarray, int]:

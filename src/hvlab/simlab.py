@@ -19,8 +19,7 @@ outcomes read only the direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,36 +40,32 @@ class ConfigError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    settings: ChshSettings
-    n_pairs: int
-    visibility: float
-    seed: int
-    source: str = "singlet"  # "singlet" or "lhv:<strategy name>"
+class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings), ("n_pairs", int),
+                                                       ("visibility", float), ("seed", int), ("source", str)])):
+    """One campaign, source "singlet" or "lhv:<strategy name>"; a field outside its domain raises ConfigError."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, settings, n_pairs, visibility, seed, source="singlet"):
         try:
-            check_n_pairs(self.n_pairs)
+            check_n_pairs(n_pairs)
         except ValueError as exc:
             raise ConfigError("n_pairs", str(exc)) from None
-        if self.seed < 0:  # numpy's own message would not name the seed
-            raise ConfigError("seed", f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ConfigError("visibility", f"visibility {self.visibility} outside [0, 1]")
-        if self.source != "singlet" and not self.source.startswith("lhv:"):
-            raise ConfigError("source", f"unknown source {self.source!r}")
-        name = self.source.removeprefix("lhv:")
-        if self.source != "singlet" and name not in STRATEGIES:
+        if seed < 0:  # numpy's own message would not name the seed
+            raise ConfigError("seed", f"seed must be non-negative, got {seed}")
+        if not 0.0 <= visibility <= 1.0:
+            raise ConfigError("visibility", f"visibility {visibility} outside [0, 1]")
+        if source != "singlet" and not source.startswith("lhv:"):
+            raise ConfigError("source", f"unknown source {source!r}")
+        name = source.removeprefix("lhv:")
+        if source != "singlet" and name not in STRATEGIES:
             raise ConfigError("source", f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
-        if self.source != "singlet" and self.visibility != 1.0:
-            raise ConfigError(
-                "visibility", f"visibility is for the singlet source only; {self.source} got {self.visibility}"
-            )
+        if source != "singlet" and visibility != 1.0:
+            raise ConfigError("visibility", f"visibility is for the singlet source only; {source} got {visibility}")
+        return tuple.__new__(cls, (settings, n_pairs, visibility, seed, source))
 
 
-@dataclass(frozen=True)
-class LhvStrategy:
+class LhvStrategy(NamedTuple):
     """Deterministic local response functions plus a lambda sampler.
 
     `sample` draws a batch of hidden variables; `response_a(a_hat, lams)`
@@ -116,8 +111,7 @@ STRATEGIES: dict[str, Callable[[], LhvStrategy]] = {
 }
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Estimates and errors for one simulation campaign.
 
     `settings` is the campaign's `ChshSettings.floats`: (x, y, z) of a, a',
@@ -132,9 +126,9 @@ class SimReport:
     seed: int
     visibility: float
     settings: tuple
-    pairs_per_setting: dict = field(default_factory=dict)
-    correlators: dict = field(default_factory=dict)
-    stderrs: dict = field(default_factory=dict)
+    pairs_per_setting: dict
+    correlators: dict
+    stderrs: dict
     s_value: float = 0.0
     s_stderr: float = 0.0
     s_expected: float = 0.0

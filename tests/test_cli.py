@@ -305,6 +305,25 @@ class TestSubcommands:
         if (seed, trials) == (7, 1000):
             assert report["outputs"]["max_deviation"] == 2.23018252e-16
 
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    def test_nosignal_matches_a_per_trial_reference(self, capsys, seed):
+        # each trial drawn and checked alone, by the formulas that drew it one trial at a time
+        rng = np.random.default_rng(seed)
+        eye2 = np.eye(2, dtype=complex)
+        want = 0.0
+        for _ in range(300):  # more than one block of NOSIGNAL_BLOCK trials
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = g @ g.conj().T
+            rho = rho / np.trace(rho).real
+            a, b = (v / np.linalg.norm(v) for v in (rng.normal(size=3), rng.normal(size=3)))
+            a_obs = np.kron(sigma_dot(a), eye2)
+            projs = [np.kron(eye2, 0.5 * (eye2 + sigma_dot(b))), np.kron(eye2, 0.5 * (eye2 - sigma_dot(b)))]
+            after = complex(np.trace(sum(p @ rho @ p for p in projs) @ a_obs))
+            want = max(want, abs(after - complex(np.trace(rho @ a_obs))))
+        code, report = run_json(capsys, "nosignal", f"--seed={seed}", "--trials=300")
+        assert code == 0
+        assert report["outputs"]["max_deviation"] == float(f"{want:.9g}")
+
     def test_nosignal_memory_does_not_grow_with_trials(self):
         def peak_bytes(trials):
             tracemalloc.start()
@@ -645,8 +664,15 @@ class TestErrors:
             (("dispersion", "--steps=11"), "MAX_STEPS", "--steps"),
             (("chsh", "--optimize", "--restarts=11"), "MAX_RESTARTS", "--restarts"),
             (("hardy", "--optimize", "--grid=11"), "MAX_GRID", "--grid"),
+            (("bell-hv", "--samples=11"), "MAX_BELL_HV_SAMPLES", "--samples"),
+            (("wigner", "--samples=11"), "MAX_WIGNER_SAMPLES", "--samples"),
+            (("nosignal", "--trials=11"), "MAX_NOSIGNAL_TRIALS", "--trials"),
+            (("vn-reconstruct", "--trials=11"), "MAX_VN_TRIALS", "--trials"),
         ],
-        ids=["dispersion-steps", "chsh-restarts", "hardy-grid"],
+        ids=[
+            "dispersion-steps", "chsh-restarts", "hardy-grid", "bell-hv-samples", "wigner-samples", "nosignal-trials",
+            "vn-reconstruct-trials",
+        ],
     )
     def test_size_above_its_limit_exits_2(self, capsys, monkeypatch, argv, limit, option):
         # the limit is lowered so that a missing check would still run a small case
@@ -816,17 +842,31 @@ class TestFreshProcess:
             (("chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none"),
             (("ghz", "--tol=nan"), "--tol must be finite and non-negative, got nan"),
             (("nosignal", "--seed=-1"), "--seed must be non-negative, got -1"),
-            (
-                ("chsh", "--optimize", f"--restarts={hvlab.options.MAX_RESTARTS + 1}"),
-                f"--restarts must be at most {hvlab.options.MAX_RESTARTS}, got {hvlab.options.MAX_RESTARTS + 1}",
+            *(
+                (argv + (f"{option}={limit + 1}",), f"{option} must be at most {limit}, got {limit + 1}")
+                for argv, option, limit in (
+                    (("chsh", "--optimize"), "--restarts", hvlab.options.MAX_RESTARTS),
+                    (("bell-hv",), "--samples", hvlab.options.MAX_BELL_HV_SAMPLES),
+                    (("wigner",), "--samples", hvlab.options.MAX_WIGNER_SAMPLES),
+                    (("nosignal",), "--trials", hvlab.options.MAX_NOSIGNAL_TRIALS),
+                    (("vn-reconstruct",), "--trials", hvlab.options.MAX_VN_TRIALS),
+                )
             ),
         ],
-        ids=["simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts"],
+        ids=[
+            "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts",
+            "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
+        ],
     )
     def test_argv_error_exits_before_numpy_loads(self, argv, message):
         code, out, err, imported = fresh("-m", "hvlab", *argv)
         assert (code, out, err) == (2, "", [f"{argv[0]}: {message}"])
         assert "hvlab.options" in imported and "numpy" not in imported
+
+    def test_import_cli_generates_no_dataclass(self):
+        code, out, err, imported = fresh("-c", "import hvlab.cli")
+        assert (code, out, err) == (0, "", [])
+        assert "hvlab.simlab" in imported and "dataclasses" not in imported
 
     @pytest.mark.parametrize(
         "argv, draws",

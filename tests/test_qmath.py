@@ -13,12 +13,14 @@ from hvlab.qmath import (
     expectation,
     intersection_projector,
     kron,
+    normalized_wishart,
     pauli_obs,
     projector,
     random_density,
     random_state,
     random_unit3,
     sigma_dot,
+    unit_vectors,
 )
 from hvlab.nonlocality import singlet_state
 
@@ -208,6 +210,35 @@ class TestStackedValidators:
         assert assert_projector(np.stack([up, down]), stack=True).shape == (2, 2, 2)
         with pytest.raises(ValueError, match="idempotent"):
             assert_projector(np.stack([up, 2 * down]), stack=True)
+
+
+class TestStackedDraws:
+    # the formulas of one draw at a time; a stack must give each draw's bits
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_wishart_stack_matches_one_matrix_at_a_time(self, dim):
+        g = np.random.default_rng(dim).normal(size=(2000, dim, dim, 2)) @ np.array([1.0, 1j])
+        want = []
+        for one in g:
+            rho = one @ one.conj().T
+            want.append(rho / np.trace(rho).real)
+        assert np.array_equal(normalized_wishart(g), np.array(want))
+        assert np.array_equal(normalized_wishart(g[0]), want[0])
+
+    def test_unit_vector_stack_matches_one_vector_at_a_time(self):
+        v = np.random.default_rng(5).normal(size=(5000, 3))
+        want = np.array([one / np.linalg.norm(one) for one in v])
+        assert np.array_equal(unit_vectors(v), want)
+        assert np.array_equal(unit_vectors(v.reshape(50, 100, 3)), want.reshape(50, 100, 3))
+        assert np.array_equal(unit_vectors(v[0]), want[0])
+
+    def test_random_draws_keep_their_stream(self):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for dim in (2, 3, 4):
+            g = ref.normal(size=(dim, dim)) + 1j * ref.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            assert np.array_equal(random_density(rng, dim), rho / np.trace(rho).real)
+            v = ref.normal(size=3)
+            assert np.array_equal(random_unit3(rng), v / np.linalg.norm(v))
 
 
 class TestIntersectionProjector:
