@@ -10,6 +10,7 @@ import itertools
 import math
 
 import hvlab as hl
+from hvlab.contextuality import count_sign_assignments
 
 LABELS = [
     ["X(1)", "X(2)", "X(1)X(2)"],
@@ -40,7 +41,9 @@ print(
 
 print()
 print("relaxing the third column constraint to +1 makes it satisfiable:")
-relaxed = hl.mermin_assignment_search(col_signs=(1, 1, 1))
+# the grid flattened row by row: row r holds 3r..3r+2, column c holds c, c+3, c+6; every target +1
+lines = [range(3 * r, 3 * r + 3) for r in range(3)] + [range(c, 9, 3) for c in range(3)]
+relaxed = count_sign_assignments(9, [(line, 1) for line in lines])
 print(f"  satisfying assignments: {relaxed.n_satisfying}")
 example = next(
     values

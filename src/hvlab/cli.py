@@ -115,16 +115,10 @@ def _round_sig(x: float, digits: int = 9) -> float:
 def _round_tree(obj):
     if isinstance(obj, float):
         return _round_sig(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_tree(v) for v in obj.tolist()]
     return obj
 
 

@@ -303,16 +303,14 @@ def count_sign_assignments(n_vars: int, constraints) -> AssignmentSearchResult:
     return AssignmentSearchResult(len(values), int(np.count_nonzero(ok)))
 
 
-def mermin_assignment_search(
-    row_signs=MERMIN_ROW_SIGNS, col_signs=MERMIN_COL_SIGNS
-) -> AssignmentSearchResult:
+def mermin_assignment_search() -> AssignmentSearchResult:
     """Exhaustive search over the 512 noncontextual +-1 assignments.
 
-    Counts assignments meeting all six product constraints.  With the
-    quantum signs the count is 0: the product of all nine values is the
+    Counts assignments meeting all six product constraints, whose signs are
+    the quantum ones.  The count is 0: the product of all nine values is the
     product of the row targets (+1) but also of the column targets (-1).
     """
     # the grid is flattened row by row: row r holds 3r..3r+2, column c holds c, c+3, c+6
-    constraints = [(range(3 * r, 3 * r + 3), row_signs[r]) for r in range(3)]
-    constraints += [(range(c, 9, 3), col_signs[c]) for c in range(3)]
+    constraints = [(range(3 * r, 3 * r + 3), MERMIN_ROW_SIGNS[r]) for r in range(3)]
+    constraints += [(range(c, 9, 3), MERMIN_COL_SIGNS[c]) for c in range(3)]
     return count_sign_assignments(9, constraints)

@@ -13,10 +13,12 @@ intermediate probability whenever one exists.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .options import MIN_STEPS
 from .qmath import (
     TAU_EQ,
     TAU_PSD,
@@ -28,19 +30,20 @@ from .qmath import (
 
 WITNESS_EPSILON = 0.01
 
+# For unit a and b, the smallest eigenvalue of 2I - P - Q over the four cross pairs of projectors is
+# 1 - sqrt(4 - d^2)/2 >= d^2/8, d = min(|a - b|, |a + b|).  `intersection_projector` counts an
+# eigenvalue at or below TAU_PSD as zero, so d must keep d^2/8 above 10 TAU_PSD.
+JAUCH_PIRON_MIN_GAP = math.sqrt(80.0 * TAU_PSD)
+
 
 class ExpectationOracle(NamedTuple):
     """Queryable expectation functional <.> over a dim-dimensional system.
 
-    `expect` maps a Hermitian matrix to a real number.  `quantum` declares
-    that the oracle is generated by an actual quantum state, in which case
-    the reconstructed density operator is additionally checked for
-    positive semidefiniteness.
+    `expect` maps a Hermitian matrix to a real number.
     """
 
     dim: int
     expect: Callable[[np.ndarray], float]
-    quantum: bool = True
 
 
 class BasisObservables(NamedTuple):
@@ -92,7 +95,8 @@ def reconstruct_density(oracle: ExpectationOracle) -> np.ndarray:
 
     Entry (n, m) for n > m is [<V_nm> + i <W_nm>]/2, the diagonal is <U_nn>,
     and the upper triangle is fixed by Hermiticity.  An oracle whose unit
-    expectation deviates from 1 is a malformed ensemble.
+    expectation deviates from 1 is a malformed ensemble, and the rebuilt
+    operator must be a density operator.
     """
     dim = oracle.dim
     unit = oracle.expect(np.eye(dim, dtype=complex))
@@ -106,8 +110,7 @@ def reconstruct_density(oracle: ExpectationOracle) -> np.ndarray:
         val = 0.5 * (oracle.expect(v) + 1j * oracle.expect(basis.w[(n, m)]))
         rho[n, m] = val
         rho[m, n] = val.conjugate()
-    if oracle.quantum:
-        assert_density_operator(rho)
+    assert_density_operator(rho)
     return rho
 
 
@@ -122,8 +125,8 @@ def dispersion_scan(rho, phi1, phi2, steps: int) -> tuple[np.ndarray, np.ndarray
     rho = assert_density_operator(rho)
     phi1 = assert_state_vector(phi1)
     phi2 = assert_state_vector(phi2)
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
     if abs(np.vdot(phi1, phi2)) > TAU_EQ:
         raise ValueError("phi1 and phi2 must be orthogonal")
     thetas = np.linspace(0.0, np.pi / 2.0, steps)
@@ -192,8 +195,10 @@ def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
     for v, name in ((a, "a_hat"), (b, "b_hat")):
         if not (abs(np.linalg.norm(v) - 1.0) <= TAU_EQ):  # also true for NaN
             raise ValueError(f"{name} must be a unit vector")
-    if min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-12:
-        raise ValueError("degenerate directions: a_hat equals +/- b_hat")
+    gap = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+    if gap <= JAUCH_PIRON_MIN_GAP:
+        raise ValueError(f"degenerate directions: min(|a_hat - b_hat|, |a_hat + b_hat|) = {gap:.3g}, at most "
+                         f"{JAUCH_PIRON_MIN_GAP:.3g}, so a cross intersection would not read as empty")
 
     eye = np.eye(2, dtype=complex)
     proj_a = [0.5 * (eye + sigma_dot(a)), 0.5 * (eye - sigma_dot(a))]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .contextuality import AssignmentSearchResult, count_sign_assignments
 from .hvmodels import BATCH_PAIRS, chsh_combination
+from .options import MIN_GRID, MIN_RESTARTS
 from .qmath import (
     PAULIS,
     SIGMA_X,
@@ -101,6 +102,11 @@ class ChshSettings(NamedTuple("ChshSettings", [("floats", tuple)])):
 
     def __getnewargs__(self):  # copy and pickle rebuild the settings from the four directions
         return self.floats
+
+    @classmethod
+    def _make(cls, iterable):  # _replace goes through _make, so both check the directions
+        (floats,) = iterable
+        return cls(*floats)
 
     a = _direction(0, "a")
     a_prime = _direction(1, "a'")
@@ -257,8 +263,8 @@ def chsh_optimize(
     at the best restart's settings; ties go to the earliest restart.
     Deterministic for fixed (restarts, seed).  The optimum is `chsh_max`.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if restarts < MIN_RESTARTS:
+        raise ValueError(f"restarts must be at least {MIN_RESTARTS}")
     tensor = correlation_tensor(psi)
     rng = np.random.default_rng(seed)
     a, a_p, b, b_p = _unit_rows(rng.normal(size=(4, restarts, 3)), 0.0)
@@ -398,7 +404,7 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
-        raise AssertionError("jointly primed probability vanished")
+        raise ValueError(f"the jointly primed probability p underflows to 0 at (p1, p2) = ({p1}, {p2})")
     u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
     vec = np.array((0.0, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), dtype=complex)
     return HardyConstruction(vec[:4], vec[4:6], vec[6:8], vec[8:10], vec[10:12], p, residuals)
@@ -438,8 +444,8 @@ def hardy_optimize(grid: int = 100) -> tuple[HardyParams, float]:
     until it is below 1e-10.  The maximum sits at p1 = p2 =
     1/golden-ratio with p = golden-ratio^-5.
     """
-    if grid < 10:
-        raise ValueError("grid must be at least 10")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}")
     points = np.arange(1, grid + 1) / (grid + 1.0)
     best = _hardy_grid_argmax(points, points)
     spacing = 1.0 / (grid + 1.0)

@@ -13,8 +13,9 @@ an option a subcommand does not take exits 2.
 
 # This module holds the parser and every check that reads only argv, and imports no numpy:
 # an argv error exits 2 with one line on stderr, `<subcommand>: <message>`, before any numeric
-# module loads, and only a valid argv imports `hvlab.cli` to run.  The handlers there
-# normalize and compute.
+# module loads, and only a valid argv imports `hvlab.cli` to run.  Each option's domain is its
+# argparse `type`, so a bad value reads `<subcommand>: argument --opt: <problem>`; a rule between
+# options is a subcommand's `check`.  The handlers there normalize and compute.
 
 from __future__ import annotations
 
@@ -28,14 +29,16 @@ EPILOG = (
     "A value that starts with '-' must be given as --opt=VALUE, for example --beta=-1,0,0."
 )
 
-# Largest accepted sizes, checked before anything is allocated: dispersion holds every step's
-# state, chsh --optimize iterates four settings per restart, hardy --optimize holds each grid
-# axis and scans grid^2 points.  The sample and trial counts below bound time, not memory: each
-# is about a minute's run on one core (2-core VM, Python 3.11, numpy 2.4).
-MAX_STEPS = 10**6
-MAX_RESTARTS = 10**5
-MAX_GRID = 10**4
-MAX_BELL_HV_SAMPLES = 10**10
+# Accepted sizes, read by the options and by the library functions that take them.  The smallest:
+# the dispersion scan's two endpoints, one CHSH restart, a 10 x 10 Hardy grid to zoom from, 100
+# bell-hv samples, and 1 for any other count (no run passes on no evidence).  The largest bound
+# memory (dispersion holds every step's state, chsh --optimize four settings per restart, hardy
+# --optimize each grid axis and grid^2 points), or, for the sample and trial counts, time: each is
+# about a minute's run on one core (2-core VM, Python 3.11, numpy 2.4).
+MIN_STEPS, MAX_STEPS = 2, 10**6
+MIN_RESTARTS, MAX_RESTARTS = 1, 10**5
+MIN_GRID, MAX_GRID = 10, 10**4
+MIN_BELL_HV_SAMPLES, MAX_BELL_HV_SAMPLES = 100, 10**10
 MAX_WIGNER_SAMPLES = 3 * 10**8
 MAX_NOSIGNAL_TRIALS = 4 * 10**6
 MAX_VN_TRIALS = 2 * 10**5
@@ -55,61 +58,77 @@ def check_n_pairs(n_pairs: int) -> None:
         raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
 
 
-def _at_most(count: int, limit: int, option: str) -> None:
-    if count > limit:
-        raise ValueError(f"{option} must be at most {limit}, got {count}")
+# option types: each takes the option's text and returns its value, or raises
+# ArgumentTypeError, which argparse prefixes with `argument --opt: `
 
 
-def _count(count: int, limit: int, option: str) -> None:
-    """A run over zero trials or samples would pass on no evidence."""
-    if count < 1:
-        raise ValueError(f"{option} must be at least 1, got {count}")
-    _at_most(count, limit, option)
+def _count(low: int, high: float = math.inf):
+    """The type of an integer in [low, high]: a size, a count or a seed."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # int()'s own message names neither the option nor its text
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
-def _finite(text: str, option: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:  # float()'s own message names neither the option nor its text
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{option} must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
-def _finite_components(text: str, option: str) -> list[float]:
+def _tol(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def _components(text: str) -> list[float]:
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:  # float()'s own message names neither the option nor its text
-        raise ValueError(f"{option} must be comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
     if not all(map(math.isfinite, parts)):
-        raise ValueError(f"{option} components must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"components must be finite, got {text!r}")
     return parts
 
 
-def _vec3(text: str, option: str) -> list[float]:
-    parts = _finite_components(text, option)
+def _vec3(text: str) -> list[float]:
+    parts = _components(text)
     if len(parts) != 3:
-        raise ValueError(f"{option} expects three comma-separated components, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects three comma-separated components, got {text!r}")
     return parts
 
 
-def _nonzero(parts: list[float], option: str) -> list[float]:
+def _nonzero(parts: list[float], text: str) -> list[float]:
     if not any(parts):
-        raise ValueError(f"{option} cannot be the zero vector")
+        raise argparse.ArgumentTypeError(f"cannot be the zero vector, got {text!r}")
     return parts
 
 
-def _direction(text: str, option: str) -> list[float]:
+def _direction(text: str) -> list[float]:
     """A finite nonzero 3-vector; the handler normalizes it."""
-    return _nonzero(_vec3(text, option), option)
+    return _nonzero(_vec3(text), text)
 
 
 def _psi(text: str) -> list[float]:
-    parts = _finite_components(text, "--psi")
+    parts = _components(text)
     if len(parts) % 2 != 0:
-        raise ValueError(f"--psi must be re,im pairs, got {text!r}")
-    return _nonzero(parts, "--psi")
+        raise argparse.ArgumentTypeError(f"must be re,im pairs, got {text!r}")
+    return _nonzero(parts, text)
 
 
 def _eta(text: str) -> tuple:
@@ -118,23 +137,22 @@ def _eta(text: str) -> tuple:
     except ValueError:  # int()'s own message names neither the option nor its value
         etas = ()
     if len(etas) != 3 or not set(etas) <= {1, -1}:
-        raise ValueError(f"--eta must be three comma-separated values of +-1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be three comma-separated values of +-1, got {text!r}")
     return etas
+
+
+# rules between options, each run on the parsed options and raising ValueError
 
 
 def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _directions(args, *dests: str) -> None:
-    """All of the named direction options, each a finite nonzero 3-vector, or none of them."""
-    texts = [getattr(args, dest) for dest in dests]
-    if all(text is None for text in texts):
-        return
-    if any(text is None for text in texts):
+def _all_or_none(args, *dests: str) -> None:
+    """All of the named direction options or none of them."""
+    given = [getattr(args, dest) is not None for dest in dests]
+    if any(given) and not all(given):
         raise ValueError(f"provide all of {', '.join(map(_option, dests))} or none")
-    for text, dest in zip(texts, dests):
-        setattr(args, dest, _direction(text, _option(dest)))
 
 
 def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
@@ -147,40 +165,21 @@ def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
             setattr(args, dest, default)
 
 
-# ---------------------------------------------------------------------------
-# per-subcommand rules, each run on the parsed options and raising ValueError
-
-
-def _check_jauch_piron(args) -> None:
-    args.a_dir = _direction(args.a_dir, "--a-dir")
-    args.b_dir = _direction(args.b_dir, "--b-dir")
-
-
-def _check_bell_hv(args) -> None:
-    args.alpha = _finite(args.alpha, "--alpha")
-    args.psi = _psi(args.psi)
-    args.beta = _vec3(args.beta, "--beta")
-    _at_most(args.samples, MAX_BELL_HV_SAMPLES, "--samples")
-
-
 def _check_bell(args) -> None:
-    _directions(args, "a_dir", "b_dir", "c_dir")
-    args.eta = _eta(args.eta)
+    _all_or_none(args, "a_dir", "b_dir", "c_dir")
 
 
 def _check_chsh(args) -> None:
     if args.optimize:
         _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
-        _at_most(args.restarts, MAX_RESTARTS, "--restarts")
     else:
         _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
-        _directions(args, *CHSH_DIRECTIONS)
+        _all_or_none(args, *CHSH_DIRECTIONS)
 
 
 def _check_hardy(args) -> None:
     if args.optimize:
         _mode_options(args, "with --optimize", {"grid": 100, "tol": 1e-6}, ("p1", "p2"))
-        _at_most(args.grid, MAX_GRID, "--grid")
     else:
         _mode_options(args, "without --optimize", {"p1": 0.5, "p2": 0.5, "tol": 1e-10}, ("grid",))
 
@@ -190,23 +189,28 @@ def _check_simulate(args) -> None:
         _mode_options(args, "with --config", {}, SIMULATE_FLAGS)
     else:
         _mode_options(args, "without --config", SIMULATE_FLAGS)
-        check_n_pairs(args.samples)
+
+
+def _one_line(message: str) -> str:
+    """message with each unprintable character escaped: argparse quotes some argv text, not all."""
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in message)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse's errors as one line, `<subcommand>: <message>` (`hvlab: ...` before one)."""
 
     def error(self, message):
-        self.exit(2, f"{self.prog.rsplit(' ', 1)[-1]}: {message}\n")
+        self.exit(2, f"{self.prog.rsplit(' ', 1)[-1]}: {_one_line(message)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, its limits read from this module's constants when it is built."""
     unseeded = _Parser(add_help=False)
     unseeded.add_argument("--format", choices=("json", "csv"), default="json")
     unseeded.add_argument("--quiet", action="store_true")
-    unseeded.set_defaults(check=lambda args: None)  # argparse's types and choices settle the rest
+    unseeded.set_defaults(check=lambda args: None)  # each option's type settles its own domain
     common = _Parser(add_help=False, parents=[unseeded])
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
 
     parser = _Parser(prog="hvlab", description=__doc__, epilog=EPILOG)
     parser.add_argument("--version", action="version", version=f"hvlab {__version__}")
@@ -214,83 +218,83 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
-    p.add_argument("--trials", type=int, default=10, help=f"default 10, at most {MAX_VN_TRIALS}")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(check=lambda args: _count(args.trials, MAX_VN_TRIALS, "--trials"))
+    p.add_argument("--trials", type=_count(1, MAX_VN_TRIALS), default=10, help=f"default 10, 1 to {MAX_VN_TRIALS}")
+    p.add_argument("--tol", type=_tol, default=1e-10)
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--steps", type=int, default=1000, help=f"default 1000, at most {MAX_STEPS}")
-    p.set_defaults(check=lambda args: _at_most(args.steps, MAX_STEPS, "--steps"))
+    p.add_argument("--steps", type=_count(MIN_STEPS, MAX_STEPS), default=1000,
+                   help=f"default 1000, {MIN_STEPS} to {MAX_STEPS}")
 
     p = sub.add_parser("jauch-piron", parents=[common], help="projector-intersection contradiction for two directions")
-    p.add_argument("--a-dir", default="0,0,1")
-    p.add_argument("--b-dir", default="1,0,0")
-    p.set_defaults(check=_check_jauch_piron)
+    p.add_argument("--a-dir", type=_direction, default="0,0,1")
+    p.add_argument("--b-dir", type=_direction, default="1,0,0")
 
     p = sub.add_parser("bell-hv", parents=[common], help="spin-1/2 hidden-variable model: exact and Monte Carlo averages")
-    p.add_argument("--alpha", default="0.0")
-    p.add_argument("--beta", default="1,1,0")
-    p.add_argument("--psi", default="1,0,0,0", help="state as re,im pairs")
-    p.add_argument("--samples", type=int, default=10**6, help=f"default 10^6, at most {MAX_BELL_HV_SAMPLES}")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(check=_check_bell_hv)
+    p.add_argument("--alpha", type=_finite, default="0.0")
+    p.add_argument("--beta", type=_vec3, default="1,1,0")
+    p.add_argument("--psi", type=_psi, default="1,0,0,0", help="state as re,im pairs")
+    p.add_argument("--samples", type=_count(MIN_BELL_HV_SAMPLES, MAX_BELL_HV_SAMPLES), default=10**6,
+                   help=f"default 10^6, {MIN_BELL_HV_SAMPLES} to {MAX_BELL_HV_SAMPLES}")
+    p.add_argument("--tol", type=_tol, default=1e-10)
 
     p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--peres", action="store_true")
     group.add_argument("--rays", metavar="FILE")
     p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
 
     p = sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("bell", parents=[common], help="original three-correlator inequality")
-    p.add_argument("--a-dir", default=None)
-    p.add_argument("--b-dir", default=None)
-    p.add_argument("--c-dir", default=None)
-    p.add_argument("--eta", default="1,1,1")
-    p.add_argument("--tol", type=float, default=1e-10)
+    for flag in ("--a-dir", "--b-dir", "--c-dir"):
+        p.add_argument(flag, type=_direction, default=None)
+    p.add_argument("--eta", type=_eta, default="1,1,1")
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p.set_defaults(check=_check_bell)
 
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
     p.add_argument("--state", choices=("singlet", "product"), default="singlet")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--restarts", type=int, default=None, help=f"default 20, at most {MAX_RESTARTS}; only with --optimize")
+    p.add_argument("--restarts", type=_count(MIN_RESTARTS, MAX_RESTARTS), default=None,
+                   help=f"default 20, {MIN_RESTARTS} to {MAX_RESTARTS}; only with --optimize")
     for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
-        p.add_argument(flag, default=None, help="not with --optimize")
-    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
+        p.add_argument(flag, type=_direction, default=None, help="not with --optimize")
+    p.add_argument("--tol", type=_tol, default=None, help="default 1e-6 with --optimize, else 1e-10")
     p.set_defaults(check=_check_chsh)
 
     p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
-    p.add_argument("--samples", type=int, default=10**4, help=f"default 10^4, at most {MAX_WIGNER_SAMPLES}")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(check=lambda args: _count(args.samples, MAX_WIGNER_SAMPLES, "--samples"))
+    p.add_argument("--samples", type=_count(1, MAX_WIGNER_SAMPLES), default=10**4,
+                   help=f"default 10^4, 1 to {MAX_WIGNER_SAMPLES}")
+    p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
     p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
     p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
     p.add_argument("--optimize", action="store_true")
-    p.add_argument("--grid", type=int, default=None, help=f"default 100, at most {MAX_GRID}; only with --optimize")
-    p.add_argument("--tol", type=float, default=None, help="default 1e-6 with --optimize, else 1e-10")
+    p.add_argument("--grid", type=_count(MIN_GRID, MAX_GRID), default=None,
+                   help=f"default 100, {MIN_GRID} to {MAX_GRID}; only with --optimize")
+    p.add_argument("--tol", type=_tol, default=None, help="default 1e-6 with --optimize, else 1e-10")
     p.set_defaults(check=_check_hardy)
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
-    p.add_argument("--trials", type=int, default=1000, help=f"default 1000, at most {MAX_NOSIGNAL_TRIALS}")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(check=lambda args: _count(args.trials, MAX_NOSIGNAL_TRIALS, "--trials"))
+    p.add_argument("--trials", type=_count(1, MAX_NOSIGNAL_TRIALS), default=1000,
+                   help=f"default 1000, 1 to {MAX_NOSIGNAL_TRIALS}")
+    p.add_argument("--tol", type=_tol, default=1e-12)
 
     # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
     p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
     p.add_argument("--config", metavar="FILE", default=None)
     p.add_argument("--source", default=None, help="default singlet; not with --config")
     p.add_argument("--visibility", type=float, default=None, help="default 1.0; not with --config")
-    p.add_argument("--samples", type=int, default=None, help="default 10^6; not with --config")
-    p.add_argument("--seed", type=int, default=None, help="default 0; not with --config")
+    p.add_argument("--samples", type=_count(MIN_PAIRS, MAX_PAIRS), default=None,
+                   help=f"default 10^6, {MIN_PAIRS} to 2^63 - 1; not with --config")
+    p.add_argument("--seed", type=_count(0), default=None, help="default 0, at least 0; not with --config")
     p.set_defaults(check=_check_simulate)
 
     return parser
@@ -303,14 +307,9 @@ def parse(argv=None) -> argparse.Namespace:
     try:
         if extra:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
-        tol = getattr(args, "tol", None)  # only the subcommands with a tolerance take --tol
-        if tol is not None and not 0.0 <= tol < math.inf:  # also false for NaN
-            raise ValueError(f"--tol must be finite and non-negative, got {tol}")
-        if args.seed is not None and args.seed < 0:  # numpy's own message would not name the option
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         args.check(args)
     except ValueError as exc:
-        parser.exit(2, f"{args.command}: {exc}\n")
+        parser.exit(2, f"{args.command}: {_one_line(str(exc))}\n")
     return args
 
 

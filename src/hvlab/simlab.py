@@ -64,6 +64,8 @@ class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings
             raise ConfigError("visibility", f"visibility is for the singlet source only; {source} got {visibility}")
         return tuple.__new__(cls, (settings, n_pairs, visibility, seed, source))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through _make: both check
+
 
 class LhvStrategy(NamedTuple):
     """Deterministic local response functions plus a lambda sampler.

@@ -14,9 +14,11 @@ import hvlab
 import hvlab.cli
 import hvlab.options
 from hvlab.cli import evaluate_claim, main
-from hvlab.hvmodels import chsh_combination, chsh_from_wigner, wigner_correlators
+from hvlab.contextuality import load_rays, orthogonality_structure, peres_rays
+from hvlab.ensembles import dispersion_scan
+from hvlab.hvmodels import bell_hv_average_mc, chsh_combination, chsh_from_wigner, wigner_correlators
 from hvlab.simlab import ExperimentConfig, save_config
-from hvlab.nonlocality import optimal_chsh_settings
+from hvlab.nonlocality import chsh_optimize, hardy_optimize, optimal_chsh_settings, singlet_state
 from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
@@ -141,6 +143,18 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["satisfiable"] is True
         assert sorted(report["outputs"]["coloring"]) == [0, 1, 1]
+
+    def test_ks_color_dump_rays_round_trip(self, capsys, tmp_path):
+        dump = tmp_path / "peres.txt"
+        code, peres = run_json(capsys, "ks-color", "--peres", f"--dump-rays={dump}")
+        assert code == 0
+        rays = load_rays(dump)
+        assert rays.shape == (33, 3) and np.max(np.abs(rays - peres_rays())) <= 1e-12
+        dumped, built = orthogonality_structure(rays), orthogonality_structure(peres_rays())
+        assert (dumped.pairs, dumped.triads) == (built.pairs, built.triads)
+        code, loaded = run_json(capsys, "ks-color", f"--rays={dump}")
+        assert code == 0
+        assert loaded["outputs"] == peres["outputs"]
 
     @pytest.mark.parametrize(
         "heading, argv",
@@ -507,6 +521,68 @@ class TestErrors:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("bell", "--a-dir=nan,0,0"), "argument --a-dir: components must be finite, got 'nan,0,0'"),
+            (("chsh", "--optimize", "--b-dir=0,0,0"), "argument --b-dir: cannot be the zero vector, got '0,0,0'"),
+            (("hardy", "--grid=5", "--tol=-1"), "argument --grid: must be at least 10, got 5"),
+        ],
+        ids=["bell-partial-nan", "chsh-optimize-zero", "hardy-grid-and-tol"],
+    )
+    def test_bad_value_is_reported_before_a_rule_between_options(self, capsys, argv, message):
+        # each argv also breaks a rule between options (all directions or none, an option the mode
+        # does not read), but the value is checked as it is parsed, so its message comes first
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"{argv[0]}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (("dispersion", "--steps={}"), "steps"),
+            (("hardy", "--optimize", "--grid={}"), "grid"),
+            (("chsh", "--optimize", "--restarts={}"), "restarts"),
+            (("bell-hv", "--samples={}"), "n_samples"),
+        ],
+        ids=["dispersion-steps", "hardy-grid", "chsh-restarts", "bell-hv-samples"],
+    )
+    def test_lower_bound_is_the_library_bound(self, capsys, argv, library):
+        # the option and the library function read one constant: both take it and reject one less
+        ket0, ket1 = np.eye(2, dtype=complex)
+        calls = {
+            "steps": (hvlab.options.MIN_STEPS, lambda n: dispersion_scan(np.eye(2) / 2, ket0, ket1, n)),
+            "grid": (hvlab.options.MIN_GRID, lambda n: hardy_optimize(grid=n)),
+            "restarts": (hvlab.options.MIN_RESTARTS, lambda n: chsh_optimize(singlet_state(), restarts=n)),
+            "n_samples": (hvlab.options.MIN_BELL_HV_SAMPLES, lambda n: bell_hv_average_mc(0.0, (0, 0, 1), ket0, n, 0)),
+        }
+        least, call = calls[library]
+        hvlab.options.parse([arg.format(least) for arg in argv])
+        call(least)
+        with pytest.raises(SystemExit):
+            hvlab.options.parse([arg.format(least - 1) for arg in argv])
+        assert capsys.readouterr().err.endswith(f": must be at least {least}, got {least - 1}\n")
+        with pytest.raises(ValueError, match=f"{library} must be at least {least}"):
+            call(least - 1)
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (("--p1=5e-324",), "5e-324, 0.5"),
+            (("--p1=1e-300", "--p2=1e-300"), "1e-300, 1e-300"),
+            (("--p1=1e-320", "--p2=1e-320"), "1e-320, 1e-320"),
+        ],
+    )
+    def test_hardy_probability_underflow_exits_2(self, capsys, argv, params):
+        code, out, err = run(capsys, "hardy", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"hardy: the jointly primed probability p underflows to 0 at (p1, p2) = ({params})\n"
+
+    @pytest.mark.parametrize("b_dir", ["1,1e-9,0", "-1,1e-9,0", "1,2.8e-4,0"], ids=["parallel", "antiparallel", "below"])
+    def test_near_parallel_jauch_piron_directions_exit_2(self, capsys, b_dir):
+        code, out, err = run(capsys, "jauch-piron", "--a-dir=1,0,0", f"--b-dir={b_dir}")
+        assert (code, out) == (2, "")
+        assert err.startswith("jauch-piron: degenerate directions: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             *(
@@ -600,10 +676,13 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("ghz", "--seed=-1"), "non-negative"),
-            (("wigner", "--seed=-1"), "non-negative"),
-            (("simulate", "--seed=-1"), "non-negative"),
-            (("simulate", "--samples=100000000000000000000"), "n_pairs must be at most"),
+            (("ghz", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (("wigner", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (("simulate", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (
+                ("simulate", "--samples=100000000000000000000"),
+                "argument --samples: must be at most 9223372036854775807, got 100000000000000000000",
+            ),
             (("bell-hv", "--beta=1e300,1e300,0"), "beta"),
             (("bell-hv", "--psi=1,0,0,0,0,0"), "single spin-1/2"),
         ],
@@ -621,30 +700,33 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("nosignal", "--seed=-1"), "--seed must be non-negative, got -1"),
-            (("bell", "--eta=1,1,x"), "--eta must be three comma-separated values of +-1, got '1,1,x'"),
-            (("bell", "--eta=1,1,2"), "--eta must be three comma-separated values of +-1, got '1,1,2'"),
-            (("bell", "--eta=1,1"), "--eta must be three comma-separated values of +-1, got '1,1'"),
+            (("nosignal", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (("bell", "--eta=1,1,x"), "argument --eta: must be three comma-separated values of +-1, got '1,1,x'"),
+            (("bell", "--eta=1,1,2"), "argument --eta: must be three comma-separated values of +-1, got '1,1,2'"),
+            (("bell", "--eta=1,1"), "argument --eta: must be three comma-separated values of +-1, got '1,1'"),
             (
                 ("chsh", "--a-dir=x,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
-                "--a-dir must be comma-separated numbers, got 'x,0,0'",
+                "argument --a-dir: must be comma-separated numbers, got 'x,0,0'",
             ),
             (
                 ("chsh", "--a-dir=1,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,,1"),
-                "--b-prime must be comma-separated numbers, got '0,,1'",
+                "argument --b-prime: must be comma-separated numbers, got '0,,1'",
             ),
-            (("bell", "--a-dir=1,0,0", "--b-dir=0,1,0", "--c-dir=z"), "--c-dir must be comma-separated numbers, got 'z'"),
-            (("bell-hv", "--beta=1,x,0"), "--beta must be comma-separated numbers, got '1,x,0'"),
-            (("bell-hv", "--psi=1,0,y,0"), "--psi must be comma-separated numbers, got '1,0,y,0'"),
-            (("bell-hv", "--psi=1,0,0"), "--psi must be re,im pairs, got '1,0,0'"),
-            (("jauch-piron", "--a-dir=1,0"), "--a-dir expects three comma-separated components, got '1,0'"),
-            (("jauch-piron", "--b-dir=0,0,0"), "--b-dir cannot be the zero vector"),
+            (
+                ("bell", "--a-dir=1,0,0", "--b-dir=0,1,0", "--c-dir=z"),
+                "argument --c-dir: must be comma-separated numbers, got 'z'",
+            ),
+            (("bell-hv", "--beta=1,x,0"), "argument --beta: must be comma-separated numbers, got '1,x,0'"),
+            (("bell-hv", "--psi=1,0,y,0"), "argument --psi: must be comma-separated numbers, got '1,0,y,0'"),
+            (("bell-hv", "--psi=1,0,0"), "argument --psi: must be re,im pairs, got '1,0,0'"),
+            (("jauch-piron", "--a-dir=1,0"), "argument --a-dir: expects three comma-separated components, got '1,0'"),
+            (("jauch-piron", "--b-dir=0,0,0"), "argument --b-dir: cannot be the zero vector, got '0,0,0'"),
             (
                 ("chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
-                "--a-dir components must be finite, got 'nan,0,0'",
+                "argument --a-dir: components must be finite, got 'nan,0,0'",
             ),
-            (("bell-hv", "--alpha=inf"), "--alpha must be a finite number, got 'inf'"),
-            (("bell-hv", "--alpha=nan"), "--alpha must be a finite number, got 'nan'"),
+            (("bell-hv", "--alpha=inf"), "argument --alpha: must be a finite number, got 'inf'"),
+            (("bell-hv", "--alpha=nan"), "argument --alpha: must be a finite number, got 'nan'"),
         ],
         ids=[
             "seed", "eta-not-int", "eta-not-sign", "eta-two", "chsh-a-dir-text", "chsh-b-prime-empty", "bell-c-dir-text",
@@ -680,7 +762,7 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"{argv[0]}: {option} must be at most 10, got 11\n"
+        assert err == f"{argv[0]}: argument {option}: must be at most 10, got 11\n"
 
     def test_negative_config_seed_exits_2(self, capsys, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -786,12 +868,14 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("chsh", "--tol=abc"), "chsh: argument --tol: invalid float value: 'abc'"),
+            (("chsh", "--tol=abc"), "chsh: argument --tol: must be a finite number, got 'abc'"),
             (("ghz", "--samples=5"), "ghz: unrecognized arguments: --samples=5"),
             (("ks-color",), "ks-color: one of the arguments --peres --rays is required"),
             (("nonsense",), "hvlab: argument command: invalid choice: 'nonsense'"),
+            (("ghz", "--x\ny"), "ghz: unrecognized arguments: --x\\ny"),
+            (("bell-hv", "--s=\n"), "bell-hv: ambiguous option: --s=\\n could match --seed, --samples"),
         ],
-        ids=["type", "unrecognized", "group", "subcommand"],
+        ids=["type", "unrecognized", "group", "subcommand", "unrecognized-newline", "ambiguous-newline"],
     )
     def test_parser_error_is_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -833,17 +917,17 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("simulate", "--samples=3"), "n_pairs must be at least 8 (two per setting pair), got 3"),
+            (("simulate", "--samples=3"), "argument --samples: must be at least 8, got 3"),
             (
                 ("chsh", "--a-dir=nan,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
-                "--a-dir components must be finite, got 'nan,0,0'",
+                "argument --a-dir: components must be finite, got 'nan,0,0'",
             ),
-            (("wigner", "--samples=0"), "--samples must be at least 1, got 0"),
+            (("wigner", "--samples=0"), "argument --samples: must be at least 1, got 0"),
             (("chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none"),
-            (("ghz", "--tol=nan"), "--tol must be finite and non-negative, got nan"),
-            (("nosignal", "--seed=-1"), "--seed must be non-negative, got -1"),
+            (("ghz", "--tol=nan"), "argument --tol: must be a finite number, got 'nan'"),
+            (("nosignal", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
             *(
-                (argv + (f"{option}={limit + 1}",), f"{option} must be at most {limit}, got {limit + 1}")
+                (argv + (f"{option}={limit + 1}",), f"argument {option}: must be at most {limit}, got {limit + 1}")
                 for argv, option, limit in (
                     (("chsh", "--optimize"), "--restarts", hvlab.options.MAX_RESTARTS),
                     (("bell-hv",), "--samples", hvlab.options.MAX_BELL_HV_SAMPLES),
@@ -852,10 +936,15 @@ class TestFreshProcess:
                     (("vn-reconstruct",), "--trials", hvlab.options.MAX_VN_TRIALS),
                 )
             ),
+            (("dispersion", "--steps", "1"), "argument --steps: must be at least 2, got 1"),
+            (("hardy", "--optimize", "--grid", "5"), "argument --grid: must be at least 10, got 5"),
+            (("chsh", "--optimize", "--restarts", "0"), "argument --restarts: must be at least 1, got 0"),
+            (("bell-hv", "--samples", "50"), "argument --samples: must be at least 100, got 50"),
         ],
         ids=[
             "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts",
             "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
+            "dispersion-steps-least", "hardy-grid-least", "chsh-restarts-least", "bell-hv-samples-least",
         ],
     )
     def test_argv_error_exits_before_numpy_loads(self, argv, message):

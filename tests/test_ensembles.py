@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hvlab.ensembles import (
+    JAUCH_PIRON_MIN_GAP,
     ExpectationOracle,
     basis_observables,
     dispersion_free_witness,
@@ -53,7 +54,7 @@ class TestReconstruction:
 
     def test_malformed_ensemble_rejected(self):
         # <I> = 0.5 instead of 1
-        bad = ExpectationOracle(dim=2, expect=lambda a: 0.25 * np.trace(a).real, quantum=False)
+        bad = ExpectationOracle(dim=2, expect=lambda a: 0.25 * np.trace(a).real)
         with pytest.raises(ValueError, match="malformed"):
             reconstruct_density(bad)
 
@@ -219,6 +220,29 @@ class TestJauchPiron:
             jauch_piron_contradiction((0, 0, 1), (0, 0, 1))
         with pytest.raises(ValueError, match="degenerate"):
             jauch_piron_contradiction((0, 0, 1), (0, 0, -1))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+    def test_guard_keeps_every_accepted_intersection_empty(self, sign):
+        # |a -+ b| = 2 sin(t/2) for b at angle t from +-a: just above the guard every cross
+        # intersection is empty, and just below it the input is rejected, not miscounted
+        for factor, accepted in ((1.01, True), (0.99, False), (1e-3, False)):
+            t = 2.0 * np.arcsin(factor * JAUCH_PIRON_MIN_GAP / 2.0)
+            b = sign * np.array([np.cos(t), np.sin(t), 0.0])
+            if accepted:
+                report = jauch_piron_contradiction((1, 0, 0), b)
+                assert report.all_intersections_zero and report.cross_ranks == ((0, 0), (0, 0))
+            else:
+                with pytest.raises(ValueError, match="degenerate"):
+                    jauch_piron_contradiction((1, 0, 0), b)
+
+    def test_guard_sits_above_the_rank_threshold(self):
+        # the guard's margin: at 1/4 of it the rank count fails, as the unguarded contradiction did
+        from hvlab.qmath import intersection_projector, sigma_dot
+
+        t = 2.0 * np.arcsin(0.25 * JAUCH_PIRON_MIN_GAP / 2.0)
+        p = 0.5 * (np.eye(2) + sigma_dot((1, 0, 0)))
+        q = 0.5 * (np.eye(2) + sigma_dot((np.cos(t), np.sin(t), 0.0)))
+        assert intersection_projector(p, q)[1] == 1
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):

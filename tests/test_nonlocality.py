@@ -514,6 +514,7 @@ class TestHardyBuild:
         assert grid.condition_residuals.shape == (13, 13, 3)
         edges = [
             (1e-300, 0.5),
+            (1e-300, 1e-300),  # p underflows to 0
             (0.5, 1.0 - 2.0**-53),
             (1.0 / GOLDEN_RATIO, 1.0 / GOLDEN_RATIO),
             # an older scalar path differed from the batch by one ulp in p, or a residual, here
@@ -528,8 +529,12 @@ class TestHardyBuild:
         fields = ("psi", "u1_prime", "v1_prime", "u2_prime", "v2_prime")
         for k, (p1, p2) in enumerate(points):
             residuals = tuple(batch.condition_residuals[k].tolist())
-            if max(residuals) > TAU_EQ or not batch.p[k] > 0.0:
+            if max(residuals) > TAU_EQ:
                 with pytest.raises(AssertionError):
+                    hardy_build(p1, p2)
+                continue
+            if not batch.p[k] > 0.0:
+                with pytest.raises(ValueError, match="underflows"):
                     hardy_build(p1, p2)
                 continue
             single = hardy_build(p1, p2)
@@ -542,6 +547,13 @@ class TestHardyBuild:
         for bad in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)):
             with pytest.raises(ValueError):
                 hardy_build(*bad)
+
+    @pytest.mark.parametrize("params", [(5e-324, 0.5), (1e-300, 1e-300), (1e-320, 1e-320)])
+    def test_underflowing_probability_is_a_value_error(self, params):
+        # inside (0, 1) but p = p1 p2 (1 - p1)(1 - p2) / (1 - p1 p2) underflows to 0
+        assert self._batch(*params).p == 0.0
+        with pytest.raises(ValueError, match=r"underflows to 0 at \(p1, p2\) = \("):
+            hardy_build(*params)
 
 
 class TestHardyOptimize:

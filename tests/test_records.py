@@ -87,6 +87,33 @@ def test_bell_hv_state_keeps_the_validated_state():
     assert state.psi.dtype == complex and state.psi.tolist() == [1, 0] and state.lam == 0.5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExperimentConfig(optimal_chsh_settings(), 100, 1.0, 0)._replace(seed=-1, n_pairs=3),
+        lambda: ExperimentConfig._make([optimal_chsh_settings(), 100, 1.5, 0, "singlet"]),
+        lambda: optimal_chsh_settings()._replace(floats=((2.0, 0.0, 0.0),) * 4),
+        lambda: type(optimal_chsh_settings())._make([((0.0, 0.0, 0.0),) * 4]),
+        lambda: BellHVState(KET0, 0.1)._replace(lam=9.0),
+        lambda: BellHVState._make([np.array([2, 0]), 9.0]),
+    ],
+    ids=["config-replace", "config-make", "settings-replace", "settings-make", "state-replace", "state-make"],
+)
+def test_replace_and_make_check_like_the_constructor(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_replace_and_make_keep_valid_records():
+    config = ExperimentConfig(optimal_chsh_settings(), 100, 1.0, 0)
+    assert config._replace(seed=5) == ExperimentConfig(optimal_chsh_settings(), 100, 1.0, 5)
+    assert ExperimentConfig._make(config) == config
+    settings = optimal_chsh_settings()
+    assert type(settings)._make(settings) == settings and settings._replace() == settings
+    state = BellHVState(KET0, 0.1)._replace(lam=-0.5)
+    assert type(state) is BellHVState and state.lam == -0.5
+
+
 def test_copies_rebuild_a_config():
     config = ExperimentConfig(optimal_chsh_settings(), 100, 0.5, 3, source="singlet")
     for clone in (copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
