@@ -23,16 +23,18 @@ from .qmath import (
     TAU_EQ,
     TAU_PSD,
     assert_density_operator,
+    assert_projector,
     assert_state_vector,
     expectation,
+    null_eigenvalues,
     sigma_dot,
 )
 
 WITNESS_EPSILON = 0.01
 
 # For unit a and b, the smallest eigenvalue of 2I - P - Q over the four cross pairs of projectors is
-# 1 - sqrt(4 - d^2)/2 >= d^2/8, d = min(|a - b|, |a + b|).  `intersection_projector` counts an
-# eigenvalue at or below TAU_PSD as zero, so d must keep d^2/8 above 10 TAU_PSD.
+# 1 - sqrt(4 - d^2)/2 >= d^2/8, d = min(|a - b|, |a + b|).  `null_eigenvalues` counts an eigenvalue
+# at or below TAU_PSD as zero, so d must keep d^2/8 above 10 TAU_PSD.
 JAUCH_PIRON_MIN_GAP = math.sqrt(80.0 * TAU_PSD)
 
 
@@ -182,14 +184,12 @@ class JauchPironReport(NamedTuple):
 def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
     """Exhibit the projector-intersection clash for two spin directions.
 
-    Builds the four projectors (1 +/- a.sigma)/2 and (1 +/- b.sigma)/2,
-    checks each +/- pair resolves the identity, and that all four cross
-    intersections are the zero projector.  Any 0/1 value assignment must
-    set one projector of each pair to 1, yet the intersection of the two
-    chosen subspaces is empty, so its value cannot also be 1.
+    Builds and validates, once each, the four projectors (1 +/- a.sigma)/2 and (1 +/- b.sigma)/2, checks
+    each +/- pair resolves the identity, and that all four cross intersections are the zero projector: a
+    cross rank counts the null eigenvalues of 2I - P - Q, as `intersection_projector` does.  Any 0/1 value
+    assignment must set one projector of each pair to 1, yet the intersection of the two chosen subspaces
+    is empty, so its value cannot also be 1.
     """
-    from .qmath import intersection_projector
-
     a = np.asarray(a_hat, dtype=float).reshape(3)
     b = np.asarray(b_hat, dtype=float).reshape(3)
     for v, name in ((a, "a_hat"), (b, "b_hat")):
@@ -201,30 +201,16 @@ def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
                          f"{JAUCH_PIRON_MIN_GAP:.3g}, so a cross intersection would not read as empty")
 
     eye = np.eye(2, dtype=complex)
-    proj_a = [0.5 * (eye + sigma_dot(a)), 0.5 * (eye - sigma_dot(a))]
-    proj_b = [0.5 * (eye + sigma_dot(b)), 0.5 * (eye - sigma_dot(b))]
-    completeness_dev = max(
-        float(np.max(np.abs(proj_a[0] + proj_a[1] - eye))),
-        float(np.max(np.abs(proj_b[0] + proj_b[1] - eye))),
-    )
-    ranks = []
-    for pa in proj_a:
-        row = []
-        for pb in proj_b:
-            _, rank = intersection_projector(pa, pb)
-            row.append(rank)
-        ranks.append(tuple(row))
-    all_zero = all(r == 0 for row in ranks for r in row)
+    sigma_a, sigma_b = sigma_dot(a), sigma_dot(b)
+    projs = assert_projector(0.5 * np.stack([eye + sigma_a, eye - sigma_a, eye + sigma_b, eye - sigma_b]), stack=True)
+    completeness_dev = float(np.max(np.abs(projs[0::2] + projs[1::2] - eye)))
+    # 2I - P - Q on axes (P_a+-, P_b+-, 2, 2)
+    cross = null_eigenvalues(np.linalg.eigvalsh(2.0 * eye - projs[:2, None] - projs[None, 2:]))
     statement = (
         "every 0/1 assignment gives <A> = <B> = 1 for one projector per "
         "direction, but all cross intersections are empty, so <A and B> = 0: "
         "dispersion-free values are inconsistent"
     )
-    return JauchPironReport(
-        a_hat=tuple(a),
-        b_hat=tuple(b),
-        completeness_dev=completeness_dev,
-        cross_ranks=tuple(ranks),
-        all_intersections_zero=all_zero,
-        statement=statement,
-    )
+    return JauchPironReport(a_hat=tuple(a), b_hat=tuple(b), completeness_dev=completeness_dev,
+                            cross_ranks=tuple(map(tuple, cross.sum(axis=-1).tolist())),
+                            all_intersections_zero=not cross.any(), statement=statement)

@@ -58,6 +58,7 @@ SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 _FLOAT = np.dtype(float)
+_COMPLEX = np.dtype(complex)
 
 
 def _unit_floats(*vectors) -> tuple:
@@ -76,8 +77,8 @@ def _unit_floats(*vectors) -> tuple:
     return tuple(triples)
 
 
-def _read_only(xyz) -> np.ndarray:
-    vec = np.array(xyz)
+def _read_only(values, dtype=_FLOAT) -> np.ndarray:
+    vec = np.array(values, dtype)
     vec.setflags(write=False)
     return vec
 
@@ -140,7 +141,6 @@ def ghz_state() -> np.ndarray:
 _PAULI_PAIRS = np.array([[np.kron(s_i, s_j) for s_j in PAULIS] for s_i in PAULIS])
 
 TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
-_COMPLEX = np.dtype(complex)
 
 
 @functools.lru_cache(maxsize=TENSOR_MEMO_SIZE)
@@ -175,33 +175,29 @@ def correlation_tensor(psi) -> np.ndarray:
     return np.array(_memo_tensor(psi))
 
 
-def _bilinear(psi, rows, cols) -> list:
-    """[u . T v for u in rows for v in cols] on Python floats, T from the memo.
-
-    rows and cols are (x, y, z) triples of Python floats; plain loops, because
-    per call the scalar API is a handful of 3-vectors.
-    """
+def _correlators(psi, a, a_prime, b, b_prime) -> list:
+    """[a.Tb, a.Tb', a'.Tb, a'.Tb'] of (x, y, z) float triples, T from the memo, in straight-line code: T b and
+    T b' once each as t_i0 x + t_i1 y + t_i2 z, then x tx + y ty + z tz, the order every correlator keeps."""
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi)
-    t_cols = []
-    for x, y, z in cols:
-        t_cols.append((t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z))
-    values = []
-    for x, y, z in rows:
-        for tx, ty, tz in t_cols:
-            values.append(x * tx + y * ty + z * tz)
-    return values
+    x, y, z = b
+    bx, by, bz = t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z
+    x, y, z = b_prime
+    cx, cy, cz = t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z
+    (x, y, z), (u, v, w) = a, a_prime
+    return [x * bx + y * by + z * bz, x * cx + y * cy + z * cz, u * bx + v * by + w * bz, u * cx + v * cy + w * cz]
 
 
 def qm_correlator(psi, a, b) -> float:
     """<psi| (a.sigma) x (b.sigma) |psi> = a . T b; equals -a.b on the singlet."""
-    a, b = _unit_floats(a, b)
-    return _bilinear(psi, [a], [b])[0]
+    (x, y, z), (u, v, w) = _unit_floats(a, b)
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _memo_tensor(psi)
+    return x * (t00 * u + t01 * v + t02 * w) + y * (t10 * u + t11 * v + t12 * w) + z * (t20 * u + t21 * v + t22 * w)
 
 
 def bell_correlators(psi, a, b, c) -> tuple:
     """(P(a,b), P(a,c), P(b,c)) on Python floats, off one contraction with the memoized T."""
     a, b, c = _unit_floats(a, b, c)
-    ab, ac, _, bc = _bilinear(psi, [a, b], [b, c])
+    ab, ac, _, bc = _correlators(psi, a, b, b, c)
     return ab, ac, bc
 
 
@@ -219,10 +215,9 @@ def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float
 
 
 def chsh_correlators(psi, settings: ChshSettings) -> list:
-    """[a.Tb, a.Tb', a'.Tb, a'.Tb'] in SETTING_PAIR_NAMES order, on Python floats; T from the
-    per-state memo, so a scan over many settings on one state validates it and builds T once."""
-    a, a_prime, b, b_prime = settings.floats
-    return _bilinear(psi, (a, a_prime), (b, b_prime))
+    """[a.Tb, a.Tb', a'.Tb, a'.Tb'] in SETTING_PAIR_NAMES order, Python floats off T b and T b', no array; T from
+    the per-state memo, so a scan over many settings on one state validates it and builds T once."""
+    return _correlators(psi, *settings.floats)
 
 
 def chsh_value(psi, settings: ChshSettings) -> float:
@@ -326,22 +321,30 @@ class HardyParams(NamedTuple):
 
 
 class HardyConstruction(NamedTuple):
-    """Two-qubit state with the four joint-outcome conditions built in.
+    """Two-qubit state with the four joint-outcome conditions built in, kept as floats.
 
-    psi lives in the (u, v) product basis with u = |0>, v = |1>.  The primed
-    single-qubit bases (u', v') are fixed by the one-dimensional
-    orthogonality conditions; p is the probability of the jointly primed
-    outcome that local realism forbids, a float, and condition_residuals
-    are three floats.
+    psi lives in the (u, v) product basis with u = |0>, v = |1>; a01, a10, a11 are its amplitudes on
+    |u,v>, |v,u>, |v,v> (that on |u,u> is 0).  The primed single-qubit bases (u', v') are fixed by the
+    one-dimensional orthogonality conditions, v1' = (v1x, v1y) and v2' = (v2x, v2y).  p is the probability
+    of the jointly primed outcome that local realism forbids, condition_residuals three floats.  psi and the
+    primed vectors are built on access, each as a new read-only complex array.
     """
 
-    psi: np.ndarray
-    u1_prime: np.ndarray
-    v1_prime: np.ndarray
-    u2_prime: np.ndarray
-    v2_prime: np.ndarray
+    a01: float
+    a10: float
+    a11: float
+    v1x: float
+    v1y: float
+    v2x: float
+    v2y: float
     p: float
     condition_residuals: tuple
+
+    psi = property(lambda self: _read_only((0.0, self.a01, self.a10, self.a11), _COMPLEX))
+    u1_prime = property(lambda self: _read_only(_orthogonal_2d(self.v1x, self.v1y), _COMPLEX))
+    v1_prime = property(lambda self: _read_only((self.v1x, self.v1y), _COMPLEX))
+    u2_prime = property(lambda self: _read_only(_orthogonal_2d(self.v2x, self.v2y), _COMPLEX))
+    v2_prime = property(lambda self: _read_only((self.v2x, self.v2y), _COMPLEX))
 
 
 def hardy_probability(p1: float, p2: float) -> float:
@@ -393,21 +396,20 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     sqrt(1 - p1 p2) normalizes it exactly.  v2' is the unique direction
     with <v, v2'|psi> = 0, v1' the unique direction with <v1', v|psi> = 0;
     u' completes each primed basis.  p = |<v1', v2'|psi>|^2 is the grid scan's
-    arithmetic run on Python floats; u1', u2' and the three condition residuals
-    are derived here only, and the five vectors are views of one complex array.
+    arithmetic run on Python floats, and the three condition residuals are
+    derived here only; the vectors are built only when read (`HardyConstruction`).
     """
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-    a01, a10, a11, v1x, v1y, v2x, v2y, p = _hardy_fields(float(p1), float(p2))
+    fields = _hardy_fields(float(p1), float(p2))
+    a01, a10, a11, v1x, v1y, v2x, v2y, p = fields
     # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
     residuals = 0.0, abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
     if max(residuals) > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise ValueError(f"the jointly primed probability p underflows to 0 at (p1, p2) = ({p1}, {p2})")
-    u1, u2 = _orthogonal_2d(v1x, v1y), _orthogonal_2d(v2x, v2y)
-    vec = np.array((0.0, a01, a10, a11, *u1, v1x, v1y, *u2, v2x, v2y), dtype=complex)
-    return HardyConstruction(vec[:4], vec[4:6], vec[6:8], vec[8:10], vec[10:12], p, residuals)
+    return HardyConstruction(*fields, residuals)
 
 
 _HARDY_ZOOM_POINTS = 41

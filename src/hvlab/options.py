@@ -26,6 +26,7 @@ from . import __version__
 
 EPILOG = (
     "An input error exits 2 with one line on stderr before any computation runs. "
+    "Options must be spelled in full: --tol, not --to. "
     "A value that starts with '-' must be given as --opt=VALUE, for example --beta=-1,0,0."
 )
 
@@ -197,7 +198,10 @@ def _one_line(message: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's errors as one line, `<subcommand>: <message>` (`hvlab: ...` before one)."""
+    """argparse's errors as one line, `<subcommand>: <message>` (`hvlab: ...` before one); no abbreviations."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog.rsplit(' ', 1)[-1]}: {_one_line(message)}\n")

@@ -161,6 +161,11 @@ def random_unit3(rng: np.random.Generator) -> np.ndarray:
     return unit_vectors(rng.normal(size=3))
 
 
+def null_eigenvalues(evals) -> np.ndarray:
+    """Which eigenvalues of 2I - P - Q count as zero, the rank rule of every intersection: |lambda| <= TAU_PSD."""
+    return np.abs(evals) <= TAU_PSD
+
+
 def intersection_projector(p, q) -> tuple[np.ndarray, int]:
     """Projector onto range(P) & range(Q) and its rank.
 
@@ -175,6 +180,6 @@ def intersection_projector(p, q) -> tuple[np.ndarray, int]:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     gap = 2.0 * np.eye(p.shape[0], dtype=complex) - p - q
     evals, evecs = np.linalg.eigh(gap)
-    null = evecs[:, np.abs(evals) <= TAU_PSD]
+    null = evecs[:, null_eigenvalues(evals)]
     rank = null.shape[1]
     return null @ null.conj().T, rank

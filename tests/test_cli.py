@@ -741,28 +741,30 @@ class TestErrors:
         assert err == f"{argv[0]}: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv, limit, option",
+        "argv, option, limit, least",
         [
-            (("dispersion", "--steps=11"), "MAX_STEPS", "--steps"),
-            (("chsh", "--optimize", "--restarts=11"), "MAX_RESTARTS", "--restarts"),
-            (("hardy", "--optimize", "--grid=11"), "MAX_GRID", "--grid"),
-            (("bell-hv", "--samples=11"), "MAX_BELL_HV_SAMPLES", "--samples"),
-            (("wigner", "--samples=11"), "MAX_WIGNER_SAMPLES", "--samples"),
-            (("nosignal", "--trials=11"), "MAX_NOSIGNAL_TRIALS", "--trials"),
-            (("vn-reconstruct", "--trials=11"), "MAX_VN_TRIALS", "--trials"),
+            (("dispersion",), "--steps", "MAX_STEPS", hvlab.options.MIN_STEPS),
+            (("chsh", "--optimize"), "--restarts", "MAX_RESTARTS", hvlab.options.MIN_RESTARTS),
+            (("hardy", "--optimize"), "--grid", "MAX_GRID", hvlab.options.MIN_GRID),
+            (("bell-hv",), "--samples", "MAX_BELL_HV_SAMPLES", hvlab.options.MIN_BELL_HV_SAMPLES),
+            (("wigner",), "--samples", "MAX_WIGNER_SAMPLES", 1),
+            (("nosignal",), "--trials", "MAX_NOSIGNAL_TRIALS", 1),
+            (("vn-reconstruct",), "--trials", "MAX_VN_TRIALS", 1),
         ],
         ids=[
             "dispersion-steps", "chsh-restarts", "hardy-grid", "bell-hv-samples", "wigner-samples", "nosignal-trials",
             "vn-reconstruct-trials",
         ],
     )
-    def test_size_above_its_limit_exits_2(self, capsys, monkeypatch, argv, limit, option):
-        # the limit is lowered so that a missing check would still run a small case
-        monkeypatch.setattr(hvlab.options, limit, 10)
-        code, out, err = run(capsys, *argv)
+    def test_size_above_its_limit_exits_2(self, capsys, monkeypatch, argv, option, limit, least):
+        # The limit is lowered so that a missing check would still run a small case, but kept above the
+        # option's least, so that limit + 1 breaks the upper bound alone.
+        lowered = least + 10
+        monkeypatch.setattr(hvlab.options, limit, lowered)
+        code, out, err = run(capsys, *argv, f"{option}={lowered + 1}")
         assert code == 2
         assert out == ""
-        assert err == f"{argv[0]}: argument {option}: must be at most 10, got 11\n"
+        assert err == f"{argv[0]}: argument {option}: must be at most {lowered}, got {lowered + 1}\n"
 
     def test_negative_config_seed_exits_2(self, capsys, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -873,9 +875,10 @@ class TestErrors:
             (("ks-color",), "ks-color: one of the arguments --peres --rays is required"),
             (("nonsense",), "hvlab: argument command: invalid choice: 'nonsense'"),
             (("ghz", "--x\ny"), "ghz: unrecognized arguments: --x\\ny"),
-            (("bell-hv", "--s=\n"), "bell-hv: ambiguous option: --s=\\n could match --seed, --samples"),
+            # a prefix of --seed and of --samples, which argparse would otherwise report as ambiguous
+            (("bell-hv", "--s=\n"), "bell-hv: unrecognized arguments: --s=\\n"),
         ],
-        ids=["type", "unrecognized", "group", "subcommand", "unrecognized-newline", "ambiguous-newline"],
+        ids=["type", "unrecognized", "group", "subcommand", "unrecognized-newline", "abbreviation-newline"],
     )
     def test_parser_error_is_one_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -940,11 +943,15 @@ class TestFreshProcess:
             (("hardy", "--optimize", "--grid", "5"), "argument --grid: must be at least 10, got 5"),
             (("chsh", "--optimize", "--restarts", "0"), "argument --restarts: must be at least 1, got 0"),
             (("bell-hv", "--samples", "50"), "argument --samples: must be at least 100, got 50"),
+            # every option must be spelled in full: a prefix of one is not read as it
+            (("ghz", "--to", "1e-3"), "unrecognized arguments: --to 1e-3"),
+            (("vn-reconstruct", "--t", "1"), "unrecognized arguments: --t 1"),
         ],
         ids=[
             "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts",
             "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
             "dispersion-steps-least", "hardy-grid-least", "chsh-restarts-least", "bell-hv-samples-least",
+            "ghz-tol-prefix", "vn-reconstruct-ambiguous-prefix",
         ],
     )
     def test_argv_error_exits_before_numpy_loads(self, argv, message):

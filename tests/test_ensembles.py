@@ -244,6 +244,30 @@ class TestJauchPiron:
         q = 0.5 * (np.eye(2) + sigma_dot((np.cos(t), np.sin(t), 0.0)))
         assert intersection_projector(p, q)[1] == 1
 
+    def test_cross_ranks_match_intersection_projector(self):
+        # random pairs, and pairs at 1 to 1.5 times the guard from parallel and from antiparallel
+        from hvlab.qmath import ID2, intersection_projector, sigma_dot
+
+        rng = np.random.default_rng(17)
+        units = rng.normal(size=(300, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        pairs = list(zip(units[:100], units[100:200]))
+        for a, t in zip(units[200:], rng.normal(size=(100, 3))):
+            t -= (t @ a) * a
+            t /= np.linalg.norm(t)
+            angle = 2.0 * np.arcsin(rng.uniform(1.01, 1.5) * JAUCH_PIRON_MIN_GAP / 2.0)
+            b = np.cos(angle) * a + np.sin(angle) * t
+            pairs += [(a, b), (a, -b)]
+        for a, b in pairs:
+            report = jauch_piron_contradiction(a, b)
+            want = tuple(
+                tuple(intersection_projector(0.5 * (ID2 + s_a * sigma_dot(a)), 0.5 * (ID2 + s_b * sigma_dot(b)))[1]
+                      for s_b in (1.0, -1.0))
+                for s_a in (1.0, -1.0)
+            )
+            assert report.cross_ranks == want
+            assert report.all_intersections_zero == (want == ((0, 0), (0, 0)))
+
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             jauch_piron_contradiction((0, 0, 2), (1, 0, 0))

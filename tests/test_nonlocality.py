@@ -308,6 +308,35 @@ def test_correlators_match_kron_oracle():
         assert np.max(np.abs(np.subtract(correlators, [p(a, b), p(a, c), p(b, c)]))) <= 1e-12
 
 
+def reference_contraction(tensor_rows, rows, cols) -> list:
+    """[u . T v for u in rows for v in cols] in the order every correlator keeps: T v as
+    t_i0 x + t_i1 y + t_i2 z, then u . T v as x tx + y ty + z tz, each over loops."""
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = tensor_rows
+    t_cols = []
+    for x, y, z in cols:
+        t_cols.append((t00 * x + t01 * y + t02 * z, t10 * x + t11 * y + t12 * z, t20 * x + t21 * y + t22 * z))
+    return [x * tx + y * ty + z * tz for x, y, z in rows for tx, ty, tz in t_cols]
+
+
+def test_correlators_match_the_reference_contraction_bit_for_bit():
+    rng = np.random.default_rng(48)
+    states = [singlet_state(), PRODUCT_00, *(random_state(rng, 4) for _ in range(600))]
+
+    def bits(values):
+        return [float.hex(v) for v in values]  # tells -0.0 from 0.0
+
+    for psi in states:
+        rows = correlation_tensor(psi).tolist()
+        a, a_p, b, b_p = (tuple(random_unit3(rng).tolist()) for _ in range(4))
+        settings = ChshSettings(a, a_p, b, b_p)
+        want = reference_contraction(rows, [a, a_p], [b, b_p])
+        assert bits(chsh_correlators(psi, settings)) == bits(want)
+        assert bits([chsh_value(psi, settings)]) == bits([abs(want[0] - want[1]) + abs(want[2] + want[3])])
+        assert bits([qm_correlator(psi, a, b)]) == bits(reference_contraction(rows, [a], [b]))
+        ab, ac, _, bc = reference_contraction(rows, [a, b_p], [b_p, b])
+        assert bits(bell_correlators(psi, a, b_p, b)) == bits([ab, ac, bc])
+
+
 def test_unit_setting_rejects_nan():
     with pytest.raises(ValueError, match="unit vector"):
         ChshSettings((np.nan, 0.0, 0.0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -489,6 +518,17 @@ class TestHardyBuild:
         for vec in (construction.u1_prime, construction.v1_prime, construction.u2_prime, construction.v2_prime):
             first = next(c for c in vec if abs(c) > 1e-14)
             assert first.real > 0 and abs(first.imag) <= 1e-14
+
+    def test_keeps_floats_and_builds_each_vector_on_access(self):
+        construction = hardy_build(0.3, 0.6)
+        assert all(type(x) is float for x in construction[:8])
+        for name in ("psi", "u1_prime", "v1_prime", "u2_prime", "v2_prime"):
+            first, second = getattr(construction, name), getattr(construction, name)
+            assert first.dtype == complex and np.array_equal(first, second)
+            assert not np.shares_memory(first, second), name
+            assert not first.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                first[0] = 1.0
 
     @staticmethod
     def _batch(p1, p2):

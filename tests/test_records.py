@@ -37,7 +37,9 @@ def records():
 
 @pytest.mark.parametrize("record", records(), ids=lambda record: type(record).__name__)
 def test_assignment_raises_attribute_error(record):
-    for name in (*record._fields, "no_such_field"):
+    # the fields, the properties built from them (the Hardy vectors, the CHSH directions) and a name of neither
+    properties = [name for name, value in vars(type(record)).items() if isinstance(value, property)]
+    for name in (*record._fields, *properties, "no_such_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
