@@ -9,7 +9,7 @@ identity, and a seeded Monte Carlo experiment simulator.
 
 The names below load lazily (PEP 562): `import hvlab` imports no module and
 no numpy, and the first use of a name, or of a module as `hvlab.qmath`,
-imports its module.
+imports its module.  The names of `kernels` load no numpy.
 """
 
 import importlib
@@ -17,8 +17,14 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "kernels": (
+        "CHSH_LHV_BOUND", "CHSH_QUANTUM_MAX", "TAU_EQ", "AssignmentSearchResult", "ChshSettings",
+        "HardyConstruction", "MerminReport", "bell_original_lhs", "chsh_value", "ghz_assignment_search",
+        "ghz_stabilizer_deviations", "hardy_build", "hardy_probability", "mermin_assignment_search", "mermin_verify",
+        "optimal_chsh_settings", "qm_correlator",
+    ),
     "qmath": (
-        "ID2", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "TAU_EQ", "TAU_PSD", "eig_herm2", "expectation",
+        "ID2", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "TAU_PSD", "eig_herm2", "expectation",
         "intersection_projector", "kron", "pauli_obs", "projector", "sigma_dot",
     ),
     "ensembles": (
@@ -31,15 +37,12 @@ _EXPORTS = {
         "deterministic_weights", "validate_wigner_weights", "wigner_correlators",
     ),
     "contextuality": (
-        "GREEN", "RED", "AssignmentSearchResult", "KsResult", "MerminReport", "OrthogonalityStructure",
-        "canonical_ray", "ks_color", "load_rays", "mermin_assignment_search", "mermin_square", "mermin_verify",
-        "orthogonality_structure", "peres_rays", "save_rays", "verify_coloring",
+        "GREEN", "RED", "KsResult", "OrthogonalityStructure", "canonical_ray", "ks_color", "load_rays",
+        "mermin_square", "orthogonality_structure", "peres_rays", "save_rays", "verify_coloring",
     ),
     "nonlocality": (
-        "CHSH_LHV_BOUND", "CHSH_QUANTUM_MAX", "GOLDEN_RATIO", "ChshSettings", "HardyConstruction", "HardyParams",
-        "bell_original_lhs", "chsh_max", "chsh_optimize", "chsh_value", "correlation_tensor",
-        "ghz_assignment_search", "ghz_stabilizer_deviations", "ghz_state", "hardy_build", "hardy_optimize",
-        "hardy_probability", "no_signalling_check", "optimal_chsh_settings", "qm_correlator", "singlet_state",
+        "GOLDEN_RATIO", "HardyParams", "chsh_max", "chsh_optimize", "correlation_tensor", "ghz_state",
+        "hardy_optimize", "no_signalling_check", "singlet_state",
     ),
     "simlab": (
         "STRATEGIES", "ExperimentConfig", "LhvStrategy", "SimReport", "constant_strategy", "load_config",

@@ -2,85 +2,82 @@
 
 `run` takes the options that `hvlab.options` parsed and checked, calls the
 subcommand's handler and prints its report; `main(argv)` is the in-process
-entry, the same parse and run as the console script.  The library calls are
-imported here at module level, so `import hvlab.cli` loads every module.
+entry, the same parse and run as the console script.
+
+Importing this module loads the numpy-free `kernels` and no numpy: `mermin`,
+`ghz`, `bell`, `chsh` without `--optimize` and `hardy` without `--optimize`
+run on them alone.  Every other handler first calls `_bind` with the numpy
+modules it reads, which imports them and binds their names listed in
+`_NUMPY_NAMES` here, as a top-level import would; `hvlab.cli.NAME` binds a
+name on access too (PEP 562).  A name already bound here, such as a test's
+stand-in or a tracer's wrapper, is kept, so it is what the handlers call.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
 import sys
 import time
 
-import numpy as np
-
 from . import options
-from .qmath import (
-    ID2,
-    PAULIS,
-    TAU_EQ,
-    eig_herm2,
-    normalized_wishart,
-    pauli_obs,
-    random_density,
-    sigma_dot,
-    unit_vectors,
-)
-from .ensembles import (
-    dispersion_free_witness,
-    dispersion_scan,
-    jauch_piron_contradiction,
-    oracle_from_density,
-    reconstruct_density,
-)
-from .hvmodels import (
-    BATCH_PAIRS,
-    bell_hv_average_exact,
-    bell_hv_average_mc,
-    bell_hv_model_stderr,
-    chsh_combination,
-    chsh_from_wigner,
-    wigner_correlators,
-)
-from .contextuality import (
-    ks_color,
-    load_rays,
-    mermin_assignment_search,
-    mermin_square,
-    mermin_verify,
-    orthogonality_structure,
-    peres_rays,
-    save_rays,
-    verify_coloring,
-)
-from .nonlocality import (
+from .kernels import (
     BELL_ORIGINAL_BOUND,
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
-    GOLDEN_RATIO,
+    MERMIN_SQUARE,
+    PRODUCT_00,
     SETTING_NAMES,
     SETTING_PAIR_NAMES,
+    SINGLET,
+    TAU_EQ,
     TRINE_A,
     TRINE_B,
     TRINE_C,
     ChshSettings,
     bell_correlators,
     bell_original_lhs,
+    chsh_combination,
     chsh_correlators,
-    chsh_max,
-    chsh_optimize,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
     hardy_build,
-    hardy_optimize,
     hardy_probability,
-    no_signalling_check,
+    mermin_assignment_search,
+    mermin_verify,
     optimal_chsh_settings,
-    singlet_state,
 )
-from .simlab import ExperimentConfig, load_config, simulate_chsh
+
+_NUMPY_NAMES = {
+    "qmath": ("ID2", "PAULIS", "eig_herm2", "normalized_wishart", "pauli_obs", "random_density", "sigma_dot",
+              "unit_vectors"),
+    "ensembles": ("dispersion_free_witness", "dispersion_scan", "jauch_piron_contradiction", "oracle_from_density",
+                  "reconstruct_density"),
+    "hvmodels": ("BATCH_PAIRS", "bell_hv_average_exact", "bell_hv_average_mc", "bell_hv_model_stderr",
+                 "chsh_from_wigner", "wigner_correlators"),
+    "contextuality": ("ks_color", "load_rays", "orthogonality_structure", "peres_rays", "save_rays",
+                      "verify_coloring"),
+    "nonlocality": ("GOLDEN_RATIO", "chsh_max", "chsh_optimize", "hardy_optimize", "no_signalling_check"),
+    "simlab": ("ExperimentConfig", "load_config", "simulate_chsh"),
+}
+_MODULE_OF = {name: module for module, names in _NUMPY_NAMES.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import the named numpy modules and bind here each of their `_NUMPY_NAMES` not bound yet."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _NUMPY_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 def _claim(name: str, kind: str, value: float, target: float, tol: float) -> dict:
@@ -107,7 +104,7 @@ def _bool_claim(name: str, ok: bool) -> dict:
 
 
 def _round_sig(x: float, digits: int = 9) -> float:
-    if x == 0 or not np.isfinite(x):
+    if x == 0 or not math.isfinite(x):
         return float(x)
     return float(f"{x:.{digits}g}")
 
@@ -158,14 +155,17 @@ def _emit(report: dict, fmt: str, quiet: bool) -> int:
     return 0 if report["verdict"] == "PASS" else 1
 
 
-def _scaled(parts) -> np.ndarray:
+def _scaled(parts) -> list:
     """parts, not all zero, times the power of two that brings the largest into [1/2, 1): exact
     (bar subnormals), and the norm taken afterwards can neither overflow nor underflow."""
-    return np.ldexp(parts, -math.frexp(max(abs(p) for p in parts))[1])
+    exponent = math.frexp(max(abs(p) for p in parts))[1]
+    return [math.ldexp(p, -exponent) for p in parts]
 
 
-def _unit(parts) -> np.ndarray:
-    return unit_vectors(_scaled(parts))
+def _unit(parts) -> list:
+    scaled = _scaled(parts)
+    norm = math.sqrt(sum(x * x for x in scaled))
+    return [x / norm for x in scaled]
 
 
 def _units(args, *dests: str):
@@ -175,9 +175,11 @@ def _units(args, *dests: str):
     return [_unit(getattr(args, dest)) for dest in dests]
 
 
-def _state(parts) -> np.ndarray:
+def _state(parts):
     """The state vector of the re,im pairs of --psi, normalized."""
-    scaled = _scaled(parts)
+    import numpy as np
+
+    scaled = np.array(_scaled(parts))
     vec = scaled[0::2] + 1j * scaled[1::2]
     return vec / np.linalg.norm(vec)
 
@@ -187,6 +189,9 @@ def _state(parts) -> np.ndarray:
 
 
 def _cmd_vn_reconstruct(args):
+    import numpy as np
+
+    _bind("qmath", "ensembles")
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     witness_lo, witness_hi = 1.0, 0.0
@@ -213,6 +218,9 @@ def _cmd_vn_reconstruct(args):
 
 
 def _cmd_dispersion(args):
+    import numpy as np
+
+    _bind("qmath", "ensembles")
     rho = random_density(np.random.default_rng(args.seed), args.dim)
     evals, evecs = np.linalg.eigh(rho)
     phi1, phi2 = evecs[:, -1], evecs[:, 0]
@@ -244,6 +252,7 @@ def _cmd_dispersion(args):
 
 
 def _cmd_jauch_piron(args):
+    _bind("ensembles")
     report = jauch_piron_contradiction(_unit(args.a_dir), _unit(args.b_dir))
     inputs = {"a": list(report.a_hat), "b": list(report.b_hat)}
     ranks = [r for row in report.cross_ranks for r in row]
@@ -260,6 +269,9 @@ def _cmd_jauch_piron(args):
 
 
 def _cmd_bell_hv(args):
+    import numpy as np
+
+    _bind("qmath", "hvmodels")
     alpha = args.alpha
     psi = _state(args.psi)
     beta = np.array(args.beta)
@@ -292,6 +304,7 @@ def _cmd_bell_hv(args):
 
 
 def _cmd_ks_color(args):
+    _bind("contextuality")
     if args.peres:
         rays = peres_rays()
         source = "peres"
@@ -325,7 +338,7 @@ def _cmd_ks_color(args):
 
 
 def _cmd_mermin(args):
-    report = mermin_verify(mermin_square())
+    report = mermin_verify(MERMIN_SQUARE)
     search = mermin_assignment_search()
     inputs = {}
     outputs = {
@@ -349,7 +362,7 @@ def _cmd_mermin(args):
 
 
 def _cmd_bell(args):
-    psi = singlet_state()
+    psi = SINGLET
     dirs = _units(args, "a_dir", "b_dir", "c_dir")
     a, b, c = dirs or (TRINE_A, TRINE_B, TRINE_C)
     etas = args.eta
@@ -378,9 +391,10 @@ def _settings_report(settings: ChshSettings) -> dict:
 
 
 def _cmd_chsh(args):
-    psi = singlet_state() if args.state == "singlet" else np.array([1, 0, 0, 0], dtype=complex)
+    psi = SINGLET if args.state == "singlet" else PRODUCT_00
     inputs = {"state": args.state, "optimize": bool(args.optimize)}
     if args.optimize:
+        _bind("nonlocality")
         settings, s_star = chsh_optimize(psi, restarts=args.restarts, tol=args.tol, seed=args.seed)
         inputs["restarts"] = args.restarts
         outputs = {
@@ -413,6 +427,9 @@ def _cmd_chsh(args):
 
 
 def _cmd_wigner(args):
+    import numpy as np
+
+    _bind("hvmodels")
     rng = np.random.default_rng(args.seed)
     n = args.samples
     # the 16 one-hot weights are the deterministic models, the vertices of the weight simplex
@@ -459,6 +476,7 @@ def _cmd_ghz(args):
 
 def _cmd_hardy(args):
     if args.optimize:
+        _bind("nonlocality")
         params, p_max = hardy_optimize(grid=args.grid)
         inputs = {"optimize": True, "grid": args.grid}
         outputs = {
@@ -494,6 +512,9 @@ NOSIGNAL_BLOCK = 256  # trials checked as one stack, so memory stays bounded for
 
 
 def _cmd_nosignal(args):
+    import numpy as np
+
+    _bind("qmath", "nonlocality")
     rng = np.random.default_rng(args.seed)
     trials = args.trials
     max_dev = 0.0
@@ -513,6 +534,7 @@ def _cmd_nosignal(args):
 
 
 def _cmd_simulate(args):
+    _bind("simlab")
     if args.config:
         config = load_config(args.config)
     else:

@@ -6,6 +6,9 @@ RED (value 1) to each ray; it is valid when every complete orthogonal triad
 has exactly one GREEN and no orthogonal pair is GREEN-GREEN.  The 33-ray
 set built from the squared direction cosines (0,0,1), (0,1/2,1/2),
 (0,1/3,2/3) and (1/4,1/4,1/2) admits no valid coloring.
+
+The operator square's checks and the +-1 assignment count are those of the
+numpy-free `kernels`, read from here too; `mermin_square` gives the square as an array.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, TAU_EQ, kron
+from .kernels import (  # noqa: F401  (names defined there and read from here too)
+    MERMIN_COL_SIGNS, MERMIN_ROW_SIGNS, MERMIN_SQUARE, AssignmentSearchResult, MerminReport,
+    count_sign_assignments, mermin_assignment_search, mermin_verify,
+)
 
 TAU_ORTH = 1e-9
 
@@ -223,94 +229,6 @@ def mermin_square() -> np.ndarray:
     Rows: (X(1), X(2), X(1)X(2)), (Y(2), Y(1), Y(1)Y(2)),
     (X(1)Y(2), X(2)Y(1), Z(1)Z(2)), with particle 1 the left tensor factor.
     Every entry squares to the identity; entries commute within each row
-    and each column.
+    and each column.  `kernels.MERMIN_SQUARE`, as an array.
     """
-    grid = np.empty((3, 3, 4, 4), dtype=complex)
-    grid[0, 0] = kron(SIGMA_X, ID2)
-    grid[0, 1] = kron(ID2, SIGMA_X)
-    grid[0, 2] = kron(SIGMA_X, SIGMA_X)
-    grid[1, 0] = kron(ID2, SIGMA_Y)
-    grid[1, 1] = kron(SIGMA_Y, ID2)
-    grid[1, 2] = kron(SIGMA_Y, SIGMA_Y)
-    grid[2, 0] = kron(SIGMA_X, SIGMA_Y)
-    grid[2, 1] = kron(SIGMA_Y, SIGMA_X)
-    grid[2, 2] = kron(SIGMA_Z, SIGMA_Z)
-    return grid
-
-
-MERMIN_ROW_SIGNS = (1, 1, 1)
-MERMIN_COL_SIGNS = (1, 1, -1)
-
-
-class MerminReport(NamedTuple):
-    row_signs: tuple
-    col_signs: tuple
-    max_product_dev: float
-    max_square_dev: float
-    max_commutator: float
-
-
-def mermin_verify(square) -> MerminReport:
-    """Check the row products are +I, the column products (+I, +I, -I),
-    every entry squares to I, and rows/columns commute internally, each within TAU_EQ.
-
-    Raises ValueError if any check fails, so a returned report always passed.
-    """
-    square = np.asarray(square, dtype=complex)
-    if square.shape != (3, 3, 4, 4):
-        raise ValueError(f"expected shape (3, 3, 4, 4), got {square.shape}")
-    eye4 = np.eye(4, dtype=complex)
-    lines = [square[r] for r in range(3)] + [square[:, c] for c in range(3)]
-    prod_dev, comm, reversed_match = 0.0, 0.0, True
-    for line, sign in zip(lines, MERMIN_ROW_SIGNS + MERMIN_COL_SIGNS):
-        fwd = line[0] @ line[1] @ line[2]
-        rev = line[2] @ line[1] @ line[0]
-        prod_dev = max(prod_dev, float(np.max(np.abs(fwd - sign * eye4))))
-        reversed_match &= bool(np.max(np.abs(fwd - rev)) <= TAU_EQ)
-        for a, b in itertools.combinations(line, 2):
-            comm = max(comm, float(np.max(np.abs(a @ b - b @ a))))
-    sq_dev = float(np.max(np.abs(square @ square - eye4)))
-    if not (prod_dev <= TAU_EQ and sq_dev <= TAU_EQ and comm <= TAU_EQ and reversed_match):
-        raise ValueError(
-            f"operator square fails verification: product dev {prod_dev}, "
-            f"square dev {sq_dev}, commutator {comm}, reversed products match {reversed_match}"
-        )
-    return MerminReport(
-        row_signs=MERMIN_ROW_SIGNS,
-        col_signs=MERMIN_COL_SIGNS,
-        max_product_dev=prod_dev,
-        max_square_dev=sq_dev,
-        max_commutator=comm,
-    )
-
-
-class AssignmentSearchResult(NamedTuple):
-    n_checked: int
-    n_satisfying: int
-
-
-def count_sign_assignments(n_vars: int, constraints) -> AssignmentSearchResult:
-    """Count the +-1 assignments to n_vars variables that meet every constraint.
-
-    Each constraint is (indices, target): the product of the values at
-    `indices` must equal `target`.  All 2**n_vars assignments are checked
-    at once.
-    """
-    values = np.array(list(itertools.product((1, -1), repeat=n_vars)))
-    ok = np.ones(len(values), dtype=bool)
-    for indices, target in constraints:
-        ok &= values[:, list(indices)].prod(axis=1) == target
-    return AssignmentSearchResult(len(values), int(np.count_nonzero(ok)))
-
-
-def mermin_assignment_search() -> AssignmentSearchResult:
-    """Exhaustive search over the 512 noncontextual +-1 assignments.
-
-    Counts assignments meeting all six product constraints, whose signs are
-    the quantum ones.  The count is 0: the product of all nine values is the
-    product of the row targets (+1) but also of the column targets (-1).
-    """
-    # the grid is flattened row by row: row r holds 3r..3r+2, column c holds c, c+3, c+6
-    constraints = [(range(3 * r, 3 * r + 3), MERMIN_ROW_SIGNS[r]) for r in range(3)]
-    constraints += [(range(c, 9, 3), MERMIN_COL_SIGNS[c]) for c in range(3)]
-    return count_sign_assignments(9, constraints)
+    return np.array(MERMIN_SQUARE)

@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import TAU_EQ, chsh_combination
 from .options import MIN_BELL_HV_SAMPLES
-from .qmath import TAU_EQ, assert_state_vector
+from .qmath import assert_state_vector
 
 _SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
 
@@ -36,11 +37,6 @@ BATCH_PAIRS = 1 << 16  # samples held in memory at once by the batched samplers
 _PARITY = np.array(
     [(s * t, s * tp, sp * t, sp * tp) for s, sp, t, tp in itertools.product(SIGN, repeat=4)]
 )
-
-
-def chsh_combination(p):
-    """S = |p[0] - p[1]| + |p[2] + p[3]| for correlators (ab, ab', a'b, a'b'); floats or arrays."""
-    return abs(p[0] - p[1]) + abs(p[2] + p[3])
 
 
 def count_correlator(plus, n):

@@ -90,6 +90,22 @@ def _finite(text: str) -> float:
     return value
 
 
+def _inside_unit(text: str) -> float:
+    """A number strictly inside (0, 1): a Hardy parameter."""
+    value = _finite(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {text!r}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    """A number in [0, 1]: a visibility."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _tol(text: str) -> float:
     value = _finite(text)
     if value < 0.0:
@@ -278,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol, default=1e-12)
 
     p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
-    p.add_argument("--p1", type=float, default=None, help="default 0.5; not with --optimize")
-    p.add_argument("--p2", type=float, default=None, help="default 0.5; not with --optimize")
+    p.add_argument("--p1", type=_inside_unit, default=None, help="default 0.5, inside (0, 1); not with --optimize")
+    p.add_argument("--p2", type=_inside_unit, default=None, help="default 0.5, inside (0, 1); not with --optimize")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--grid", type=_count(MIN_GRID, MAX_GRID), default=None,
                    help=f"default 100, {MIN_GRID} to {MAX_GRID}; only with --optimize")
@@ -295,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
     p.add_argument("--config", metavar="FILE", default=None)
     p.add_argument("--source", default=None, help="default singlet; not with --config")
-    p.add_argument("--visibility", type=float, default=None, help="default 1.0; not with --config")
+    p.add_argument("--visibility", type=_unit_interval, default=None, help="default 1.0, 0 to 1; not with --config")
     p.add_argument("--samples", type=_count(MIN_PAIRS, MAX_PAIRS), default=None,
                    help=f"default 10^6, {MIN_PAIRS} to 2^63 - 1; not with --config")
     p.add_argument("--seed", type=_count(0), default=None, help="default 0, at least 0; not with --config")

@@ -5,19 +5,21 @@ Everything here works on plain complex ndarrays at desk scale (dimensions
 
     TAU_EQ  = 1e-10   entrywise matrix/scalar comparisons
     TAU_PSD = 1e-9    eigenvalue nonnegativity for density operators
+
+TAU_EQ, the Pauli matrices and the Kronecker product are those of the
+numpy-free `kernels`, as arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TAU_EQ = 1e-10
+from . import kernels
+from .kernels import TAU_EQ, check_unit_state
+
 TAU_PSD = 1e-9
 
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+ID2, SIGMA_X, SIGMA_Y, SIGMA_Z = (np.array(m) for m in (kernels.ID2, *kernels.PAULIS))
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
@@ -40,19 +42,11 @@ def assert_hermitian(m, stack: bool = False) -> np.ndarray:
 
 
 def assert_state_vector(psi) -> np.ndarray:
-    """Validate a state vector of unit norm, within TAU_EQ, at desk scale (dim 2 to 8).
-
-    Qubit-system operations (dim 2, 4 or 8) enforce their exact dimension
-    at the call site; ensemble reconstruction also runs in dimension 3.
-    """
+    """Validate a state vector of unit norm, within TAU_EQ, at desk scale (dim 2 to 8): `kernels.check_unit_state`."""
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim != 1:
         vec = vec.reshape(-1)
-    if not 2 <= vec.shape[0] <= 8:
-        raise ValueError(f"state dimension must be between 2 and 8, got {vec.shape[0]}")
-    norm_sq = float(np.vdot(vec, vec).real)
-    if not (abs(norm_sq - 1.0) <= TAU_EQ):  # also true for NaN
-        raise ValueError(f"state is not normalized: ||psi||^2 = {norm_sq}")
+    check_unit_state(vec.shape[0], float(np.vdot(vec, vec).real))
     return vec
 
 
@@ -80,8 +74,8 @@ def assert_projector(p, stack: bool = False) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices; dims multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Tensor (Kronecker) product of two matrices; dims multiply.  `kernels.kron`, as an array."""
+    return np.array(kernels.kron(as_matrix(a).tolist(), as_matrix(b).tolist()), dtype=complex)
 
 
 def sigma_dot(n) -> np.ndarray:

@@ -23,9 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hvmodels import BATCH_PAIRS, chsh_combination, count_correlator, sgn
-from .nonlocality import (
-    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, ChshSettings, _unit_floats, chsh_correlators, singlet_state
+from .hvmodels import BATCH_PAIRS, count_correlator, sgn
+from .kernels import (
+    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, SINGLET, ChshSettings, _unit_floats, chsh_combination,
+    chsh_correlators,
 )
 from .options import check_n_pairs
 
@@ -181,7 +182,7 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
         strategy = STRATEGIES[config.source.removeprefix("lhv:")]()
         return simulate_lhv(strategy, config.settings, config.n_pairs, config.seed)
 
-    q = config.visibility * np.array(chsh_correlators(singlet_state(), config.settings))
+    q = config.visibility * np.array(chsh_correlators(SINGLET, config.settings))
     n_k = _pairs_per_setting(config.n_pairs)
     # a unit setting may have |a| = 1 + TAU_EQ, so |q| can pass 1 and binomial rejects p outside [0, 1]
     plus_k = np.random.default_rng(config.seed).binomial(n_k, np.clip((1.0 + q) / 2.0, 0.0, 1.0))

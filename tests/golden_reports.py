@@ -1,0 +1,86 @@
+"""The golden report corpus: fixed argvs of the subcommands that draw nothing, and what each prints.
+
+Each case runs as `python -m hvlab ARGV` in a fresh process.  Its file under `tests/golden/` holds
+the argv, the exit code, stderr and stdout, with the `wall_time_s` line of the report left out;
+`tests/test_golden.py` compares every case with its file byte for byte.  The subcommands here read
+no random stream, so their bytes do not depend on the numpy release; the drawing subcommands
+(`vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`, `nosignal`, `simulate`, `chsh --optimize`)
+are not in the corpus.
+
+Regenerate every file after a deliberate report change, and review the diff:
+
+    python tests/golden_reports.py
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHSH_SETTINGS = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
+HUGE_SETTINGS = ("--a-dir=1e200,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1")
+
+# (name, argv): the name is the file's stem
+CASES = [
+    ("mermin", ["mermin"]),
+    ("mermin-tol", ["mermin", "--tol=1e-3", "--seed=7"]),
+    ("ghz", ["ghz"]),
+    ("bell", ["bell"]),  # the README's trine line
+    ("bell-eta", ["bell", "--eta=1,-1,1"]),
+    ("bell-directions", ["bell", "--a-dir=1,2,3", "--b-dir=-1,0.5,2", "--c-dir=0,0,1", "--eta=-1,1,-1"]),
+    ("chsh", ["chsh"]),
+    ("chsh-product", ["chsh", "--state=product"]),
+    ("chsh-settings", ["chsh", *CHSH_SETTINGS]),
+    ("chsh-product-settings", ["chsh", "--state=product", *CHSH_SETTINGS]),
+    ("chsh-huge-direction", ["chsh", *HUGE_SETTINGS]),
+    ("chsh-tiny-direction", ["chsh", "--a-dir=1e-200,0,0", *HUGE_SETTINGS[1:]]),
+    ("hardy", ["hardy"]),
+    ("hardy-p1-p2", ["hardy", "--p1=0.3", "--p2=0.8"]),
+    ("hardy-near-zero", ["hardy", "--p1=1e-300", "--p2=0.5"]),
+    ("hardy-optimize", ["hardy", "--optimize"]),  # the README's line
+    ("hardy-optimize-grid", ["hardy", "--optimize", "--grid=40", "--tol=1e-5"]),
+    ("jauch-piron", ["jauch-piron"]),
+    ("jauch-piron-directions", ["jauch-piron", "--a-dir=1,2,3", "--b-dir=0,1,0"]),
+    ("ks-color-peres", ["ks-color", "--peres"]),  # the README's line
+    # each subcommand once as CSV
+    *((f"{argv[0]}-csv", [*argv, "--format=csv"]) for argv in (
+        ["mermin"], ["ghz"], ["bell"], ["chsh"], ["hardy"], ["jauch-piron"], ["ks-color", "--peres"],
+    )),
+    # malformed argvs: exit 2 with one line on stderr
+    ("bad-chsh-two-settings", ["chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"]),
+    ("bad-bell-eta", ["bell", "--eta=1,2,1"]),
+    ("bad-mermin-tol", ["mermin", "--tol=-1"]),
+    ("bad-ghz-prefix", ["ghz", "--to", "1e-3"]),
+    ("bad-hardy-grid-without-optimize", ["hardy", "--grid=50"]),
+    ("bad-chsh-zero-direction", ["chsh", "--a-dir=0,0,0", *HUGE_SETTINGS[1:]]),
+    ("bad-jauch-piron-parallel", ["jauch-piron", "--a-dir=1,0,0", "--b-dir=1,1e-9,0"]),
+]
+
+
+def render(argv: list) -> str:
+    """The case file's text for argv, run now in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "hvlab", *argv], capture_output=True, text=True, env=env,
+                          timeout=300)
+    stdout = "".join(line for line in proc.stdout.splitlines(keepends=True)
+                     if not line.startswith(('  "wall_time_s": ', "wall_time_s,")))
+    return f"$ hvlab {shlex.join(argv)}\nexit {proc.returncode}\n--- stderr\n{proc.stderr}--- stdout\n{stdout}"
+
+
+def main() -> int:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in set(GOLDEN.glob("*.txt")) - {GOLDEN / f"{name}.txt" for name, _ in CASES}:
+        stale.unlink()
+    for name, argv in CASES:
+        (GOLDEN / f"{name}.txt").write_text(render(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,6 +101,8 @@ DOMAINS = {
     ("bell-hv", "beta"): lambda v: _floats(v) and len(v) == 3,
     ("bell-hv", "psi"): lambda v: _floats(v) and len(v) % 2 == 0 and any(v),
     ("bell", "eta"): lambda v: type(v) is tuple and len(v) == 3 and set(v) <= {1, -1},
+    **{("hardy", dest): lambda v: v is None or (type(v) is float and 0.0 < v < 1.0) for dest in ("p1", "p2")},
+    ("simulate", "visibility"): lambda v: v is None or (type(v) is float and 0.0 <= v <= 1.0),
     **{("jauch-piron", dest): _direction for dest in ("a_dir", "b_dir")},
     **{("bell", dest): lambda v: v is None or _direction(v) for dest in ("a_dir", "b_dir", "c_dir")},
     **{("chsh", dest): lambda v: v is None or _direction(v) for dest in options.CHSH_DIRECTIONS},
@@ -163,9 +165,9 @@ def check_each_boundary_value() -> None:
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_value_option_has_a_declared_domain_or_is_left_to_the_library(command):
-    # an option with no domain here takes any text or float; the library checks it (--p1, --p2,
-    # --visibility, --source, --state choices) or it names a file (--rays, --dump-rays, --config)
-    free = {"p1", "p2", "visibility", "source", "state", "rays", "dump_rays", "config", "optimize", "peres"}
+    # an option with no domain here takes any text; the library checks it (--source, --state
+    # choices) or it names a file (--rays, --dump-rays, --config)
+    free = {"source", "state", "rays", "dump_rays", "config", "optimize", "peres"}
     for action in SUBCOMMANDS[command]:
         declared = (command, action.dest) in DOMAINS or (None, action.dest) in DOMAINS
         assert declared or action.dest in free, (command, action.dest)

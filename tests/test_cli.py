@@ -901,6 +901,9 @@ def fresh(*args):
     return proc.returncode, proc.stdout, [line for line in lines if not line.startswith("import time:")], imported
 
 
+NUMPY_FREE = ("mermin", "ghz", "bell", "chsh", "hardy")  # without --optimize
+
+
 class TestFreshProcess:
     def test_import_hvlab_loads_no_numpy(self):
         script = (
@@ -943,6 +946,11 @@ class TestFreshProcess:
             (("hardy", "--optimize", "--grid", "5"), "argument --grid: must be at least 10, got 5"),
             (("chsh", "--optimize", "--restarts", "0"), "argument --restarts: must be at least 1, got 0"),
             (("bell-hv", "--samples", "50"), "argument --samples: must be at least 100, got 50"),
+            (("hardy", "--p1", "1.5"), "argument --p1: must lie strictly inside (0, 1), got '1.5'"),
+            (("hardy", "--p1", "nan"), "argument --p1: must be a finite number, got 'nan'"),
+            (("hardy", "--p2=0"), "argument --p2: must lie strictly inside (0, 1), got '0'"),
+            (("simulate", "--visibility", "nan", "--samples", "8"), "argument --visibility: must be a finite number, got 'nan'"),
+            (("simulate", "--visibility=1.5"), "argument --visibility: must lie in [0, 1], got '1.5'"),
             # every option must be spelled in full: a prefix of one is not read as it
             (("ghz", "--to", "1e-3"), "unrecognized arguments: --to 1e-3"),
             (("vn-reconstruct", "--t", "1"), "unrecognized arguments: --t 1"),
@@ -951,6 +959,7 @@ class TestFreshProcess:
             "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts",
             "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
             "dispersion-steps-least", "hardy-grid-least", "chsh-restarts-least", "bell-hv-samples-least",
+            "hardy-p1-outside", "hardy-p1-nan", "hardy-p2-zero", "simulate-visibility-nan", "simulate-visibility-outside",
             "ghz-tol-prefix", "vn-reconstruct-ambiguous-prefix",
         ],
     )
@@ -960,9 +969,10 @@ class TestFreshProcess:
         assert "hvlab.options" in imported and "numpy" not in imported
 
     def test_import_cli_generates_no_dataclass(self):
-        code, out, err, imported = fresh("-c", "import hvlab.cli")
+        modules = ("cli", "kernels", "qmath", "ensembles", "hvmodels", "contextuality", "nonlocality", "simlab")
+        code, out, err, imported = fresh("-c", "; ".join(f"import hvlab.{module}" for module in modules))
         assert (code, out, err) == (0, "", [])
-        assert "hvlab.simlab" in imported and "dataclasses" not in imported
+        assert {f"hvlab.{module}" for module in modules} <= imported and "dataclasses" not in imported
 
     @pytest.mark.parametrize(
         "argv, draws",
@@ -975,13 +985,20 @@ class TestFreshProcess:
             (("chsh",), False),
             (("ks-color", "--peres"), False),
             (("wigner", "--samples=1"), True),
+            *(((command, "--format=csv"), False) for command in NUMPY_FREE),
+            (("chsh", "--optimize"), True),
+            (("hardy", "--optimize"), False),
         ],
         ids=lambda v: v if isinstance(v, bool) else "-".join(v),
     )
     def test_numpy_random_loads_only_where_a_subcommand_draws(self, argv, draws):
+        # the five exact or scalar subcommands run on the numpy-free kernels; the others load numpy
         code, out, err, imported = fresh("-m", "hvlab", *argv, "--quiet")
         assert (code, out, err) == (0, "", [])
-        assert "numpy" in imported and ("numpy.random" in imported) is draws
+        if argv[0] in NUMPY_FREE and "--optimize" not in argv:
+            assert "hvlab.kernels" in imported and "numpy" not in imported
+        else:
+            assert "numpy" in imported and ("numpy.random" in imported) is draws
 
 
 def test_closed_stdout_keeps_exit_code_and_quiet_stderr():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hvlab import nonlocality
+from hvlab import kernels, nonlocality
 from hvlab.nonlocality import (
     CHSH_QUANTUM_MAX,
     GOLDEN_RATIO,
@@ -121,6 +121,19 @@ def uncached_tensor(psi) -> np.ndarray:
     return (vec.conj() @ pairs @ vec).real
 
 
+def pure_python_tensor(psi) -> list:
+    """T_ij = Re sum_k conj(psi_k) sum_l M_kl psi_l, M = sigma_i x sigma_j from `kernels.kron`, in plain loops."""
+    vec = np.asarray(psi, dtype=complex).reshape(-1).tolist()
+    rows = []
+    for s_i in kernels.PAULIS:
+        row = []
+        for s_j in kernels.PAULIS:
+            m = kernels.kron(s_i, s_j)
+            row.append(sum(vec[k].conjugate() * sum(m[k][l] * vec[l] for l in range(4)) for k in range(4)).real)
+        rows.append(row)
+    return rows
+
+
 class TestTensorMemo:
     def test_in_place_change_gives_new_tensor(self):
         psi = singlet_state()
@@ -176,12 +189,17 @@ class TestTensorMemo:
 
     def test_memo_floats_are_the_tensor(self):
         rng = np.random.default_rng(50)
-        for psi in [singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(20)]:
+        for k, psi in enumerate([singlet_state(), PRODUCT_00] + [random_state(rng, 4) for _ in range(500)]):
             memo = _tensor_of_bytes(np.asarray(psi, dtype=complex).tobytes())
-            # T is kept once, as three rows of three Python floats: the bits of the uncached tensor
+            # T is kept once, as three rows of three Python floats: the bits of the loop over the kron-built operators
             assert type(memo) is tuple and [type(row) for row in memo] == [tuple] * 3
             assert all(type(t) is float for row in memo for t in row)
-            assert list(map(list, memo)) == uncached_tensor(psi).tolist() == correlation_tensor(psi).tolist()
+            assert np.array(memo).tobytes() == np.array(pure_python_tensor(psi)).tobytes()
+            assert list(map(list, memo)) == correlation_tensor(psi).tolist()
+            # numpy's contraction sums in another order: equal to the last bits, and bit for bit on the CLI's states
+            assert np.max(np.abs(np.array(memo) - uncached_tensor(psi))) <= 1e-15
+            if k < 2:
+                assert np.array(memo).tobytes() == uncached_tensor(psi).tobytes()
 
     def test_values_survive_eviction(self):
         rng = np.random.default_rng(51)
