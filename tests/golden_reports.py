@@ -1,8 +1,10 @@
 """The golden report corpus: fixed argvs of the subcommands that draw nothing, and what each prints.
 
-Each case runs as `python -m hvlab ARGV` in a fresh process.  Its file under `tests/golden/` holds
-the argv, the exit code, stderr and stdout, with the `wall_time_s` line of the report left out;
-`tests/test_golden.py` compares every case with its file byte for byte.  The subcommands here read
+Each case runs as `python -m hvlab ARGV` in a fresh process, in a new directory that holds a copy of
+each file of `tests/golden/inputs/`, so an argv names them by their bare names.  Its file under
+`tests/golden/` holds the argv, the exit code, stderr and stdout, with the `wall_time_s` line of the
+report left out, then each file the run wrote there (`--dump-rays`); `tests/test_golden.py` compares
+every case with its file byte for byte.  The subcommands here read
 no random stream, so their bytes do not depend on the numpy release; the drawing subcommands
 (`vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`, `nosignal`, `simulate`, `chsh --optimize`)
 are not in the corpus.
@@ -16,11 +18,14 @@ from __future__ import annotations
 
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHSH_SETTINGS = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
@@ -47,7 +52,12 @@ CASES = [
     ("hardy-optimize-grid", ["hardy", "--optimize", "--grid=40", "--tol=1e-5"]),
     ("jauch-piron", ["jauch-piron"]),
     ("jauch-piron-directions", ["jauch-piron", "--a-dir=1,2,3", "--b-dir=0,1,0"]),
+    ("jauch-piron-oblique", ["jauch-piron", "--a-dir=0.3,-0.2,0.9", "--b-dir=-0.5,0.8,0.1"]),
+    ("jauch-piron-near-parallel", ["jauch-piron", "--a-dir=1,0,0", "--b-dir=1,1e-3,0"]),
     ("ks-color-peres", ["ks-color", "--peres"]),  # the README's line
+    ("ks-color-peres-tol-1", ["ks-color", "--peres", "--tol=1"]),  # every pair orthogonal: FAIL, exit 1
+    # a colorable set: the coloring and the canonical rays written back
+    ("ks-color-rays", ["ks-color", "--rays=peres-minus-one-rotated.txt", "--dump-rays=dump.txt"]),
     # each subcommand once as CSV
     *((f"{argv[0]}-csv", [*argv, "--format=csv"]) for argv in (
         ["mermin"], ["ghz"], ["bell"], ["chsh"], ["hardy"], ["jauch-piron"], ["ks-color", "--peres"],
@@ -60,17 +70,24 @@ CASES = [
     ("bad-hardy-grid-without-optimize", ["hardy", "--grid=50"]),
     ("bad-chsh-zero-direction", ["chsh", "--a-dir=0,0,0", *HUGE_SETTINGS[1:]]),
     ("bad-jauch-piron-parallel", ["jauch-piron", "--a-dir=1,0,0", "--b-dir=1,1e-9,0"]),
+    ("bad-ks-color-nan-ray", ["ks-color", "--rays=nan-ray.txt"]),
+    ("bad-ks-color-two-components", ["ks-color", "--rays=two-components.txt"]),
 ]
 
 
 def render(argv: list) -> str:
     """The case file's text for argv, run now in a fresh process."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "hvlab", *argv], capture_output=True, text=True, env=env,
-                          timeout=300)
+    with tempfile.TemporaryDirectory() as workdir:
+        for path in INPUTS.iterdir():
+            shutil.copy(path, workdir)
+        proc = subprocess.run([sys.executable, "-m", "hvlab", *argv], capture_output=True, text=True, env=env,
+                              cwd=workdir, timeout=300)
+        written = sorted(path for path in Path(workdir).iterdir() if not (INPUTS / path.name).exists())
+        files = "".join(f"--- file {path.name}\n{path.read_text()}" for path in written)
     stdout = "".join(line for line in proc.stdout.splitlines(keepends=True)
                      if not line.startswith(('  "wall_time_s": ', "wall_time_s,")))
-    return f"$ hvlab {shlex.join(argv)}\nexit {proc.returncode}\n--- stderr\n{proc.stderr}--- stdout\n{stdout}"
+    return f"$ hvlab {shlex.join(argv)}\nexit {proc.returncode}\n--- stderr\n{proc.stderr}--- stdout\n{stdout}{files}"
 
 
 def main() -> int:
