@@ -9,7 +9,7 @@ identity, and a seeded Monte Carlo experiment simulator.
 
 The names below load lazily (PEP 562): `import hvlab` imports no module and
 no numpy, and the first use of a name, or of a module as `hvlab.qmath`,
-imports its module.  The names of `kernels` load no numpy.
+imports its module.  The names of `kernels` and `contextuality` load no numpy.
 """
 
 import importlib
@@ -28,17 +28,17 @@ _EXPORTS = {
         "intersection_projector", "kron", "pauli_obs", "projector", "sigma_dot",
     ),
     "ensembles": (
-        "BasisObservables", "ExpectationOracle", "JauchPironReport", "basis_observables",
-        "dispersion_free_witness", "dispersion_scan", "homogeneity_check", "jauch_piron_contradiction",
-        "oracle_from_density", "reconstruct_density",
+        "BasisObservables", "ExpectationOracle", "basis_observables", "dispersion_free_witness", "dispersion_scan",
+        "homogeneity_check", "oracle_from_density", "reconstruct_density",
     ),
     "hvmodels": (
         "BellHVState", "bell_hv_average_exact", "bell_hv_average_mc", "bell_hv_value", "chsh_from_wigner",
         "deterministic_weights", "validate_wigner_weights", "wigner_correlators",
     ),
     "contextuality": (
-        "GREEN", "RED", "KsResult", "OrthogonalityStructure", "canonical_ray", "ks_color", "load_rays",
-        "mermin_square", "orthogonality_structure", "peres_rays", "save_rays", "verify_coloring",
+        "GREEN", "RED", "JauchPironReport", "KsResult", "OrthogonalityStructure", "canonical_ray",
+        "jauch_piron_contradiction", "ks_color", "load_rays", "mermin_square", "orthogonality_structure", "peres_rays",
+        "save_rays", "verify_coloring",
     ),
     "nonlocality": (
         "GOLDEN_RATIO", "HardyParams", "chsh_max", "chsh_optimize", "correlation_tensor", "ghz_state",

@@ -6,11 +6,13 @@ entry, the same parse and run as the console script.
 
 Importing this module loads the numpy-free `kernels` and no numpy: `mermin`,
 `ghz`, `bell`, `chsh` without `--optimize` and `hardy` without `--optimize`
-run on them alone.  Every other handler first calls `_bind` with the numpy
-modules it reads, which imports them and binds their names listed in
-`_NUMPY_NAMES` here, as a top-level import would; `hvlab.cli.NAME` binds a
-name on access too (PEP 562).  A name already bound here, such as a test's
-stand-in or a tracer's wrapper, is kept, so it is what the handlers call.
+run on them alone.  Every other handler first calls `_bind` with the library
+modules it reads (`contextuality`, which loads no numpy either, for `ks-color`
+and `jauch-piron`; numpy modules for the rest), which imports them and binds
+their names listed in `_LAZY_NAMES` here, as a top-level import would;
+`hvlab.cli.NAME` binds a name on access too (PEP 562).  A name already bound
+here, such as a test's stand-in or a tracer's wrapper, is kept, so it is what
+the handlers call.
 """
 
 from __future__ import annotations
@@ -50,26 +52,25 @@ from .kernels import (
     optimal_chsh_settings,
 )
 
-_NUMPY_NAMES = {
+_LAZY_NAMES = {
     "qmath": ("ID2", "PAULIS", "eig_herm2", "normalized_wishart", "pauli_obs", "random_density", "sigma_dot",
               "unit_vectors"),
-    "ensembles": ("dispersion_free_witness", "dispersion_scan", "jauch_piron_contradiction", "oracle_from_density",
-                  "reconstruct_density"),
+    "ensembles": ("dispersion_free_witness", "dispersion_scan", "oracle_from_density", "reconstruct_density"),
     "hvmodels": ("BATCH_PAIRS", "bell_hv_average_exact", "bell_hv_average_mc", "bell_hv_model_stderr",
                  "chsh_from_wigner", "wigner_correlators"),
-    "contextuality": ("ks_color", "load_rays", "orthogonality_structure", "peres_rays", "save_rays",
-                      "verify_coloring"),
+    "contextuality": ("jauch_piron_contradiction", "ks_color", "load_rays", "orthogonality_structure", "peres_floats",
+                      "save_rays", "verify_coloring"),
     "nonlocality": ("GOLDEN_RATIO", "chsh_max", "chsh_optimize", "hardy_optimize", "no_signalling_check"),
     "simlab": ("ExperimentConfig", "load_config", "simulate_chsh"),
 }
-_MODULE_OF = {name: module for module, names in _NUMPY_NAMES.items() for name in names}
+_MODULE_OF = {name: module for module, names in _LAZY_NAMES.items() for name in names}
 
 
 def _bind(*modules: str) -> None:
-    """Import the named numpy modules and bind here each of their `_NUMPY_NAMES` not bound yet."""
+    """Import the named library modules and bind here each of their `_LAZY_NAMES` not bound yet."""
     for module in modules:
         loaded = importlib.import_module(f"{__package__}.{module}")
-        for name in _NUMPY_NAMES[module]:
+        for name in _LAZY_NAMES[module]:
             globals().setdefault(name, getattr(loaded, name))
 
 
@@ -168,6 +169,10 @@ def _unit(parts) -> list:
     return [x / norm for x in scaled]
 
 
+def _dot(u, v) -> float:
+    return sum(x * y for x, y in zip(u, v))
+
+
 def _units(args, *dests: str):
     """Unit vectors from the named direction options, or None if none is given."""
     if getattr(args, dests[0]) is None:  # the parser took all or none
@@ -252,7 +257,7 @@ def _cmd_dispersion(args):
 
 
 def _cmd_jauch_piron(args):
-    _bind("ensembles")
+    _bind("contextuality")
     report = jauch_piron_contradiction(_unit(args.a_dir), _unit(args.b_dir))
     inputs = {"a": list(report.a_hat), "b": list(report.b_hat)}
     ranks = [r for row in report.cross_ranks for r in row]
@@ -305,19 +310,14 @@ def _cmd_bell_hv(args):
 
 def _cmd_ks_color(args):
     _bind("contextuality")
-    if args.peres:
-        rays = peres_rays()
-        source = "peres"
-    else:
-        rays = load_rays(args.rays)
-        source = args.rays
+    rays, source = (peres_floats(), "peres") if args.peres else (load_rays(args.rays), args.rays)
     if args.dump_rays:
         save_rays(args.dump_rays, rays)
     structure = orthogonality_structure(rays, tol=args.tol)
     result = ks_color(structure)
     inputs = {"rays_source": source, "orthogonality_tol": args.tol}
     outputs = {
-        "n_rays": int(rays.shape[0]),
+        "n_rays": len(rays),
         "n_orthogonal_pairs": len(structure.pairs),
         "n_triads": len(structure.triads),
         "satisfiable": result.satisfiable,
@@ -325,12 +325,10 @@ def _cmd_ks_color(args):
     }
     claims = []
     if result.satisfiable:
-        outputs["coloring"] = [int(c) for c in result.colors]
-        claims.append(
-            _bool_claim("certificate_verified", verify_coloring(structure, result.colors))
-        )
+        outputs["coloring"] = list(result.coloring)
+        claims.append(_bool_claim("certificate_verified", verify_coloring(structure, result.coloring)))
     if args.peres:  # the counts tell Peres's graph from one that a loose --tol builds on the same rays
-        claims.append(_claim("ray_count_is_33", "close", float(rays.shape[0]), 33.0, 0.0))
+        claims.append(_claim("ray_count_is_33", "close", float(len(rays)), 33.0, 0.0))
         claims.append(_claim("pair_count_is_72", "close", float(len(structure.pairs)), 72.0, 0.0))
         claims.append(_claim("triad_count_is_16", "close", float(len(structure.triads)), 16.0, 0.0))
         claims.append(_bool_claim("coloring_impossible", not result.satisfiable))
@@ -367,6 +365,9 @@ def _cmd_bell(args):
     a, b, c = dirs or (TRINE_A, TRINE_B, TRINE_C)
     etas = args.eta
     lhs = bell_original_lhs(psi, a, b, c, *etas)
+    # on the singlet P(u, v) = -u.v, so the closed form follows from the reported directions and etas
+    eta_a, eta_b, eta_c = etas
+    closed_form = -(eta_a * eta_b * _dot(a, b) + eta_a * eta_c * _dot(a, c) + eta_b * eta_c * _dot(b, c))
     inputs = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
@@ -380,7 +381,7 @@ def _cmd_bell(args):
         "violation": lhs - BELL_ORIGINAL_BOUND,
         "correlators": dict(zip(("ab", "ac", "bc"), bell_correlators(psi, a, b, c))),
     }
-    claims = []
+    claims = [_claim("lhs_matches_singlet_closed_form", "close", lhs, closed_form, args.tol)]
     if dirs is None and etas == (1, 1, 1):
         claims.append(_claim("trine_lhs_is_three_halves", "close", lhs, 1.5, args.tol))
     return inputs, outputs, claims, {"lhs": args.tol}

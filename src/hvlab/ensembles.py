@@ -8,34 +8,29 @@ density operator: querying it on the dim^2 basis observables
 recovers rho entrywise.  Dispersion-free ensembles would need <phi|rho|phi>
 to be 0 or 1 for every phi, which continuity forbids; `dispersion_free_witness`
 exhibits, in closed form from the leading eigenvectors, a phi with strictly
-intermediate probability whenever one exists.
+intermediate probability whenever one exists.  The Jauch-Piron names are
+those of `contextuality`, read from here on first access (PEP 562).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .options import MIN_STEPS
-from .qmath import (
-    TAU_EQ,
-    TAU_PSD,
-    assert_density_operator,
-    assert_projector,
-    assert_state_vector,
-    expectation,
-    null_eigenvalues,
-    sigma_dot,
-)
+from .qmath import TAU_EQ, TAU_PSD, assert_density_operator, assert_state_vector, expectation
 
 WITNESS_EPSILON = 0.01
 
-# For unit a and b, the smallest eigenvalue of 2I - P - Q over the four cross pairs of projectors is
-# 1 - sqrt(4 - d^2)/2 >= d^2/8, d = min(|a - b|, |a + b|).  `null_eigenvalues` counts an eigenvalue
-# at or below TAU_PSD as zero, so d must keep d^2/8 above 10 TAU_PSD.
-JAUCH_PIRON_MIN_GAP = math.sqrt(80.0 * TAU_PSD)
+
+
+def __getattr__(name: str):
+    if name in ("JAUCH_PIRON_MIN_GAP", "JauchPironReport", "jauch_piron_contradiction"):
+        from . import contextuality
+
+        return getattr(contextuality, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExpectationOracle(NamedTuple):
@@ -168,49 +163,3 @@ def homogeneity_check(rho) -> tuple[bool, int]:
     evals = np.linalg.eigvalsh(rho)
     rank = int(np.sum(evals > TAU_PSD))
     return pure, rank
-
-
-class JauchPironReport(NamedTuple):
-    """Outcome of the two-direction projector-intersection contradiction."""
-
-    a_hat: tuple
-    b_hat: tuple
-    completeness_dev: float
-    cross_ranks: tuple
-    all_intersections_zero: bool
-    statement: str
-
-
-def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
-    """Exhibit the projector-intersection clash for two spin directions.
-
-    Builds and validates, once each, the four projectors (1 +/- a.sigma)/2 and (1 +/- b.sigma)/2, checks
-    each +/- pair resolves the identity, and that all four cross intersections are the zero projector: a
-    cross rank counts the null eigenvalues of 2I - P - Q, as `intersection_projector` does.  Any 0/1 value
-    assignment must set one projector of each pair to 1, yet the intersection of the two chosen subspaces
-    is empty, so its value cannot also be 1.
-    """
-    a = np.asarray(a_hat, dtype=float).reshape(3)
-    b = np.asarray(b_hat, dtype=float).reshape(3)
-    for v, name in ((a, "a_hat"), (b, "b_hat")):
-        if not (abs(np.linalg.norm(v) - 1.0) <= TAU_EQ):  # also true for NaN
-            raise ValueError(f"{name} must be a unit vector")
-    gap = float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-    if gap <= JAUCH_PIRON_MIN_GAP:
-        raise ValueError(f"degenerate directions: min(|a_hat - b_hat|, |a_hat + b_hat|) = {gap:.3g}, at most "
-                         f"{JAUCH_PIRON_MIN_GAP:.3g}, so a cross intersection would not read as empty")
-
-    eye = np.eye(2, dtype=complex)
-    sigma_a, sigma_b = sigma_dot(a), sigma_dot(b)
-    projs = assert_projector(0.5 * np.stack([eye + sigma_a, eye - sigma_a, eye + sigma_b, eye - sigma_b]), stack=True)
-    completeness_dev = float(np.max(np.abs(projs[0::2] + projs[1::2] - eye)))
-    # 2I - P - Q on axes (P_a+-, P_b+-, 2, 2)
-    cross = null_eigenvalues(np.linalg.eigvalsh(2.0 * eye - projs[:2, None] - projs[None, 2:]))
-    statement = (
-        "every 0/1 assignment gives <A> = <B> = 1 for one projector per "
-        "direction, but all cross intersections are empty, so <A and B> = 0: "
-        "dispersion-free values are inconsistent"
-    )
-    return JauchPironReport(a_hat=tuple(a), b_hat=tuple(b), completeness_dev=completeness_dev,
-                            cross_ranks=tuple(map(tuple, cross.sum(axis=-1).tolist())),
-                            all_intersections_zero=not cross.any(), statement=statement)

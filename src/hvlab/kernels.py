@@ -6,13 +6,14 @@ alone.  It holds the Pauli matrices as tuples of rows of complex numbers, with t
 per state and kept in a bounded memo; the CHSH settings and the correlators read off T; the Hardy
 arithmetic; the exhaustive sign-assignment count; and the Mermin-square and GHZ checks.
 
-The numpy modules (`qmath`, `contextuality`, `hvmodels`, `nonlocality`, `simlab`) import from this
+The other modules (`qmath`, `contextuality`, `hvmodels`, `nonlocality`, `simlab`) import from this
 one, never the reverse, and give its results as arrays where their API returns arrays.  A function
 here that takes an array takes any sequence too, and reads an array by its `tolist()` (a complex128
-state by its bytes); the array fields of `ChshSettings` and `HardyConstruction` are built by
-`_read_only`, the one place this module loads numpy, and only when such a field is read.
+state by its bytes); the arrays of `ChshSettings`, `HardyConstruction` and of the numpy-free
+`contextuality` are built by `_read_only`, the one place that loads numpy, and only when read.
 
-TAU_EQ = 1e-10, shared with `qmath`, is the tolerance of every entrywise matrix or scalar comparison.
+TAU_EQ = 1e-10, shared with `qmath`, is the tolerance of every entrywise matrix or scalar comparison;
+TAU_PSD = 1e-9 that of an eigenvalue read as zero or nonnegative.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from array import array
 from typing import NamedTuple
 
 TAU_EQ = 1e-10
+TAU_PSD = 1e-9
 
 ID2 = ((1 + 0j, 0j), (0j, 1 + 0j))
 SIGMA_X = ((0j, 1 + 0j), (1 + 0j, 0j))

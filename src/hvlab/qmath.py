@@ -6,8 +6,8 @@ Everything here works on plain complex ndarrays at desk scale (dimensions
     TAU_EQ  = 1e-10   entrywise matrix/scalar comparisons
     TAU_PSD = 1e-9    eigenvalue nonnegativity for density operators
 
-TAU_EQ, the Pauli matrices and the Kronecker product are those of the
-numpy-free `kernels`, as arrays.
+The two tolerances, the Pauli matrices and the Kronecker product are those
+of the numpy-free `kernels`, the matrices as arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .kernels import TAU_EQ, check_unit_state
-
-TAU_PSD = 1e-9
+from .kernels import TAU_EQ, TAU_PSD, check_unit_state
 
 ID2, SIGMA_X, SIGMA_Y, SIGMA_Z = (np.array(m) for m in (kernels.ID2, *kernels.PAULIS))
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -155,17 +153,13 @@ def random_unit3(rng: np.random.Generator) -> np.ndarray:
     return unit_vectors(rng.normal(size=3))
 
 
-def null_eigenvalues(evals) -> np.ndarray:
-    """Which eigenvalues of 2I - P - Q count as zero, the rank rule of every intersection: |lambda| <= TAU_PSD."""
-    return np.abs(evals) <= TAU_PSD
-
-
 def intersection_projector(p, q) -> tuple[np.ndarray, int]:
     """Projector onto range(P) & range(Q) and its rank.
 
     Computed as the projector onto the null space of 2I - P - Q, whose
     zero eigenvectors are exactly the common +1 eigenvectors of P and Q.
-    Eigenvalues below TAU_PSD count as zero; genuine nonzero eigenvalues
+    An eigenvalue with |lambda| <= TAU_PSD counts as zero, the rule of
+    `contextuality.jauch_piron_contradiction` too; genuine nonzero eigenvalues
     in the constructions used here are orders of magnitude larger.
     """
     p = assert_projector(p)
@@ -174,6 +168,6 @@ def intersection_projector(p, q) -> tuple[np.ndarray, int]:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     gap = 2.0 * np.eye(p.shape[0], dtype=complex) - p - q
     evals, evecs = np.linalg.eigh(gap)
-    null = evecs[:, null_eigenvalues(evals)]
+    null = evecs[:, np.abs(evals) <= TAU_PSD]
     rank = null.shape[1]
     return null @ null.conj().T, rank

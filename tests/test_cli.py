@@ -148,7 +148,7 @@ class TestSubcommands:
         dump = tmp_path / "peres.txt"
         code, peres = run_json(capsys, "ks-color", "--peres", f"--dump-rays={dump}")
         assert code == 0
-        rays = load_rays(dump)
+        rays = np.array(load_rays(dump))
         assert rays.shape == (33, 3) and np.max(np.abs(rays - peres_rays())) <= 1e-12
         dumped, built = orthogonality_structure(rays), orthogonality_structure(peres_rays())
         assert (dumped.pairs, dumped.triads) == (built.pairs, built.triads)
@@ -189,6 +189,24 @@ class TestSubcommands:
         e_a, e_b, e_c = inputs["eta"]
         lhs = e_a * e_b * correlators["ab"] + e_a * e_c * correlators["ac"] + e_b * e_c * correlators["bc"]
         assert report["outputs"]["lhs"] == pytest.approx(lhs, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "argv", [(), ("--eta=1,1,-1",), ("--eta=-1,1,-1", "--a-dir=1,2,3", "--b-dir=-1,0.5,2", "--c-dir=0,0,1")]
+    )
+    def test_bell_claims_the_singlet_closed_form(self, capsys, argv):
+        code, report = run_json(capsys, "bell", *argv)
+        inputs = report["inputs"]
+        e_a, e_b, e_c = inputs["eta"]
+        a, b, c = (np.array(inputs[letter]) for letter in "abc")
+        claim = next(c for c in report["claims"] if c["name"] == "lhs_matches_singlet_closed_form")
+        assert code == 0 and claim["pass"] and claim["value"] == report["outputs"]["lhs"]
+        assert claim["target"] == pytest.approx(-(e_a * e_b * a @ b + e_a * e_c * a @ c + e_b * e_c * b @ c), abs=1e-8)
+
+    def test_bell_fails_when_lhs_leaves_the_closed_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(hvlab.cli, "bell_original_lhs", lambda *args: 0.5)  # the trine's is -0.5 here
+        code, report = run_json(capsys, "bell", "--eta=1,1,-1")
+        failed = [c["name"] for c in report["claims"] if not c["pass"]]
+        assert code == 1 and failed == ["lhs_matches_singlet_closed_form"]
 
     def test_chsh_value(self, capsys):
         code, report = run_json(capsys, "chsh")
@@ -901,7 +919,8 @@ def fresh(*args):
     return proc.returncode, proc.stdout, [line for line in lines if not line.startswith("import time:")], imported
 
 
-NUMPY_FREE = ("mermin", "ghz", "bell", "chsh", "hardy")  # without --optimize
+# the argvs that run on the numpy-free kernels and contextuality (chsh and hardy without --optimize)
+NUMPY_FREE = (("mermin",), ("ghz",), ("bell",), ("chsh",), ("hardy",), ("jauch-piron",), ("ks-color", "--peres"))
 
 
 class TestFreshProcess:
@@ -968,6 +987,16 @@ class TestFreshProcess:
         assert (code, out, err) == (2, "", [f"{argv[0]}: {message}"])
         assert "hvlab.options" in imported and "numpy" not in imported
 
+    def test_ensembles_reads_jauch_piron_from_contextuality_on_first_use(self):
+        script = (
+            "import sys, hvlab.ensembles as e\n"
+            "assert 'hvlab.contextuality' not in sys.modules\n"
+            "import hvlab.contextuality as c\n"
+            "for name in ('JAUCH_PIRON_MIN_GAP', 'JauchPironReport', 'jauch_piron_contradiction'):\n"
+            "    assert getattr(e, name) is getattr(c, name), name\n"
+        )
+        assert fresh("-c", script)[:3] == (0, "", [])
+
     def test_import_cli_generates_no_dataclass(self):
         modules = ("cli", "kernels", "qmath", "ensembles", "hvmodels", "contextuality", "nonlocality", "simlab")
         code, out, err, imported = fresh("-c", "; ".join(f"import hvlab.{module}" for module in modules))
@@ -977,28 +1006,36 @@ class TestFreshProcess:
     @pytest.mark.parametrize(
         "argv, draws",
         [
-            (("jauch-piron",), False),
-            (("mermin",), False),
-            (("ghz",), False),
-            (("hardy",), False),
-            (("bell",), False),
-            (("chsh",), False),
-            (("ks-color", "--peres"), False),
+            *((argv, False) for argv in NUMPY_FREE),
             (("wigner", "--samples=1"), True),
-            *(((command, "--format=csv"), False) for command in NUMPY_FREE),
+            *(((*argv, "--format=csv"), False) for argv in NUMPY_FREE),
             (("chsh", "--optimize"), True),
             (("hardy", "--optimize"), False),
         ],
         ids=lambda v: v if isinstance(v, bool) else "-".join(v),
     )
     def test_numpy_random_loads_only_where_a_subcommand_draws(self, argv, draws):
-        # the five exact or scalar subcommands run on the numpy-free kernels; the others load numpy
+        # the exact and scalar subcommands run on the numpy-free kernels and contextuality; the others load numpy
         code, out, err, imported = fresh("-m", "hvlab", *argv, "--quiet")
         assert (code, out, err) == (0, "", [])
-        if argv[0] in NUMPY_FREE and "--optimize" not in argv:
+        if "--optimize" not in argv and argv[0] in {free[0] for free in NUMPY_FREE}:
             assert "hvlab.kernels" in imported and "numpy" not in imported
         else:
             assert "numpy" in imported and ("numpy.random" in imported) is draws
+
+    def test_ray_files_load_no_numpy(self, tmp_path):
+        rays, dump, nan_ray = tmp_path / "rays.txt", tmp_path / "dump.txt", tmp_path / "nan.txt"
+        rays.write_text("# axes\n1 0 0\n0 -2 0\n0 0 1\n")
+        nan_ray.write_text("nan 0 0\n1 0 0\n0 1 0\n")
+        # the console script's run, then what it left in sys.modules (-X importtime misses importlib's imports)
+        script = (
+            "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
+            "assert 'hvlab.contextuality' in sys.modules and 'numpy' not in sys.modules\nsys.exit(code)\n"
+        )
+        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={rays}", f"--dump-rays={dump}", "--quiet")
+        assert (code, out, err) == (0, "", []) and len(dump.read_text().splitlines()) == 4
+        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={nan_ray}")
+        assert (code, out, len(err)) == (2, "", 1) and err[0].startswith(f"ks-color: {nan_ray}:1: ")
 
 
 def test_closed_stdout_keeps_exit_code_and_quiet_stderr():

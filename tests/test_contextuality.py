@@ -7,6 +7,7 @@ import pytest
 from hvlab.contextuality import (
     GREEN,
     MERMIN_COL_SIGNS,
+    MERMIN_SQUARE,
     MERMIN_ROW_SIGNS,
     RED,
     PERES_SQUARED_TRIPLES,
@@ -18,6 +19,7 @@ from hvlab.contextuality import (
     mermin_square,
     mermin_verify,
     orthogonality_structure,
+    peres_floats,
     peres_rays,
     save_rays,
     verify_coloring,
@@ -41,6 +43,11 @@ class TestCanonicalRay:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             canonical_ray([0, 0, 0])
+
+    @pytest.mark.parametrize("v", [[0, -2, 0], np.array([0, -2, 0]), [[0], [-2], [0]], (0.0, -2.0, 0.0)])
+    def test_any_three_numbers_give_a_float_triple(self, v):
+        ray = canonical_ray(v)
+        assert ray == (0.0, 1.0, 0.0) and all(type(c) is float for c in ray)
 
     @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf], [1e200, 1e200, 0]])
     def test_rejects_non_finite(self, bad):
@@ -205,6 +212,20 @@ class TestKsColor:
         assert not verify_coloring(st, [GREEN, GREEN, RED])  # orthogonal pair both green
         assert not verify_coloring(st, [RED, RED, RED])  # triad with no green
         assert not verify_coloring(st, [GREEN, RED])  # wrong length
+
+
+def test_arrays_are_built_from_the_floats_when_read():
+    structure = orthogonality_structure(peres_rays())
+    result = ks_color(orthogonality_structure(np.eye(3)))
+    for array, values, dtype in (
+        (peres_rays(), peres_floats(), float),
+        (structure.rays, structure.floats, float),
+        (result.colors, result.coloring, int),
+        (mermin_square(), MERMIN_SQUARE, complex),
+    ):
+        assert type(array) is np.ndarray and array.dtype == dtype and not array.flags.writeable
+        assert np.array_equal(array, np.array(values))
+    assert structure.floats == peres_floats() and ks_color(structure).colors is None
 
 
 class TestRayFiles:
