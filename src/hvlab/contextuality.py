@@ -190,7 +190,6 @@ def ks_color(structure: OrthogonalityStructure) -> KsResult:
 
     order = sorted(range(n), key=lambda i: (-len(neighbors[i]), i))
     colors = [UNASSIGNED] * n
-    nodes = 0
 
     def propagate(trail: list[int]) -> bool:
         """Color what the rules force, appending each ray colored to trail; False on a conflict.  The loop
@@ -215,26 +214,29 @@ def ks_color(structure: OrthogonalityStructure) -> KsResult:
                             trail.append(m)
         return True
 
-    def search() -> bool:
-        nonlocal nodes
-        var = next((i for i in order if colors[i] == UNASSIGNED), None)
-        if var is None:
-            return True
-        for c in (GREEN, RED):
-            nodes += 1
-            colors[var] = c
-            trail = [var]
-            if propagate(trail) and search():
-                return True
-            for i in trail:
+    # depth-first over decisions, on a list rather than Python's stack, so that no ray count reaches the
+    # recursion limit; an open decision is [ray, colors tried, rays colored by its latest try]
+    nodes = 0
+    decisions: list[list] = []
+    while (var := next((i for i in order if colors[i] == UNASSIGNED), None)) is not None:
+        decisions.append([var, 0, []])
+        while decisions:  # the next color at the deepest open decision, undoing its latest try first
+            decision = decisions[-1]
+            for i in decision[2]:
                 colors[i] = UNASSIGNED
-        return False
-
-    if search():
-        if not verify_coloring(structure, colors):
-            raise AssertionError("solver produced a certificate that fails verification")
-        return KsResult(satisfiable=True, coloring=tuple(colors), nodes_explored=nodes)
-    return KsResult(satisfiable=False, coloring=None, nodes_explored=nodes)
+            if decision[1] == 2:  # GREEN and RED both failed
+                decisions.pop()
+                continue
+            nodes += 1
+            colors[decision[0]] = (GREEN, RED)[decision[1]]
+            decision[1], decision[2] = decision[1] + 1, [decision[0]]
+            if propagate(decision[2]):
+                break
+        else:  # every decision failed
+            return KsResult(satisfiable=False, coloring=None, nodes_explored=nodes)
+    if not verify_coloring(structure, colors):
+        raise AssertionError("solver produced a certificate that fails verification")
+    return KsResult(satisfiable=True, coloring=tuple(colors), nodes_explored=nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .qmath import TAU_EQ, TAU_PSD, assert_density_operator, assert_state_vector
 WITNESS_EPSILON = 0.01
 
 
-
 def __getattr__(name: str):
     if name in ("JAUCH_PIRON_MIN_GAP", "JauchPironReport", "jauch_piron_contradiction"):
         from . import contextuality

@@ -198,9 +198,10 @@ class TestSubcommands:
         inputs = report["inputs"]
         e_a, e_b, e_c = inputs["eta"]
         a, b, c = (np.array(inputs[letter]) for letter in "abc")
-        claim = next(c for c in report["claims"] if c["name"] == "lhs_matches_singlet_closed_form")
+        claim = {x["name"]: x for x in report["claims"]}["lhs_matches_singlet_closed_form"]
+        want = -(e_a * e_b * a @ b + e_a * e_c * a @ c + e_b * e_c * b @ c)
         assert code == 0 and claim["pass"] and claim["value"] == report["outputs"]["lhs"]
-        assert claim["target"] == pytest.approx(-(e_a * e_b * a @ b + e_a * e_c * a @ c + e_b * e_c * b @ c), abs=1e-8)
+        assert claim["target"] == pytest.approx(want, abs=1e-8)
 
     def test_bell_fails_when_lhs_leaves_the_closed_form(self, capsys, monkeypatch):
         monkeypatch.setattr(hvlab.cli, "bell_original_lhs", lambda *args: 0.5)  # the trine's is -0.5 here

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hvlab.contextuality import (
     MERMIN_ROW_SIGNS,
     RED,
     PERES_SQUARED_TRIPLES,
+    OrthogonalityStructure,
     canonical_ray,
     count_sign_assignments,
     ks_color,
@@ -206,6 +208,12 @@ class TestKsColor:
             verdicts.add(result.satisfiable)
         if tol == 0.7:
             assert verdicts == {True, False}
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # with no pair and no triad every ray is a decision, so the search is n decisions deep
+        n = 2 * sys.getrecursionlimit()
+        result = ks_color(OrthogonalityStructure(((1.0, 0.0, 0.0),) * n, (), ()))
+        assert result.satisfiable and result.nodes_explored == n and set(result.coloring) == {GREEN}
 
     def test_verifier_rejects_bad_coloring(self):
         st = orthogonality_structure(np.eye(3))
