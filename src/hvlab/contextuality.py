@@ -106,7 +106,8 @@ def orthogonality_structure(rays, tol: float = TAU_ORTH) -> OrthogonalityStructu
     """All orthogonal pairs |r_i . r_j| <= tol and all mutually orthogonal
     triples, in lexicographic index order."""
     triples = _ray_triples(rays)
-    orthogonal = [abs(x * u + y * v + z * w) <= tol for (x, y, z), (u, v, w) in itertools.combinations(triples, 2)]
+    # a generator, so that memory grows with the pairs found, not with the n(n - 1)/2 tested
+    orthogonal = (abs(x * u + y * v + z * w) <= tol for (x, y, z), (u, v, w) in itertools.combinations(triples, 2))
     pairs = tuple(itertools.compress(itertools.combinations(range(len(triples)), 2), orthogonal))
     later: list[list[int]] = [[] for _ in triples]  # the partners j > i of each ray i, ascending
     for i, j in pairs:
