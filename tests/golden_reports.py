@@ -1,13 +1,15 @@
-"""The golden report corpus: fixed argvs of the subcommands that draw nothing, and what each prints.
+"""The golden report corpus: fixed argvs of every subcommand, and what each prints.
 
 Each case runs as `python -m hvlab ARGV` in a fresh process, in a new directory that holds a copy of
 each file of `tests/golden/inputs/`, so an argv names them by their bare names.  Its file under
 `tests/golden/` holds the argv, the exit code, stderr and stdout, with the `wall_time_s` line of the
-report left out, then each file the run wrote there (`--dump-rays`); `tests/test_golden.py` compares
-every case with its file byte for byte.  The subcommands here read
-no random stream, so their bytes do not depend on the numpy release; the drawing subcommands
-(`vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`, `nosignal`, `simulate`, `chsh --optimize`)
-are not in the corpus.
+report left out, then each file the run wrote there (`--dump-rays`).
+
+The drawing subcommands (`vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`, `nosignal`,
+`simulate`, `chsh --optimize`) read numpy's random streams, which a numpy release may change
+(NEP 19), so the corpus records the numpy version it was written with in `tests/golden/numpy-version`.
+`tests/test_golden.py` compares every case with its file byte for byte, except a drawing case under
+another numpy version: that one compares the exit code, stderr, the verdict and the `inputs`.
 
 Regenerate every file after a deliberate report change, and review the diff:
 
@@ -22,10 +24,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+NUMPY_VERSION = GOLDEN / "numpy-version"
+DRAWING = {"vn-reconstruct", "dispersion", "bell-hv", "wigner", "nosignal", "simulate"}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHSH_SETTINGS = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
@@ -58,9 +63,22 @@ CASES = [
     ("ks-color-peres-tol-1", ["ks-color", "--peres", "--tol=1"]),  # every pair orthogonal: FAIL, exit 1
     # a colorable set: the coloring and the canonical rays written back
     ("ks-color-rays", ["ks-color", "--rays=peres-minus-one-rotated.txt", "--dump-rays=dump.txt"]),
+    # the drawing subcommands, at fixed seeds and small sizes; 300 trials are a full and a partial block
+    ("nosignal", ["nosignal", "--seed=3", "--trials=300"]),
+    ("vn-reconstruct-dim-2", ["vn-reconstruct", "--dim=2", "--seed=5"]),
+    ("vn-reconstruct-dim-4", ["vn-reconstruct", "--dim=4", "--seed=6", "--trials=4"]),
+    ("dispersion-dim-3", ["dispersion", "--dim=3", "--seed=7", "--steps=50"]),
+    ("dispersion-dim-4", ["dispersion", "--dim=4", "--seed=8", "--steps=50"]),
+    ("bell-hv", ["bell-hv", "--alpha=0.5", "--beta=0.3,-0.4,1.2", "--psi=0.6,0,0,0.8", "--samples=1000",
+                 "--seed=9"]),
+    ("wigner", ["wigner", "--seed=10", "--samples=200"]),
+    ("simulate-singlet", ["simulate", "--visibility=0.9", "--samples=4000", "--seed=11"]),
+    ("simulate-lhv", ["simulate", "--source=lhv:sign", "--samples=4000", "--seed=12"]),
+    ("chsh-optimize", ["chsh", "--optimize", "--restarts=3", "--seed=13"]),
     # each subcommand once as CSV
     *((f"{argv[0]}-csv", [*argv, "--format=csv"]) for argv in (
         ["mermin"], ["ghz"], ["bell"], ["chsh"], ["hardy"], ["jauch-piron"], ["ks-color", "--peres"],
+        ["nosignal", "--seed=3", "--trials=300"],
     )),
     # malformed argvs: exit 2 with one line on stderr
     ("bad-chsh-two-settings", ["chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"]),
@@ -73,6 +91,11 @@ CASES = [
     ("bad-ks-color-nan-ray", ["ks-color", "--rays=nan-ray.txt"]),
     ("bad-ks-color-two-components", ["ks-color", "--rays=two-components.txt"]),
 ]
+
+
+def draws(argv: list) -> bool:
+    """Whether the subcommand of argv reads a random stream."""
+    return argv[0] in DRAWING or (argv[0] == "chsh" and "--optimize" in argv)
 
 
 def render(argv: list) -> str:
@@ -96,6 +119,7 @@ def main() -> int:
         stale.unlink()
     for name, argv in CASES:
         (GOLDEN / f"{name}.txt").write_text(render(argv))
+    NUMPY_VERSION.write_text(version("numpy") + "\n")
     return 0
 
 
