@@ -183,20 +183,24 @@ def no_signalling_check(rho, a, b_projectors):
     projs = assert_projector(b_projectors, stack=True)
     if projs.ndim != rho.ndim + 1 or projs.shape[:-3] + projs.shape[-2:] != rho.shape:
         raise ValueError("projectors do not match the state's dimension")
-    if np.max(np.abs(projs.sum(axis=-3) - np.eye(rho.shape[-1]))) > TAU_EQ:
-        raise ValueError("projectors do not resolve the identity")
-    overlapping = np.abs(projs[..., :, None, :, :] @ projs[..., None, :, :, :]).max(axis=(-2, -1)) > TAU_EQ
+    # what must vanish, per trial: sum P - I, every P_i P_j and every [A, P_i]; its largest entry per
+    # relation over all trials, then the relations walked in the order one trial checks them
+    k, n = projs.shape[-3:-1]
+    products = (projs[..., :, None, :, :] @ projs[..., None, :, :, :]).reshape(projs.shape[:-3] + (k * k, n, n))
     a_each = a[..., None, :, :]
-    noncommuting = np.abs(a_each @ projs - projs @ a_each).max(axis=(-2, -1)) > TAU_EQ
-    for i in range(projs.shape[-3]):  # in the order one trial checks them
-        if overlapping[..., i, i + 1 :].any():
+    vanishing = np.concatenate(
+        ((projs.sum(axis=-3) - np.eye(n))[..., None, :, :], products, a_each @ projs - projs @ a_each), axis=-3
+    )
+    worst = np.abs(vanishing).max(axis=tuple(range(vanishing.ndim - 3)) + (-2, -1)).tolist()
+    if worst[0] > TAU_EQ:
+        raise ValueError("projectors do not resolve the identity")
+    for i in range(k):
+        if any(w > TAU_EQ for w in worst[2 + i * (k + 1) : 1 + (i + 1) * k]):  # P_i P_j, j > i
             raise ValueError("projectors are not mutually orthogonal")
-        if noncommuting[..., i].any():
+        if worst[1 + k * k + i] > TAU_EQ:
             raise ValueError("observable does not commute with every projector")
     # per trial and projector one product, summed over the projectors: a lone trial's bits
     rho_after = (projs @ rho[..., None, :, :] @ projs).sum(axis=-3)
-    before = np.trace(rho @ a, axis1=-2, axis2=-1)
-    after = np.trace(rho_after @ a, axis1=-2, axis2=-1)
-    change = after - before
+    change = (rho_after @ a).diagonal(0, -2, -1).sum(-1) - (rho @ a).diagonal(0, -2, -1).sum(-1)  # np.trace's bits
     deviation = np.hypot(change.real, change.imag)  # the bits of Python's abs(complex); np.abs's differ
     return float(deviation) if deviation.ndim == 0 else deviation

@@ -26,6 +26,16 @@ class TestBasisObservables:
 
 
 class TestReconstruction:
+    def test_bits_of_an_np_trace_oracle(self):
+        rng = np.random.default_rng(60)
+        for k in range(300):
+            dim = 2 + k % 3
+            rho = random_density(rng, dim)
+            reference = ExpectationOracle(dim, lambda a: complex(np.trace(rho @ a)).real)
+            got, want = reconstruct_density(oracle_from_density(rho)), reconstruct_density(reference)
+            assert [(z.real.hex(), z.imag.hex()) for z in got.ravel().tolist()] == [
+                (z.real.hex(), z.imag.hex()) for z in want.ravel().tolist()]
+
     def test_pure_zero_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.allclose(reconstruct_density(oracle_from_density(rho)), rho, atol=1e-14)

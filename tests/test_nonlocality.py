@@ -830,6 +830,27 @@ class TestNoSignallingStack:
             with pytest.raises(ValueError, match="idempotent"):
                 no_signalling_check(*args)
 
+    def test_stack_raises_in_the_order_of_the_checks_not_of_the_trials(self):
+        # trial 1 fails commutation only, trial 3 completeness only: completeness is checked first
+        trials = _nosignal_trials(57, 5)
+        trials[1] = self._spoil("commute", *trials[1])
+        trials[3] = (trials[3][0], trials[3][1], [trials[3][2][0], np.zeros((4, 4), dtype=complex)])
+        for k, message in ((1, "commute"), (3, "identity")):
+            with pytest.raises(ValueError, match=message):
+                no_signalling_check(*trials[k])
+        with pytest.raises(ValueError, match="^projectors do not resolve the identity$"):
+            no_signalling_check(*_stacked(trials))
+
+    def test_non_hermitian_noncommuting_observable_reports_hermiticity(self):
+        trials = _nosignal_trials(58, 4)
+        bad = 1j * kron(ID2, PAULIS[0])  # anti-Hermitian, and acts on the measured qubit
+        rho, a, projs = trials[2]
+        assert np.max(np.abs(bad @ projs[0] - projs[0] @ bad)) > 1e-3
+        trials[2] = (rho, bad, projs)
+        for args in (trials[2], _stacked(trials)):
+            with pytest.raises(ValueError, match="^matrix is not finite and Hermitian within tolerance$"):
+                no_signalling_check(*args)
+
     def test_observable_shape_must_match(self):
         rho, a, projs = _nosignal_trials(54, 1)[0]
         for bad in (a[:2, :2], a[None], np.zeros(4)):

@@ -38,6 +38,16 @@ def kron_bruteforce(a, b):
     return out
 
 
+
+
+def test_expectation_has_the_bits_of_np_trace():
+    rng = np.random.default_rng(59)
+    for k in range(300):
+        dim = 2 + k % 3
+        rho = random_density(rng, dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = g + g.conj().T
+        assert expectation(rho, a).hex() == complex(np.trace(rho @ a)).real.hex()
 class TestKron:
     def test_identity_case(self):
         assert np.array_equal(kron(ID2, ID2), np.eye(4))
