@@ -23,6 +23,7 @@ from .kernels import (  # noqa: F401  (names defined there and read from here to
     _flat_triple, _nanmax, _read_only, _unit_floats, count_sign_assignments, matmul, max_deviation,
     mermin_assignment_search, mermin_verify,
 )
+from .options import MAX_ORTHOGONAL_PAIRS, MAX_RAYS, MAX_TRIADS
 
 TAU_ORTH = 1e-9
 
@@ -104,26 +105,41 @@ class OrthogonalityStructure(NamedTuple):
 
 def orthogonality_structure(rays, tol: float = TAU_ORTH) -> OrthogonalityStructure:
     """All orthogonal pairs |r_i . r_j| <= tol and all mutually orthogonal
-    triples, in lexicographic index order."""
+    triples, in lexicographic index order; more than MAX_ORTHOGONAL_PAIRS pairs
+    or MAX_TRIADS triads raise ValueError as soon as they are found."""
     triples = _ray_triples(rays)
     # a generator, so that memory grows with the pairs found, not with the n(n - 1)/2 tested
     orthogonal = (abs(x * u + y * v + z * w) <= tol for (x, y, z), (u, v, w) in itertools.combinations(triples, 2))
-    pairs = tuple(itertools.compress(itertools.combinations(range(len(triples)), 2), orthogonal))
+    pairs = _at_most(itertools.compress(itertools.combinations(range(len(triples)), 2), orthogonal),
+                     MAX_ORTHOGONAL_PAIRS, f"orthogonal pairs at tol {tol}")
     later: list[list[int]] = [[] for _ in triples]  # the partners j > i of each ray i, ascending
     for i, j in pairs:
         later[i].append(j)
-    triads = tuple((i, j, k) for i, j in pairs for k in later[j] if k in later[i])
+    found = set(pairs)
+    triads = _at_most(((i, j, k) for i, j in pairs for k in later[j] if (i, k) in found),
+                      MAX_TRIADS, f"orthogonal triads at tol {tol}")
     return OrthogonalityStructure(floats=triples, pairs=pairs, triads=triads)
 
 
+def _at_most(items, limit: int, what: str) -> tuple:
+    """The items as a tuple, or ValueError once there are more than `limit`."""
+    kept = tuple(itertools.islice(items, limit + 1))
+    if len(kept) > limit:
+        raise ValueError(f"more than {limit} {what}")
+    return kept
+
+
 def load_rays(path) -> tuple:
-    """Read a ray file, one ray per line, three components, '#' comments: its canonical rays as float triples."""
+    """Read a ray file, one ray per line, three components, '#' comments: its canonical rays as float triples.
+    A file of more than MAX_RAYS rays raises ValueError at the first ray over the limit."""
     rays = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
+            if len(rays) == MAX_RAYS:
+                raise ValueError(f"{path}:{lineno}: more than {MAX_RAYS} rays")
             parts = stripped.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 components, got {len(parts)}")

@@ -43,6 +43,11 @@ MIN_BELL_HV_SAMPLES, MAX_BELL_HV_SAMPLES = 100, 10**10
 MAX_WIGNER_SAMPLES = 3 * 10**8
 MAX_NOSIGNAL_TRIALS = 4 * 10**6
 MAX_VN_TRIALS = 2 * 10**5
+# `ks-color --rays`: the ray count bounds the n(n - 1)/2 pair tests in time (2 x 10^4 rays, about half a
+# minute), and the pair and triad counts bound the structure and the search in memory (10^5 triads,
+# about 40 MB); each is checked as the rays, pairs or triads are read or found.
+MAX_RAYS = 2 * 10**4
+MAX_ORTHOGONAL_PAIRS = MAX_TRIADS = 10**5
 
 # A campaign's pair count, `simulate --samples` here and `n_pairs` in `simlab`.
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
@@ -261,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--peres", action="store_true")
-    group.add_argument("--rays", metavar="FILE")
+    group.add_argument("--rays", metavar="FILE", help=f"one ray per line, at most {MAX_RAYS} rays, "
+                       f"{MAX_ORTHOGONAL_PAIRS} orthogonal pairs and {MAX_TRIADS} triads")
     p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
     p.add_argument("--tol", type=_tol, default=1e-9)
 

@@ -988,6 +988,26 @@ class TestFreshProcess:
         assert (code, out, err) == (2, "", [f"{argv[0]}: {message}"])
         assert "hvlab.options" in imported and "numpy" not in imported
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # 100 copies each of the three axes: 30,000 pairs and 10^6 triads
+            (["1 0 0", "0 1 0", "0 0 1"] * 100, f"more than {hvlab.options.MAX_TRIADS} orthogonal triads at tol 1e-09"),
+            (["1 2 3"] * (hvlab.options.MAX_RAYS + 1), f"{{path}}:{hvlab.options.MAX_RAYS + 1}: more than "
+             f"{hvlab.options.MAX_RAYS} rays"),
+        ],
+        ids=["duplicated-axes", "one-ray-over"],
+    )
+    def test_ray_limits_exit_before_numpy_loads(self, tmp_path, lines, message):
+        path = tmp_path / "rays.txt"
+        path.write_text("\n".join(lines) + "\n")
+        script = (
+            "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
+            "assert 'hvlab.contextuality' in sys.modules and 'numpy' not in sys.modules\nsys.exit(code)\n"
+        )
+        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={path}")
+        assert (code, out, err) == (2, "", [f"ks-color: {message.format(path=path)}"])
+
     def test_ensembles_reads_jauch_piron_from_contextuality_on_first_use(self):
         script = (
             "import sys, hvlab.ensembles as e\n"

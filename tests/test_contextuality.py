@@ -26,6 +26,8 @@ from hvlab.contextuality import (
     save_rays,
     verify_coloring,
 )
+from hvlab import contextuality
+from hvlab.options import MAX_RAYS
 from hvlab.qmath import ID2, SIGMA_X, kron
 
 # pair/triad counts of the 33-ray structure, frozen after first derivation
@@ -133,6 +135,22 @@ class TestOrthogonalityStructure:
         st = orthogonality_structure(rays)
         assert set(st.pairs) == pairs
         assert set(st.triads) == triads
+
+    @pytest.mark.parametrize("cap, counts", [("MAX_ORTHOGONAL_PAIRS", "pairs"), ("MAX_TRIADS", "triads")])
+    def test_pair_and_triad_caps(self, monkeypatch, cap, counts):
+        found = len(getattr(orthogonality_structure(peres_rays()), counts))
+        monkeypatch.setattr(contextuality, cap, found)
+        assert len(getattr(orthogonality_structure(peres_rays()), counts)) == found
+        monkeypatch.setattr(contextuality, cap, found - 1)
+        with pytest.raises(ValueError, match=f"^more than {found - 1} orthogonal {counts} at tol 1e-09$"):
+            orthogonality_structure(peres_rays())
+
+    def test_triads_of_a_dense_bipartite_graph(self):
+        # 60 copies each of x and y, interleaved: 3600 pairs and no triad; z closes 60^2 triads
+        st = orthogonality_structure([(1, 0, 0), (0, 1, 0)] * 60)
+        assert (len(st.pairs), st.triads) == (3600, ())
+        st = orthogonality_structure([(1, 0, 0), (0, 1, 0)] * 60 + [(0, 0, 1)])
+        assert st.triads == tuple((i, j, 120) for i, j in st.pairs if j < 120)
 
     def test_every_triad_pair_listed(self):
         st = orthogonality_structure(peres_rays())
@@ -253,6 +271,15 @@ class TestRayFiles:
         path = tmp_path / "rays.txt"
         path.write_text("1 0\n")
         with pytest.raises(ValueError, match="3 components"):
+            load_rays(path)
+
+    def test_ray_count_limit(self, tmp_path):
+        path = tmp_path / "rays.txt"
+        path.write_text("# one ray over the limit\n" + "1 0 0\n" * MAX_RAYS)
+        assert len(load_rays(path)) == MAX_RAYS
+        with open(path, "a") as fh:
+            fh.write("\n0 1 0\n")
+        with pytest.raises(ValueError, match=f"^{path}:{MAX_RAYS + 3}: more than {MAX_RAYS} rays$"):
             load_rays(path)
 
     def test_rejects_empty(self, tmp_path):
