@@ -421,7 +421,14 @@ def _cmd_chsh(args):
         "lhv_bound": CHSH_LHV_BOUND,
         "correlators": dict(zip(SETTING_PAIR_NAMES, correlators)),
     }
-    claims = [_claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9)]
+    # the closed-form correlators at the reported settings: -u.v on the singlet, u_z v_z on |00>
+    a, a_p, b, b_p = settings.floats
+    closed = (lambda u, v: -_dot(u, v)) if args.state == "singlet" else (lambda u, v: u[2] * v[2])
+    closed_form = chsh_combination([closed(a, b), closed(a, b_p), closed(a_p, b), closed(a_p, b_p)])
+    claims = [
+        _claim("s_matches_state_closed_form", "close", s, closed_form, args.tol),
+        _claim("within_tsirelson", "le", s, CHSH_QUANTUM_MAX, 1e-9),
+    ]
     if dirs is None and args.state == "singlet":
         claims.append(_claim("matches_quantum_maximum", "close", s, CHSH_QUANTUM_MAX, args.tol))
     return inputs, outputs, claims, {"value": args.tol, "tsirelson": 1e-9}

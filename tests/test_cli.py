@@ -23,6 +23,9 @@ from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CHSH_GIVEN = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
+PAIRS = {"ab": ("a", "b"), "ab_prime": ("a", "b_prime"), "a_prime_b": ("a_prime", "b"),
+         "a_prime_b_prime": ("a_prime", "b_prime")}  # the correlators' setting pairs, in report order
 
 
 def readme_block(heading: str) -> str:
@@ -208,6 +211,26 @@ class TestSubcommands:
         code, report = run_json(capsys, "bell", "--eta=1,1,-1")
         failed = [c["name"] for c in report["claims"] if not c["pass"]]
         assert code == 1 and failed == ["lhs_matches_singlet_closed_form"]
+
+    @pytest.mark.parametrize("argv", [(), CHSH_GIVEN, ("--state=product",), ("--state=product", *CHSH_GIVEN)])
+    def test_chsh_claims_the_state_closed_form(self, capsys, argv):
+        code, report = run_json(capsys, "chsh", *argv)
+        settings = {name: np.array(v) for name, v in report["inputs"]["settings"].items()}
+        if report["inputs"]["state"] == "singlet":
+            p = {name: -settings[u] @ settings[v] for name, (u, v) in PAIRS.items()}
+        else:
+            p = {name: settings[u][2] * settings[v][2] for name, (u, v) in PAIRS.items()}
+        claim = {x["name"]: x for x in report["claims"]}["s_matches_state_closed_form"]
+        assert code == 0 and claim["pass"] and claim["value"] == report["outputs"]["s_value"]
+        assert claim["target"] == pytest.approx(chsh_combination(list(p.values())), abs=1e-8)
+
+    @pytest.mark.parametrize("state", ["singlet", "product"])
+    def test_chsh_fails_when_the_correlators_leave_the_closed_form(self, capsys, monkeypatch, state):
+        true_correlators = hvlab.cli.chsh_correlators
+        monkeypatch.setattr(hvlab.cli, "chsh_correlators", lambda *args: [p + 0.1 for p in true_correlators(*args)])
+        code, report = run_json(capsys, "chsh", f"--state={state}", *CHSH_GIVEN)
+        failed = [c["name"] for c in report["claims"] if not c["pass"]]
+        assert code == 1 and failed == ["s_matches_state_closed_form"]
 
     def test_chsh_value(self, capsys):
         code, report = run_json(capsys, "chsh")
