@@ -1,10 +1,13 @@
-"""Past parsing: generated argvs of the numpy-free subcommands run through `hvlab.cli.main` in process.
+"""Past parsing: generated argvs run through `hvlab.cli.main` in process.
 
 `mermin`, `ghz`, `bell`, `chsh` and `hardy` (without --optimize) get directions with components
 from 1e-300 to 1e300, p1 and p2 next to 0 and 1, every --eta, boundary --tol values and --format
 csv.  `jauch-piron` gets such directions and pairs next to parallel and antiparallel, on both sides
 of its guard; `ks-color` gets `--peres` or small ray files (zero, NaN, infinite and 1e+-300
 components, lines of the wrong arity, `#` comments, blank lines), with and without `--dump-rays`.
+The numpy subcommands `nosignal`, `vn-reconstruct`, `dispersion`, `wigner` and `bell-hv` get sizes
+near their least, any seed, every --dim, and `bell-hv` values, directions and states with components
+from 1e-300 to 1e300.
 Every run ends in one of two ways: exit 0 or 1 with a report that makes at least one claim, every
 claim finite, or exit 2 with one line on stderr and nothing on stdout.  No run may warn or raise.
 """
@@ -107,10 +110,34 @@ def _claims(text: str, csv: bool) -> list:
     return [tuple(float(rows[f"claims.{i}.{key}"]) for key in ("value", "target", "tol")) for i in range(count)]
 
 
-@settings(max_examples=400, deadline=None, database=None)
-@given(argvs())
-def test_run_exits_with_finite_claims_or_one_line(case):
-    template, ray_file = case
+@st.composite
+def numpy_argvs(draw) -> tuple:
+    """(argv, None) of a numpy subcommand, sizes near their least."""
+    command = draw(st.sampled_from(["nosignal", "vn-reconstruct", "dispersion", "wigner", "bell-hv"]))
+    argv = [command, f"--seed={draw(st.integers(0, 2**32))}"]
+    if command in ("vn-reconstruct", "dispersion"):
+        argv.append(f"--dim={draw(st.sampled_from([2, 3, 4]))}")
+    if command == "nosignal":
+        argv.append(f"--trials={draw(st.integers(1, 3) | st.sampled_from([255, 256, 257]))}")
+    elif command == "vn-reconstruct":
+        argv.append(f"--trials={draw(st.integers(1, 3))}")
+    elif command == "dispersion":
+        argv.append(f"--steps={draw(st.integers(2, 5))}")
+    elif command == "wigner":
+        argv.append(f"--samples={draw(st.integers(1, 5))}")
+    else:
+        qubit = st.lists(components, min_size=4, max_size=4)  # re,im pairs
+        psi = st.one_of(qubit, qubit, qubit, st.lists(components, min_size=2, max_size=8))
+        argv += [f"--alpha={draw(components)!r}", f"--beta={draw(directions)}", f"--samples={draw(st.integers(100, 110))}"]
+        argv.append(f"--psi={','.join(map(repr, draw(psi)))}")
+    if command != "dispersion" and draw(st.booleans()):
+        argv.append(f"--tol={draw(tols)}")
+    if draw(st.booleans()):
+        argv.append("--format=csv")
+    return argv, None
+
+
+def _check_run(template, ray_file):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
         if ray_file is not None:
@@ -130,3 +157,15 @@ def test_run_exits_with_finite_claims_or_one_line(case):
     # certificate that a claim could check (ROADMAP, Kochen-Specker UNSAT certificates).
     uncolored = {'    "satisfiable": false,', "outputs.satisfiable,false"} & set(out.getvalue().splitlines())
     assert claims or (uncolored and "--peres" not in argv), (argv, out.getvalue())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(argvs())
+def test_run_exits_with_finite_claims_or_one_line(case):
+    _check_run(*case)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(numpy_argvs())
+def test_numpy_run_exits_with_finite_claims_or_one_line(case):
+    _check_run(*case)
