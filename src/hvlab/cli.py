@@ -311,9 +311,9 @@ def _cmd_bell_hv(args):
 def _cmd_ks_color(args):
     _bind("contextuality")
     rays, source = (peres_floats(), "peres") if args.peres else (load_rays(args.rays), args.rays)
+    structure = orthogonality_structure(rays, tol=args.tol)  # past its caps, before any file is written
     if args.dump_rays:
         save_rays(args.dump_rays, rays)
-    structure = orthogonality_structure(rays, tol=args.tol)
     result = ks_color(structure)
     inputs = {"rays_source": source, "orthogonality_tol": args.tol}
     outputs = {

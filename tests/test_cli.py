@@ -1028,8 +1028,9 @@ class TestFreshProcess:
             "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
             "assert 'hvlab.contextuality' in sys.modules and 'numpy' not in sys.modules\nsys.exit(code)\n"
         )
-        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={path}")
+        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={path}", f"--dump-rays={tmp_path / 'dump.txt'}")
         assert (code, out, err) == (2, "", [f"ks-color: {message.format(path=path)}"])
+        assert not (tmp_path / "dump.txt").exists()
 
     def test_ensembles_reads_jauch_piron_from_contextuality_on_first_use(self):
         script = (
