@@ -557,7 +557,7 @@ def _cmd_simulate(args):
     report = simulate_chsh(config)
     inputs = {
         "source": report.source,
-        "n_pairs": report.n_pairs,
+        "n_pairs": config.n_pairs,  # the count asked for; the claim below checks the campaign's counts against it
         "visibility": report.visibility,
         "seed": report.seed,
         "settings": [list(v) for v in report.settings],
@@ -578,7 +578,11 @@ def _cmd_simulate(args):
         expected = _claim("sim_within_lhv_bound", "le", report.s_value, report.s_expected, width)
     else:
         expected = _claim("sim_matches_expected_within_5_sigma", "close", report.s_value, report.s_expected, width)
-    claims = [expected, _claim("sim_within_tsirelson_bound", "le", report.s_value, CHSH_QUANTUM_MAX, width)]
+    claims = [
+        expected,
+        _claim("sim_within_tsirelson_bound", "le", report.s_value, CHSH_QUANTUM_MAX, width),
+        _claim("pairs_per_setting_sum_to_n_pairs", "close", sum(report.pairs_per_setting.values()), config.n_pairs, 0.0),
+    ]
     return inputs, outputs, claims, {"sigma": 5.0}
 
 

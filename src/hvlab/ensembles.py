@@ -14,6 +14,7 @@ those of `contextuality`, read from here on first access (PEP 562).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,6 +23,9 @@ from .options import MIN_STEPS
 from .qmath import TAU_EQ, TAU_PSD, assert_density_operator, assert_state_vector, expectation
 
 WITNESS_EPSILON = 0.01
+# The dimensions whose identity and basis observables `reconstruct_density` builds once and keeps,
+# read-only: the desk scale, 210 matrices and about 0.14 MB of entries in all.
+BASIS_MEMO_DIMS = range(2, 9)
 
 
 def __getattr__(name: str):
@@ -80,6 +84,15 @@ def basis_observables(dim: int) -> BasisObservables:
     return basis
 
 
+@functools.lru_cache(maxsize=len(BASIS_MEMO_DIMS))
+def _read_only_basis(dim: int) -> tuple:
+    """The identity and `basis_observables(dim)`, every matrix read-only, built once per dim."""
+    eye, basis = np.eye(dim, dtype=complex), basis_observables(dim)
+    for mat in (eye, *basis.members()):
+        mat.flags.writeable = False
+    return eye, basis
+
+
 def oracle_from_density(rho) -> ExpectationOracle:
     """Expectation oracle <A> = Tr(rho A) generated by a density operator."""
     rho = assert_density_operator(rho)
@@ -93,12 +106,18 @@ def reconstruct_density(oracle: ExpectationOracle) -> np.ndarray:
     and the upper triangle is fixed by Hermiticity.  An oracle whose unit
     expectation deviates from 1 is a malformed ensemble, and the rebuilt
     operator must be a density operator.
+
+    The oracle is queried with I first, then each U_nn, then V_nm and W_nm
+    of each pair.  For a dim in BASIS_MEMO_DIMS those matrices are built
+    once and kept read-only, so an oracle that writes into its argument
+    raises ValueError; for any other dim they are built on each call.
     """
     dim = oracle.dim
-    unit = oracle.expect(np.eye(dim, dtype=complex))
+    kept = type(dim) is int and dim in BASIS_MEMO_DIMS
+    unit = oracle.expect(_read_only_basis(dim)[0] if kept else np.eye(dim, dtype=complex))
     if abs(unit - 1.0) > TAU_EQ:
         raise ValueError(f"malformed ensemble: <I> = {unit}, expected 1")
-    basis = basis_observables(dim)
+    basis = _read_only_basis(dim)[1] if kept else basis_observables(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     for n in range(dim):
         rho[n, n] = oracle.expect(basis.u[n])

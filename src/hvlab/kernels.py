@@ -132,9 +132,33 @@ SETTING_NAMES = ("a", "a_prime", "b", "b_prime")
 SETTING_PAIR_NAMES = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
+def _unit_norm(norm_sq: float) -> bool:
+    """The unit rule on |v|^2: |sqrt(norm_sq) - 1| <= TAU_EQ, false for NaN."""
+    return abs(math.sqrt(norm_sq) - 1.0) <= TAU_EQ
+
+
+def _unit_sq_edge(norm_sq: float, outward: float) -> float:
+    """The last |v|^2 that `_unit_norm` accepts going from 1 toward `outward`; norm_sq starts a few
+    floats from it."""
+    while _unit_norm(norm_sq):
+        norm_sq = math.nextafter(norm_sq, outward)
+    while not _unit_norm(norm_sq):
+        norm_sq = math.nextafter(norm_sq, 1.0)
+    return norm_sq
+
+
+# The squared norms that `_unit_norm` accepts, as a closed interval of floats: sqrt is correctly
+# rounded, so monotone, and r - 1.0 is exact for r near 1 (Sterbenz), so the accepted norms are an
+# interval and so are their squares.  Comparing x*x + y*y + z*z with its two ends decides as the
+# sqrt rule does, NaN and inf included, without a sqrt per direction.
+_UNIT_SQ_LO = _unit_sq_edge((1.0 - TAU_EQ) ** 2, 0.0)
+_UNIT_SQ_HI = _unit_sq_edge((1.0 + TAU_EQ) ** 2, math.inf)
+
+
 def _unit_floats(*vectors) -> tuple:
     """(x, y, z) of each vector, shape (3,) or reshapeable to it, as Python floats; ValueError
-    unless each is a unit vector within TAU_EQ."""
+    unless each is a unit vector within TAU_EQ, |sqrt(x*x + y*y + z*z) - 1| <= TAU_EQ, which is
+    tested as x*x + y*y + z*z in [_UNIT_SQ_LO, _UNIT_SQ_HI]; the message gives that sqrt as |v|."""
     triples = []
     for v in vectors:
         if hasattr(v, "tolist"):  # an array: its entries as Python numbers
@@ -144,9 +168,8 @@ def _unit_floats(*vectors) -> tuple:
             x, y, z = float(x), float(y), float(z)  # on Python floats a huge component gives inf, not a warning
         except (TypeError, ValueError):  # nested, not three entries, or not numbers
             x, y, z = _flat_triple(v)
-        norm = math.sqrt(x * x + y * y + z * z)
-        if not (abs(norm - 1.0) <= TAU_EQ):
-            raise ValueError(f"setting must be a unit vector, |v| = {norm}")
+        if not (_UNIT_SQ_LO <= x * x + y * y + z * z <= _UNIT_SQ_HI):  # also true for NaN
+            raise ValueError(f"setting must be a unit vector, |v| = {math.sqrt(x * x + y * y + z * z)}")
         triples.append((x, y, z))
     return tuple(triples)
 

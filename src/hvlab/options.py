@@ -49,6 +49,13 @@ MAX_VN_TRIALS = 2 * 10**5
 MAX_RAYS = 2 * 10**4
 MAX_ORTHOGONAL_PAIRS = MAX_TRIADS = 10**5
 
+# The widest claim a --tol may set, on every subcommand whose --tol is a claim's width (`ks-color
+# --tol` is an orthogonality threshold, with no upper limit).  Every claim compares numbers of order
+# one (correlators, probabilities, S up to 2 sqrt 2, entries of unit-trace or +-1-valued matrices), so
+# a width of 1e-3 still fails a number wrong in its third digit, where a width of 1 or more passes
+# almost any number; the widest pinned value is `mermin --tol=1e-3`.
+MAX_TOL = 1e-3
+
 # A campaign's pair count, `simulate --samples` here and `n_pairs` in `simlab`.
 MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error needs
 MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
@@ -111,11 +118,18 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _tol(text: str) -> float:
-    value = _finite(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return value
+def _tol(high: float = math.inf):
+    """The type of a tolerance in [0, high]."""
+
+    def tol(text: str) -> float:
+        value = _finite(text)
+        if value < 0.0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high:g}, got {text!r}")
+        return value
+
+    return tol
 
 
 def _components(text: str) -> list[float]:
@@ -244,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
     p.add_argument("--trials", type=_count(1, MAX_VN_TRIALS), default=10, help=f"default 10, 1 to {MAX_VN_TRIALS}")
-    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=_psi, default="1,0,0,0", help="state as re,im pairs")
     p.add_argument("--samples", type=_count(MIN_BELL_HV_SAMPLES, MAX_BELL_HV_SAMPLES), default=10**6,
                    help=f"default 10^6, {MIN_BELL_HV_SAMPLES} to {MAX_BELL_HV_SAMPLES}")
-    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("ks-color", parents=[common], help="Kochen-Specker colorability search")
     group = p.add_mutually_exclusive_group(required=True)
@@ -269,16 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rays", metavar="FILE", help=f"one ray per line, at most {MAX_RAYS} rays, "
                        f"{MAX_ORTHOGONAL_PAIRS} orthogonal pairs and {MAX_TRIADS} triads")
     p.add_argument("--dump-rays", metavar="FILE", default=None, help="write the canonical ray set to FILE")
-    p.add_argument("--tol", type=_tol, default=1e-9)
+    p.add_argument("--tol", type=_tol(), default=1e-9, help="default 1e-9, at least 0; a threshold, not a claim width")
 
     p = sub.add_parser("mermin", parents=[common], help="two-qubit operator square and 512-assignment search")
-    p.add_argument("--tol", type=_tol, default=1e-12)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("bell", parents=[common], help="original three-correlator inequality")
     for flag in ("--a-dir", "--b-dir", "--c-dir"):
         p.add_argument(flag, type=_direction, default=None)
     p.add_argument("--eta", type=_eta, default="1,1,1")
-    p.add_argument("--tol", type=_tol, default=1e-10)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
     p.set_defaults(check=_check_bell)
 
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
@@ -288,16 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"default 20, {MIN_RESTARTS} to {MAX_RESTARTS}; only with --optimize")
     for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
         p.add_argument(flag, type=_direction, default=None, help="not with --optimize")
-    p.add_argument("--tol", type=_tol, default=None, help="default 1e-6 with --optimize, else 1e-10")
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=None,
+                   help=f"default 1e-6 with --optimize, else 1e-10; 0 to {MAX_TOL:g}")
     p.set_defaults(check=_check_chsh)
 
     p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
     p.add_argument("--samples", type=_count(1, MAX_WIGNER_SAMPLES), default=10**4,
                    help=f"default 10^4, 1 to {MAX_WIGNER_SAMPLES}")
-    p.add_argument("--tol", type=_tol, default=1e-12)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("ghz", parents=[common], help="three-qubit parity identities and 64-assignment search")
-    p.add_argument("--tol", type=_tol, default=1e-12)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("hardy", parents=[common], help="Hardy state construction or probability maximization")
     p.add_argument("--p1", type=_inside_unit, default=None, help="default 0.5, inside (0, 1); not with --optimize")
@@ -305,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--grid", type=_count(MIN_GRID, MAX_GRID), default=None,
                    help=f"default 100, {MIN_GRID} to {MAX_GRID}; only with --optimize")
-    p.add_argument("--tol", type=_tol, default=None, help="default 1e-6 with --optimize, else 1e-10")
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=None,
+                   help=f"default 1e-6 with --optimize, else 1e-10; 0 to {MAX_TOL:g}")
     p.set_defaults(check=_check_hardy)
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
     p.add_argument("--trials", type=_count(1, MAX_NOSIGNAL_TRIALS), default=1000,
                    help=f"default 1000, 1 to {MAX_NOSIGNAL_TRIALS}")
-    p.add_argument("--tol", type=_tol, default=1e-12)
+    p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
     # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
     p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")

@@ -28,15 +28,20 @@ def as_matrix(m) -> np.ndarray:
     return mat
 
 
-def assert_hermitian(m, stack: bool = False) -> np.ndarray:
-    """Validate a Hermitian matrix, within TAU_EQ, or, with `stack`, each matrix of a stack (..., n, n)."""
+def _hermitian(m, stack: bool) -> np.ndarray:
+    """`assert_hermitian`'s test; its caller ignores numpy's invalid and overflow warnings."""
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 and not (stack and mat.ndim > 2):
         raise ValueError(f"expected a 2D matrix, got ndim={mat.ndim}")
-    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf deviation fails the test
-        if mat.shape[-1] != mat.shape[-2] or not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= TAU_EQ:
-            raise ValueError("matrix is not finite and Hermitian within tolerance")
+    if mat.shape[-1] != mat.shape[-2] or not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= TAU_EQ:
+        raise ValueError("matrix is not finite and Hermitian within tolerance")  # a NaN or inf deviation fails
     return mat
+
+
+def assert_hermitian(m, stack: bool = False) -> np.ndarray:
+    """Validate a Hermitian matrix, within TAU_EQ, or, with `stack`, each matrix of a stack (..., n, n)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _hermitian(m, stack)
 
 
 def assert_state_vector(psi) -> np.ndarray:
@@ -51,13 +56,13 @@ def assert_state_vector(psi) -> np.ndarray:
 def assert_density_operator(rho, stack: bool = False) -> np.ndarray:
     """Validate Hermiticity and unit trace within TAU_EQ and no eigenvalue below -TAU_PSD, of one
     matrix or, with `stack`, of each in a stack; a failure reports the first matrix that fails."""
-    mat = assert_hermitian(rho, stack)
-    with np.errstate(over="ignore"):  # an infinite trace fails the check below
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite trace fails the trace test below
+        mat = _hermitian(rho, stack)
         traces = mat.trace(axis1=-2, axis2=-1).ravel().tolist()
     for tr in traces:
         if abs(tr - 1.0) > TAU_EQ:
             raise ValueError(f"density operator trace is {tr}, expected 1")
-    for lowest in np.linalg.eigvalsh(mat).min(axis=-1).ravel().tolist():
+    for lowest in np.linalg.eigvalsh(mat)[..., 0].ravel().tolist():  # eigvalsh ascends
         if lowest < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lowest}")
     return mat

@@ -75,6 +75,37 @@ CASES = [
     ("simulate-singlet", ["simulate", "--visibility=0.9", "--samples=4000", "--seed=11"]),
     ("simulate-lhv", ["simulate", "--source=lhv:sign", "--samples=4000", "--seed=12"]),
     ("chsh-optimize", ["chsh", "--optimize", "--restarts=3", "--seed=13"]),
+    # bench/cli_sweep.py's valid argvs at --seed 1, its ray file committed as an input; the four
+    # that do not depend on the seed (ks-color --peres, mermin, ghz, hardy --optimize) are cases above
+    ("cli-sweep-vn-reconstruct", ["vn-reconstruct", "--dim=4", "--seed=1016164991"]),
+    ("cli-sweep-dispersion", ["dispersion", "--dim=4", "--seed=1099128569"]),
+    ("cli-sweep-jauch-piron", ["jauch-piron", "--a-dir=0.7918482140228322,0.39041102059734734,-0.4696335176975643",
+                               "--b-dir=0.7785526742713855,0.4884356759263698,0.3940638576008009"]),
+    ("cli-sweep-bell-hv", ["bell-hv", "--alpha=0.02842224131579679",
+                           "--beta=0.5467129866124469,-0.7364540870016669,-0.16290994799305278",
+                           "--psi=-0.5854461656240543,0.04823527061460023,0.7271897427974355,-0.3551355006121299",
+                           "--seed=1621709875"]),
+    ("cli-sweep-ks-color-rays", ["ks-color", "--rays=cli-sweep-seed-1-rays.txt", "--dump-rays=rays-dump.txt"]),
+    ("cli-sweep-bell", ["bell", "--a-dir=0.5311368831348725,0.7971927168145042,0.2870146052584823",
+                        "--b-dir=-0.6780416591268121,0.6062972398172713,-0.41552757487141345",
+                        "--c-dir=0.5293937585660738,-0.6453855611838974,0.5506539074651438", "--eta=-1,-1,1"]),
+    ("cli-sweep-chsh-singlet", ["chsh", "--state=singlet",
+                                "--a-dir=-0.7484942500707006,0.12900704904817298,0.6504717817914792",
+                                "--a-prime=-0.6576034932137375,-0.7414184366669389,0.13362764490719053",
+                                "--b-dir=-0.5062050622475878,0.25541345623911904,0.8237234981029153",
+                                "--b-prime=-0.7966947735513853,0.12292044870025269,0.5917499481091956"]),
+    ("cli-sweep-chsh-product", ["chsh", "--state=product",
+                                "--a-dir=-0.25977068725385194,-0.7079222110822473,0.6567840840794512",
+                                "--a-prime=0.2552374840563434,0.9022137862259958,-0.34765516057775014",
+                                "--b-dir=-0.9551870653466926,-0.07091345906885764,-0.2873829353271742",
+                                "--b-prime=0.4269123452594472,0.10661900365920315,-0.8979856555222904"]),
+    ("cli-sweep-chsh-optimize-singlet", ["chsh", "--optimize"]),
+    ("cli-sweep-chsh-optimize-product", ["chsh", "--optimize", "--state=product"]),
+    ("cli-sweep-wigner", ["wigner", "--seed=2041105245"]),
+    ("cli-sweep-hardy", ["hardy", "--p1=0.8180238412778827", "--p2=0.08020920566793752"]),
+    ("cli-sweep-nosignal", ["nosignal", "--seed=74845286"]),
+    ("cli-sweep-simulate-singlet", ["simulate", "--visibility=0.9650975626787112", "--seed=309580411"]),
+    ("cli-sweep-simulate-lhv", ["simulate", "--source=lhv:sign", "--seed=309580412"]),
     # each subcommand once as CSV
     *((f"{argv[0]}-csv", [*argv, "--format=csv"]) for argv in (
         ["mermin"], ["ghz"], ["bell"], ["chsh"], ["hardy"], ["jauch-piron"], ["ks-color", "--peres"],
@@ -84,6 +115,7 @@ CASES = [
     ("bad-chsh-two-settings", ["chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"]),
     ("bad-bell-eta", ["bell", "--eta=1,2,1"]),
     ("bad-mermin-tol", ["mermin", "--tol=-1"]),
+    ("bad-nosignal-tol-above-limit", ["nosignal", "--tol=1e308"]),
     ("bad-ghz-prefix", ["ghz", "--to", "1e-3"]),
     ("bad-hardy-grid-without-optimize", ["hardy", "--grid=50"]),
     ("bad-chsh-zero-direction", ["chsh", "--a-dir=0,0,0", *HUGE_SETTINGS[1:]]),

@@ -43,7 +43,7 @@ BOUNDARY = ["0", "-1", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "", "a
 NEAR = [
     "1", "2", "9", "10", "99", "100", "1e-320", "-nan", " ", "1.5", "0x10", "1_000", "1e6", "1,0,0", "-1,0,0",
     "1,0,0,0", "1,1e308,0", "1e-320,0,0", "1,,0", "1,0,nan", "1,1,1", "1,-1,1", "1,1,2", "1,1,x",
-    "9223372036854775807", "9223372036854775808", "100000000000000000000",
+    "9223372036854775807", "9223372036854775808", "100000000000000000000", "1e-3", "0.0010000000000000002",
 ]
 numbers = st.floats().map(repr) | st.integers(-(10**20), 10**20).map(str)
 vectors = st.lists(st.floats() | st.integers(-3, 3), min_size=1, max_size=5).map(lambda xs: ",".join(map(str, xs)))
@@ -84,7 +84,8 @@ def _direction(value) -> bool:
 # each option's domain, written out apart from the parser: (subcommand or None for all, dest) -> test
 DOMAINS = {
     (None, "seed"): _count(0),
-    (None, "tol"): lambda v: type(v) is float and 0.0 <= v < math.inf,
+    (None, "tol"): lambda v: type(v) is float and 0.0 <= v <= options.MAX_TOL,  # a claim's width
+    ("ks-color", "tol"): lambda v: type(v) is float and 0.0 <= v < math.inf,  # an orthogonality threshold
     (None, "format"): lambda v: v in ("json", "csv"),
     (None, "quiet"): lambda v: type(v) is bool,
     (None, "dim"): lambda v: v in (2, 3, 4),

@@ -442,11 +442,29 @@ class TestSubcommands:
             "sim_within_lhv_bound": out["s_expected"],
             "sim_within_tsirelson_bound": 2 * np.sqrt(2),
         }
-        assert len(report["claims"]) == 2
-        for claim in report["claims"]:
+        assert len(report["claims"]) == 3
+        for claim in report["claims"][:2]:
             assert claim["value"] == out["s_value"]
             assert claim["target"] == pytest.approx(targets[claim["name"]], rel=1e-8)
             assert claim["tol"] == pytest.approx(5 * model, rel=1e-7)
+        assert report["claims"][2] == {"name": "pairs_per_setting_sum_to_n_pairs", "kind": "close", "value": 10003,
+                                       "target": 10003, "tol": 0, "pass": True}
+
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign", "config"])
+    def test_simulate_reports_the_requested_pair_count(self, capsys, monkeypatch, tmp_path, source):
+        # a campaign whose counts drift from the request fails its claim, and the report shows both
+        original = hvlab.simlab._pairs_per_setting
+        monkeypatch.setattr(hvlab.simlab, "_pairs_per_setting", lambda n: original(n) + np.array([0, 1, 0, 0]))
+        if source == "config":
+            path = tmp_path / "exp.cfg"
+            save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=1001, visibility=1.0, seed=4))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--source", source, "--samples", "1001"]
+        code, report = run_json(capsys, "simulate", *argv)
+        assert (code, report["verdict"], report["inputs"]["n_pairs"]) == (1, "FAIL", 1001)
+        assert sum(report["outputs"]["pairs_per_setting"].values()) == 1002
+        assert report["claims"][2]["name"] == "pairs_per_setting_sum_to_n_pairs" and not report["claims"][2]["pass"]
 
     @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
     def test_simulate_minimum_samples_pass_at_every_seed(self, capsys, source):
@@ -908,6 +926,27 @@ class TestErrors:
         assert err.startswith(f"{argv[0]}:") and "--tol" in err
         assert len(err.strip().splitlines()) == 1
 
+    CLAIM_WIDTH_TOL = [("vn-reconstruct",), ("bell-hv",), ("mermin",), ("bell",), ("chsh",), ("chsh", "--optimize"),
+                       ("wigner",), ("ghz",), ("hardy",), ("hardy", "--optimize"), ("nosignal",)]
+
+    @pytest.mark.parametrize("argv", CLAIM_WIDTH_TOL, ids=["-".join(argv) for argv in CLAIM_WIDTH_TOL])
+    def test_claim_width_tol_has_a_ceiling(self, capsys, argv):
+        limit = hvlab.options.MAX_TOL
+        above = math.nextafter(limit, 1.0)
+        for value in (repr(above), "1", "1e308"):
+            code, out, err = run(capsys, *argv, f"--tol={value}")
+            assert (code, out, err) == (2, "", f"{argv[0]}: argument --tol: must be at most 0.001, got {value!r}\n")
+        assert hvlab.options.parse([*argv, f"--tol={limit!r}"]).tol == limit
+        (sub,) = (a for a in hvlab.options.build_parser()._actions if a.dest == "command")
+        (tol,) = (a for a in sub.choices[argv[0]]._actions if a.dest == "tol")
+        assert tol.help.endswith("0 to 0.001")
+
+    def test_pinned_tols_sit_within_their_ceilings(self):
+        # the widest --tol values the golden corpus and the tests run, and ks-color's threshold, which has none
+        for argv in (("mermin", "--tol=1e-3"), ("hardy", "--optimize", "--tol=1e-5"), ("ks-color", "--peres", "--tol=1"),
+                     ("ks-color", "--peres", "--tol=1e308")):
+            assert hvlab.options.parse(list(argv)).tol == float(argv[-1].split("=")[1])
+
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -975,6 +1014,7 @@ class TestFreshProcess:
             (("chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none"),
             (("ghz", "--tol=nan"), "argument --tol: must be a finite number, got 'nan'"),
             (("nosignal", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (("nosignal", "--tol=1e308"), "argument --tol: must be at most 0.001, got '1e308'"),
             *(
                 (argv + (f"{option}={limit + 1}",), f"argument {option}: must be at most {limit}, got {limit + 1}")
                 for argv, option, limit in (
@@ -999,7 +1039,8 @@ class TestFreshProcess:
             (("vn-reconstruct", "--t", "1"), "unrecognized arguments: --t 1"),
         ],
         ids=[
-            "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "restarts",
+            "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "tol-limit",
+            "restarts",
             "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
             "dispersion-steps-least", "hardy-grid-least", "chsh-restarts-least", "bell-hv-samples-least",
             "hardy-p1-outside", "hardy-p1-nan", "hardy-p2-zero", "simulate-visibility-nan", "simulate-visibility-outside",
