@@ -4,11 +4,11 @@ Reports are JSON (canonical) or CSV (flat name,value projection) on stdout.
 Each report carries the inputs, the computed numbers, and a list of claims
 whose pass/fail is recomputable from the numbers in the same report.  Exit
 codes: 0 all claims pass, 1 a declared bound or claim failed, 2 input error.
-All numbers are printed with 9 significant digits; for a fixed argv
-(including seed) the JSON output is byte-identical apart from wall_time_s.
-Every subcommand takes --format, --seed and --quiet; --tol and --samples
-belong only to the subcommands that read them, each with its own default;
-an option a subcommand does not take exits 2.
+All numbers are printed with 9 significant digits; for a fixed argv the
+JSON output is byte-identical apart from wall_time_s.  Every subcommand
+takes --format and --quiet; --seed, --tol and --samples belong only to the
+runs that read them (--seed to those that draw), each with its own default;
+an option a run does not take exits 2.
 """
 
 # This module holds the parser and every check that reads only argv, and imports no numpy:
@@ -201,15 +201,11 @@ def _mode_options(args, mode: str, defaults: dict, unused=()) -> None:
             setattr(args, dest, default)
 
 
-def _check_bell(args) -> None:
-    _all_or_none(args, "a_dir", "b_dir", "c_dir")
-
-
 def _check_chsh(args) -> None:
     if args.optimize:
-        _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6}, CHSH_DIRECTIONS)
+        _mode_options(args, "with --optimize", {"restarts": 20, "tol": 1e-6, "seed": 0}, CHSH_DIRECTIONS)
     else:
-        _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts",))
+        _mode_options(args, "without --optimize", {"tol": 1e-10}, ("restarts", "seed"))
         _all_or_none(args, *CHSH_DIRECTIONS)
 
 
@@ -244,12 +240,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser, its limits read from this module's constants when it is built."""
-    unseeded = _Parser(add_help=False)
-    unseeded.add_argument("--format", choices=("json", "csv"), default="json")
-    unseeded.add_argument("--quiet", action="store_true")
-    unseeded.set_defaults(check=lambda args: None)  # each option's type settles its own domain
-    common = _Parser(add_help=False, parents=[unseeded])
-    common.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
+    common = _Parser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--quiet", action="store_true")
+    common.set_defaults(check=lambda args: None, seed=None)  # types check domains; seed None: no draw
 
     parser = _Parser(prog="hvlab", description=__doc__, epilog=EPILOG)
     parser.add_argument("--version", action="version", version=f"hvlab {__version__}")
@@ -257,11 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vn-reconstruct", parents=[common], help="rebuild density operators from expectation oracles")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
     p.add_argument("--trials", type=_count(1, MAX_VN_TRIALS), default=10, help=f"default 10, 1 to {MAX_VN_TRIALS}")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("dispersion", parents=[common], help="scan <phi|rho|phi> along a rotation arc and exhibit a witness")
     p.add_argument("--dim", type=int, choices=(2, 3, 4), default=2)
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
     p.add_argument("--steps", type=_count(MIN_STEPS, MAX_STEPS), default=1000,
                    help=f"default 1000, {MIN_STEPS} to {MAX_STEPS}")
 
@@ -273,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_finite, default="0.0")
     p.add_argument("--beta", type=_vec3, default="1,1,0")
     p.add_argument("--psi", type=_psi, default="1,0,0,0", help="state as re,im pairs")
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
     p.add_argument("--samples", type=_count(MIN_BELL_HV_SAMPLES, MAX_BELL_HV_SAMPLES), default=10**6,
                    help=f"default 10^6, {MIN_BELL_HV_SAMPLES} to {MAX_BELL_HV_SAMPLES}")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
@@ -293,13 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=_direction, default=None)
     p.add_argument("--eta", type=_eta, default="1,1,1")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-10, help=f"default 1e-10, 0 to {MAX_TOL:g}")
-    p.set_defaults(check=_check_bell)
+    p.set_defaults(check=lambda args: _all_or_none(args, "a_dir", "b_dir", "c_dir"))
 
     p = sub.add_parser("chsh", parents=[common], help="CHSH value or optimization over settings")
     p.add_argument("--state", choices=("singlet", "product"), default="singlet")
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--restarts", type=_count(MIN_RESTARTS, MAX_RESTARTS), default=None,
                    help=f"default 20, {MIN_RESTARTS} to {MAX_RESTARTS}; only with --optimize")
+    p.add_argument("--seed", type=_count(0), default=None, help="default 0, at least 0; only with --optimize")
     for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
         p.add_argument(flag, type=_direction, default=None, help="not with --optimize")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=None,
@@ -307,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=_check_chsh)
 
     p = sub.add_parser("wigner", parents=[common], help="joint-weight correlators and the CHSH bound")
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
     p.add_argument("--samples", type=_count(1, MAX_WIGNER_SAMPLES), default=10**4,
                    help=f"default 10^4, 1 to {MAX_WIGNER_SAMPLES}")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
@@ -325,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(check=_check_hardy)
 
     p = sub.add_parser("nosignal", parents=[common], help="remote measurement leaves expectations unchanged")
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
     p.add_argument("--trials", type=_count(1, MAX_NOSIGNAL_TRIALS), default=1000,
                    help=f"default 1000, 1 to {MAX_NOSIGNAL_TRIALS}")
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
-    # simulate declares its own --seed, default None, so that a --seed given with --config is rejected
-    p = sub.add_parser("simulate", parents=[unseeded], help="Monte Carlo correlation experiment")
+    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo correlation experiment")
     p.add_argument("--config", metavar="FILE", default=None)
     p.add_argument("--source", default=None, help="default singlet; not with --config")
     p.add_argument("--visibility", type=_unit_interval, default=None, help="default 1.0, 0 to 1; not with --config")

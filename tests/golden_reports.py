@@ -5,11 +5,12 @@ each file of `tests/golden/inputs/`, so an argv names them by their bare names. 
 `tests/golden/` holds the argv, the exit code, stderr and stdout, with the `wall_time_s` line of the
 report left out, then each file the run wrote there (`--dump-rays`).
 
-The drawing subcommands (`vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`, `nosignal`,
-`simulate`, `chsh --optimize`) read numpy's random streams, which a numpy release may change
-(NEP 19), so the corpus records the numpy version it was written with in `tests/golden/numpy-version`.
-`tests/test_golden.py` compares every case with its file byte for byte, except a drawing case under
-another numpy version: that one compares the exit code, stderr, the verdict and the `inputs`.
+The runs that draw (those that take `--seed`: `vn-reconstruct`, `dispersion`, `bell-hv`, `wigner`,
+`nosignal`, `simulate`, `chsh --optimize`) read numpy's random streams, which a numpy release may
+change (NEP 19), so the corpus records the numpy version it was written with in
+`tests/golden/numpy-version`.  `tests/test_golden.py` compares every case with its file byte for
+byte, except a drawing case under another numpy version: that one compares the exit code, stderr,
+the verdict and the `inputs`.
 
 Regenerate every file after a deliberate report change, and review the diff:
 
@@ -18,6 +19,8 @@ Regenerate every file after a deliberate report change, and review the diff:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shlex
 import shutil
@@ -30,7 +33,6 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 NUMPY_VERSION = GOLDEN / "numpy-version"
-DRAWING = {"vn-reconstruct", "dispersion", "bell-hv", "wigner", "nosignal", "simulate"}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHSH_SETTINGS = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
@@ -39,7 +41,7 @@ HUGE_SETTINGS = ("--a-dir=1e200,0,0", "--a-prime=1,0,0", "--b-dir=0,1,0", "--b-p
 # (name, argv): the name is the file's stem
 CASES = [
     ("mermin", ["mermin"]),
-    ("mermin-tol", ["mermin", "--tol=1e-3", "--seed=7"]),
+    ("mermin-tol", ["mermin", "--tol=1e-3"]),
     ("ghz", ["ghz"]),
     ("bell", ["bell"]),  # the README's trine line
     ("bell-eta", ["bell", "--eta=1,-1,1"]),
@@ -114,6 +116,8 @@ CASES = [
     # malformed argvs: exit 2 with one line on stderr
     ("bad-chsh-two-settings", ["chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"]),
     ("bad-bell-eta", ["bell", "--eta=1,2,1"]),
+    ("bad-mermin-seed", ["mermin", "--seed=7"]),  # a run that draws nothing takes no --seed
+    ("bad-chsh-seed-without-optimize", ["chsh", "--seed=5"]),
     ("bad-mermin-tol", ["mermin", "--tol=-1"]),
     ("bad-nosignal-tol-above-limit", ["nosignal", "--tol=1e308"]),
     ("bad-ghz-prefix", ["ghz", "--to", "1e-3"]),
@@ -126,8 +130,15 @@ CASES = [
 
 
 def draws(argv: list) -> bool:
-    """Whether the subcommand of argv reads a random stream."""
-    return argv[0] in DRAWING or (argv[0] == "chsh" and "--optimize" in argv)
+    """Whether the run of argv reads a random stream: exactly when it takes a seed, from --seed or
+    its default (a `simulate --config` run takes its file's, and the corpus has none)."""
+    from hvlab import options
+
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return options.parse(argv).seed is not None
+    except SystemExit:  # an argv error, which exits before any draw
+        return False
 
 
 def render(argv: list) -> str:

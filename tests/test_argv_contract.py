@@ -5,6 +5,10 @@ exits 2 with one line on stderr.  The argv are drawn from each subcommand's decl
 boundary values, text, wrong arity and options of other subcommands; they are only parsed, never
 run.  This module imports no numpy, so that one test can run the property in a fresh interpreter
 and find numpy still unloaded.
+
+Every option a run takes is read: in each mode of each subcommand, two runs that differ only in one
+option's value, both from the domain table, print different reports or write different files.
+Only these runs load the library, and in process.
 """
 
 import argparse
@@ -12,6 +16,7 @@ import contextlib
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,44 +86,67 @@ def _direction(value) -> bool:
     return _floats(value) and len(value) == 3 and any(value)
 
 
-# each option's domain, written out apart from the parser: (subcommand or None for all, dest) -> test
+def _bool(value) -> bool:
+    return type(value) is bool
+
+
+_free = None  # any text: a choice (--state), the library checks it (--source) or a file (--rays, --config)
+_seed = _count(0)
+DIRECTIONS = ("1,2,3", "0.3,-0.2,0.9")
+
+# each option's domain, written out apart from the parser, and two values in it whose runs must differ:
+# (subcommand or None for all, dest) -> (test, (value, other value)); a switch's values are False and True
 DOMAINS = {
-    (None, "seed"): _count(0),
-    (None, "tol"): lambda v: type(v) is float and 0.0 <= v <= options.MAX_TOL,  # a claim's width
-    ("ks-color", "tol"): lambda v: type(v) is float and 0.0 <= v < math.inf,  # an orthogonality threshold
-    (None, "format"): lambda v: v in ("json", "csv"),
-    (None, "quiet"): lambda v: type(v) is bool,
-    (None, "dim"): lambda v: v in (2, 3, 4),
-    ("vn-reconstruct", "trials"): _count(1, options.MAX_VN_TRIALS),
-    ("nosignal", "trials"): _count(1, options.MAX_NOSIGNAL_TRIALS),
-    ("dispersion", "steps"): _count(2, options.MAX_STEPS),
-    ("bell-hv", "samples"): _count(100, options.MAX_BELL_HV_SAMPLES),
-    ("wigner", "samples"): _count(1, options.MAX_WIGNER_SAMPLES),
-    ("simulate", "samples"): lambda v: v is None or _count(8, 2**63 - 1)(v),
-    ("simulate", "seed"): lambda v: v is None or _count(0)(v),
-    ("chsh", "restarts"): lambda v: v is None or _count(1, options.MAX_RESTARTS)(v),
-    ("hardy", "grid"): lambda v: v is None or _count(10, options.MAX_GRID)(v),
-    ("bell-hv", "alpha"): lambda v: type(v) is float and math.isfinite(v),
-    ("bell-hv", "beta"): lambda v: _floats(v) and len(v) == 3,
-    ("bell-hv", "psi"): lambda v: _floats(v) and len(v) % 2 == 0 and any(v),
-    ("bell", "eta"): lambda v: type(v) is tuple and len(v) == 3 and set(v) <= {1, -1},
-    **{("hardy", dest): lambda v: v is None or (type(v) is float and 0.0 < v < 1.0) for dest in ("p1", "p2")},
-    ("simulate", "visibility"): lambda v: v is None or (type(v) is float and 0.0 <= v <= 1.0),
-    **{("jauch-piron", dest): _direction for dest in ("a_dir", "b_dir")},
-    **{("bell", dest): lambda v: v is None or _direction(v) for dest in ("a_dir", "b_dir", "c_dir")},
-    **{("chsh", dest): lambda v: v is None or _direction(v) for dest in options.CHSH_DIRECTIONS},
+    (None, "seed"): (_seed, ("1", "2")),
+    **{(command, "seed"): (lambda v: v is None or _seed(v), ("1", "2")) for command in ("chsh", "simulate")},
+    (None, "tol"): (lambda v: type(v) is float and 0.0 <= v <= options.MAX_TOL, ("1e-6", "1e-3")),  # a claim's width
+    ("ks-color", "tol"): (lambda v: type(v) is float and 0.0 <= v < math.inf, ("1e-9", "1")),  # a threshold
+    (None, "format"): (lambda v: v in ("json", "csv"), ("json", "csv")),
+    (None, "quiet"): (_bool, (False, True)),
+    (None, "optimize"): (_bool, (False, True)),
+    ("ks-color", "peres"): (_bool, (False, True)),
+    (None, "dim"): (lambda v: v in (2, 3, 4), ("2", "3")),
+    ("vn-reconstruct", "trials"): (_count(1, options.MAX_VN_TRIALS), ("1", "2")),
+    ("nosignal", "trials"): (_count(1, options.MAX_NOSIGNAL_TRIALS), ("1", "2")),
+    ("dispersion", "steps"): (_count(2, options.MAX_STEPS), ("50", "60")),
+    ("bell-hv", "samples"): (_count(100, options.MAX_BELL_HV_SAMPLES), ("100", "200")),
+    ("wigner", "samples"): (_count(1, options.MAX_WIGNER_SAMPLES), ("1", "2")),
+    ("simulate", "samples"): (lambda v: v is None or _count(8, 2**63 - 1)(v), ("1000", "2000")),
+    ("chsh", "restarts"): (lambda v: v is None or _count(1, options.MAX_RESTARTS)(v), ("1", "2")),
+    ("hardy", "grid"): (lambda v: v is None or _count(10, options.MAX_GRID)(v), ("10", "20")),
+    ("bell-hv", "alpha"): (lambda v: type(v) is float and math.isfinite(v), ("0", "0.5")),
+    ("bell-hv", "beta"): (lambda v: _floats(v) and len(v) == 3, ("1,1,0", "0,0,1")),
+    ("bell-hv", "psi"): (lambda v: _floats(v) and len(v) % 2 == 0 and any(v), ("1,0,0,0", "0.6,0,0,0.8")),
+    ("bell", "eta"): (lambda v: type(v) is tuple and len(v) == 3 and set(v) <= {1, -1}, ("1,1,1", "1,-1,1")),
+    **{("hardy", dest): (lambda v: v is None or (type(v) is float and 0.0 < v < 1.0), ("0.3", "0.5"))
+       for dest in ("p1", "p2")},
+    ("simulate", "visibility"): (lambda v: v is None or (type(v) is float and 0.0 <= v <= 1.0), ("0.9", "1")),
+    **{("jauch-piron", dest): (_direction, DIRECTIONS) for dest in ("a_dir", "b_dir")},
+    **{("bell", dest): (lambda v: v is None or _direction(v), DIRECTIONS) for dest in ("a_dir", "b_dir", "c_dir")},
+    **{("chsh", dest): (lambda v: v is None or _direction(v), DIRECTIONS) for dest in options.CHSH_DIRECTIONS},
+    ("chsh", "state"): (_free, ("singlet", "product")),
+    ("simulate", "source"): (_free, ("singlet", "lhv:sign")),
+    ("ks-color", "rays"): (_free, ("peres-minus-one-rotated.txt", "cli-sweep-seed-1-rays.txt")),
+    ("ks-color", "dump_rays"): (_free, ("a.txt", "b.txt")),
+    ("simulate", "config"): (_free, ("a.cfg", "b.cfg")),
 }
 
 
+def _domain(command: str, dest: str):
+    return DOMAINS.get((command, dest), DOMAINS.get((None, dest)))
+
+
 def _rules_hold(args) -> bool:
-    """The rules between options: all directions or none, and each mode's options."""
+    """The rules between options: all directions or none, each mode's options, and no seed where none is taken."""
+    if args.seed is not None and not any(action.dest == "seed" for action in SUBCOMMANDS[args.command]):
+        return False
     if args.command == "bell":
         return len({args.a_dir is None, args.b_dir is None, args.c_dir is None}) == 1
     if args.command == "chsh":
         directions = {getattr(args, dest) is None for dest in options.CHSH_DIRECTIONS}
         if args.optimize:
-            return directions == {True} and args.restarts is not None and args.tol is not None
-        return len(directions) == 1 and args.restarts is None and args.tol is not None
+            return directions == {True} and None not in (args.restarts, args.seed, args.tol)
+        return len(directions) == 1 and args.restarts is None and args.seed is None and args.tol is not None
     if args.command == "hardy":
         if args.optimize:
             return args.p1 is None and args.p2 is None and args.grid is not None and args.tol is not None
@@ -143,7 +171,7 @@ def check_contract(argv: list) -> None:
     assert err.getvalue() == "", (argv, err.getvalue())
     assert args.command == argv[0]
     for action in SUBCOMMANDS[argv[0]]:
-        domain = DOMAINS.get((argv[0], action.dest), DOMAINS.get((None, action.dest)))
+        domain, _ = _domain(argv[0], action.dest)
         if domain is not None:
             assert domain(getattr(args, action.dest)), (argv, action.dest, getattr(args, action.dest))
     assert _rules_hold(args), (argv, vars(args))
@@ -166,12 +194,8 @@ def check_each_boundary_value() -> None:
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_every_value_option_has_a_declared_domain_or_is_left_to_the_library(command):
-    # an option with no domain here takes any text; the library checks it (--source, --state
-    # choices) or it names a file (--rays, --dump-rays, --config)
-    free = {"source", "state", "rays", "dump_rays", "config", "optimize", "peres"}
     for action in SUBCOMMANDS[command]:
-        declared = (command, action.dest) in DOMAINS or (None, action.dest) in DOMAINS
-        assert declared or action.dest in free, (command, action.dest)
+        assert _domain(command, action.dest) is not None, (command, action.dest)
 
 
 def test_boundary_values_keep_the_contract_without_numpy():
@@ -189,3 +213,92 @@ def test_boundary_values_keep_the_contract_without_numpy():
         [sys.executable, "-c", script], cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+# Each run mode, by the argv that selects it, its sizes kept small; a switch it gives is the mode's own.
+MODES = [
+    ["vn-reconstruct", "--trials=2"],
+    ["dispersion", "--steps=50"],
+    ["jauch-piron"],
+    ["bell-hv", "--samples=100"],
+    ["ks-color", "--peres"],
+    ["ks-color", "--rays=peres-minus-one-rotated.txt"],
+    ["mermin"],
+    ["bell"],
+    ["bell", "--a-dir=1,0,0", "--b-dir=0,1,0", "--c-dir=0,0,1"],
+    ["chsh"],
+    ["chsh", "--a-dir=1,0,0", "--a-prime=0,1,0", "--b-dir=0,0,1", "--b-prime=1,1,1"],
+    ["chsh", "--optimize", "--restarts=1"],
+    ["wigner", "--samples=10"],
+    ["ghz"],
+    ["hardy"],
+    ["hardy", "--optimize", "--grid=10"],
+    ["nosignal", "--trials=20"],  # its one output is a roundoff-level maximum, which two seeds share at 2 trials
+    ["simulate", "--samples=1000"],
+    ["simulate", "--config=a.cfg"],
+]
+READ_CASES = [(mode, action) for mode in MODES for action in SUBCOMMANDS[mode[0]]
+              if not (action.nargs == 0 and action.option_strings[-1] in mode)]
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+CONFIG = """source = singlet
+n_pairs = 1000
+visibility = {}
+seed = 1
+a = 0 1 0
+a_prime = 1 0 0
+b = 0.7071067811865476 0.7071067811865476 0
+b_prime = 0.7071067811865476 -0.7071067811865476 0
+"""
+
+
+def _with(mode: list, flag: str, value) -> list:
+    """mode's argv with flag at value: a switch given or left out, another option appended."""
+    if isinstance(value, bool):
+        return [*mode, flag] if value else list(mode)
+    return [*mode, f"{flag}={value}"]
+
+
+def _takes(argv: list) -> bool:
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            options.parse(argv)
+        except SystemExit:
+            return False
+    return True
+
+
+def _outcome(argv: list, workdir: Path, monkeypatch) -> tuple:
+    """argv's exit code and stdout, the echoed seed and wall_time_s left out, and each file it wrote; run in
+    workdir, which holds the golden inputs and two configs, a.cfg and b.cfg."""
+    from hvlab import cli
+
+    workdir.mkdir()
+    for path in INPUTS.iterdir():
+        shutil.copy(path, workdir)
+    for name, visibility in (("a.cfg", 1.0), ("b.cfg", 0.9)):
+        (workdir / name).write_text(CONFIG.format(visibility))
+    before = set(workdir.iterdir())
+    monkeypatch.chdir(workdir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    stdout = [line for line in out.getvalue().splitlines()
+              if not line.startswith(('  "seed": ', "seed,", '  "wall_time_s": ', "wall_time_s,"))]
+    return code, stdout, {path.name: path.read_text() for path in sorted(set(workdir.iterdir()) - before)}
+
+
+@pytest.mark.parametrize("mode, action", READ_CASES,
+                         ids=[f"{' '.join(mode)} {action.option_strings[-1]}" for mode, action in READ_CASES])
+def test_each_option_a_run_takes_changes_the_run(mode, action, tmp_path, monkeypatch):
+    first, second = (_with(mode, action.option_strings[-1], value) for value in _domain(mode[0], action.dest)[1])
+    if _takes(second):  # the mode takes the option (a switch's first value leaves it out)
+        assert _takes(first), first
+        assert _outcome(first, tmp_path / "a", monkeypatch) != _outcome(second, tmp_path / "b", monkeypatch)
+
+
+def test_every_option_is_taken_by_some_mode():
+    taken = {(mode[0], action.dest) for mode, action in READ_CASES
+             if _takes(_with(mode, action.option_strings[-1], _domain(mode[0], action.dest)[1][1]))}
+    given = {(mode[0], action.dest) for mode in MODES for action in SUBCOMMANDS[mode[0]]
+             if action.nargs == 0 and action.option_strings[-1] in mode}
+    assert taken | given == {(command, action.dest) for command, actions in SUBCOMMANDS.items() for action in actions}

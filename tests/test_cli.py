@@ -496,8 +496,8 @@ class TestReportContract:
         def strip_wall_time(text):
             return "\n".join(l for l in text.splitlines() if "wall_time_s" not in l)
 
-        _, out1, _ = run(capsys, "chsh", "--seed", "5")
-        _, out2, _ = run(capsys, "chsh", "--seed", "5")
+        _, out1, _ = run(capsys, "chsh", "--optimize", "--restarts", "2", "--seed", "5")
+        _, out2, _ = run(capsys, "chsh", "--optimize", "--restarts", "2", "--seed", "5")
         assert strip_wall_time(out1) == strip_wall_time(out2)
         lines1 = out1.splitlines()
         lines2 = out2.splitlines()
@@ -539,10 +539,11 @@ class TestReportContract:
                     assert evaluate_claim(claim) is False, (kind, field, bad)
 
     def test_report_echoes_seed_and_command(self, capsys):
-        _, report = run_json(capsys, "ghz", "--seed", "77")
+        _, report = run_json(capsys, "wigner", "--samples", "10", "--seed", "77")
         assert report["seed"] == 77
-        assert report["command"] == "ghz"
+        assert report["command"] == "wigner"
         assert "wall_time_s" in report
+        assert run_json(capsys, "ghz")[1]["seed"] is None  # a run that draws nothing reads no seed
 
 
 class TestErrors:
@@ -736,7 +737,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("ghz", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
+            (("dispersion", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
             (("wigner", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
             (("simulate", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
             (
@@ -746,7 +747,7 @@ class TestErrors:
             (("bell-hv", "--beta=1e300,1e300,0"), "beta"),
             (("bell-hv", "--psi=1,0,0,0,0,0"), "single spin-1/2"),
         ],
-        ids=["ghz-seed", "wigner-seed", "simulate-seed", "simulate-samples", "bell-hv-beta", "bell-hv-qutrit"],
+        ids=["dispersion-seed", "wigner-seed", "simulate-seed", "simulate-samples", "bell-hv-beta", "bell-hv-qutrit"],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings():

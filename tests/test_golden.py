@@ -2,6 +2,8 @@
 another numpy release than the corpus's, the exit code, stderr, the verdict and the `inputs`."""
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import version
 
 import pytest
@@ -30,9 +32,20 @@ def test_essentials_keep_exit_stderr_verdict_and_inputs(name):
         assert essentials(text.replace(old, new)) != essentials(text)
 
 
+@pytest.fixture(scope="module")
+def renders(request):
+    """Each selected case's render, all started at once, each still in its own process and directory,
+    at most one at a time per CPU this process may run on."""
+    selected = {item.callspec.params["name"] for item in request.session.items
+                if item.originalname == "test_report_matches_golden_file"}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=cpus or 1) as pool:
+        yield {name: pool.submit(render, argv) for name, argv in CASES if name in selected}
+
+
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
-def test_report_matches_golden_file(name, argv):
-    got, want = render(argv), (GOLDEN / f"{name}.txt").read_text()
+def test_report_matches_golden_file(renders, name, argv):
+    got, want = renders[name].result(), (GOLDEN / f"{name}.txt").read_text()
     if draws(argv) and version("numpy") != NUMPY_VERSION.read_text().strip():
         assert essentials(got) == essentials(want)
     else:
