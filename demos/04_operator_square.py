@@ -10,7 +10,7 @@ import itertools
 import math
 
 import hvlab as hl
-from hvlab.contextuality import count_sign_assignments
+from hvlab.kernels import count_sign_assignments
 
 LABELS = [
     ["X(1)", "X(2)", "X(1)X(2)"],

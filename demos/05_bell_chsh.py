@@ -10,7 +10,7 @@ local bound 1; the best four settings push S to 2*sqrt(2) against 2.
 import numpy as np
 
 import hvlab as hl
-from hvlab.nonlocality import TRINE_A, TRINE_B, TRINE_C
+from hvlab.kernels import TRINE_A, TRINE_B, TRINE_C
 
 psi = hl.singlet_state()
 

@@ -18,13 +18,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "kernels": (
-        "CHSH_LHV_BOUND", "CHSH_QUANTUM_MAX", "TAU_EQ", "AssignmentSearchResult", "ChshSettings",
+        "CHSH_LHV_BOUND", "CHSH_QUANTUM_MAX", "TAU_EQ", "TAU_PSD", "AssignmentSearchResult", "ChshSettings",
         "HardyConstruction", "MerminReport", "bell_original_lhs", "chsh_value", "ghz_assignment_search",
-        "ghz_stabilizer_deviations", "hardy_build", "hardy_probability", "mermin_assignment_search", "mermin_verify",
-        "optimal_chsh_settings", "qm_correlator",
+        "ghz_stabilizer_deviations", "hardy_build", "hardy_probability", "mermin_assignment_search", "mermin_square",
+        "mermin_verify", "optimal_chsh_settings", "qm_correlator",
     ),
     "qmath": (
-        "ID2", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "TAU_PSD", "eig_herm2", "expectation",
+        "ID2", "PAULIS", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "eig_herm2", "expectation",
         "intersection_projector", "kron", "pauli_obs", "projector", "sigma_dot",
     ),
     "ensembles": (
@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     "contextuality": (
         "GREEN", "RED", "JauchPironReport", "KsResult", "OrthogonalityStructure", "canonical_ray",
-        "jauch_piron_contradiction", "ks_color", "load_rays", "mermin_square", "orthogonality_structure", "peres_rays",
-        "save_rays", "verify_coloring",
+        "jauch_piron_contradiction", "ks_color", "load_rays", "orthogonality_structure", "peres_rays", "save_rays",
+        "verify_coloring",
     ),
     "nonlocality": (
         "GOLDEN_RATIO", "HardyParams", "chsh_max", "chsh_optimize", "correlation_tensor", "ghz_state",

@@ -26,6 +26,7 @@ import time
 
 from . import options
 from .kernels import (
+    BATCH_PAIRS,
     BELL_ORIGINAL_BOUND,
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
@@ -56,8 +57,8 @@ _LAZY_NAMES = {
     "qmath": ("ID2", "PAULIS", "eig_herm2", "normalized_wishart", "pauli_obs", "random_density", "sigma_dot",
               "unit_vectors"),
     "ensembles": ("dispersion_free_witness", "dispersion_scan", "oracle_from_density", "reconstruct_density"),
-    "hvmodels": ("BATCH_PAIRS", "bell_hv_average_exact", "bell_hv_average_mc", "bell_hv_model_stderr",
-                 "chsh_from_wigner", "wigner_correlators"),
+    "hvmodels": ("bell_hv_average_exact", "bell_hv_average_mc", "bell_hv_model_stderr", "chsh_from_wigner",
+                 "wigner_correlators"),
     "contextuality": ("jauch_piron_contradiction", "ks_color", "load_rays", "orthogonality_structure", "peres_floats",
                       "save_rays", "verify_coloring"),
     "nonlocality": ("GOLDEN_RATIO", "chsh_max", "chsh_optimize", "hardy_optimize", "no_signalling_check"),

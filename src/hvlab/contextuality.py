@@ -1,13 +1,12 @@
-"""Kochen-Specker machinery, the projector-intersection clash and the two-qubit operator square, on Python
-numbers: importing this module loads no numpy.
+"""Kochen-Specker machinery and the projector-intersection clash of Jauch and Piron, on Python numbers:
+importing this module loads no numpy.
 
 Rays in real 3-space are (x, y, z) float triples, canonicalized under antipodal identification (first
 nonzero component positive).  A coloring assigns GREEN (value 0) or RED (value 1) to each ray; it is valid
 when every complete orthogonal triad has exactly one GREEN and no orthogonal pair is GREEN-GREEN.  The
 33-ray set built from the squared direction cosines (0,0,1), (0,1/2,1/2), (0,1/3,2/3) and (1/4,1/4,1/2)
-admits no valid coloring.  The arrays of `peres_rays`, `OrthogonalityStructure.rays`, `KsResult.colors`
-and `mermin_square` are built by `kernels._read_only` only when called or read.  The operator square's
-checks and the +-1 assignment count are those of `kernels`, read from here too.
+admits no valid coloring.  The arrays of `peres_rays`, `OrthogonalityStructure.rays` and `KsResult.colors`
+are built by `kernels._read_only` only when called or read.
 """
 
 from __future__ import annotations
@@ -18,11 +17,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .kernels import (  # noqa: F401  (names defined there and read from here too)
-    ID2, MERMIN_COL_SIGNS, MERMIN_ROW_SIGNS, MERMIN_SQUARE, TAU_EQ, TAU_PSD, AssignmentSearchResult, MerminReport,
-    _flat_triple, _nanmax, _read_only, _unit_floats, count_sign_assignments, matmul, max_deviation,
-    mermin_assignment_search, mermin_verify,
-)
+from .kernels import ID2, TAU_EQ, TAU_PSD, _flat_triple, _nanmax, _read_only, _unit_floats, matmul, max_deviation
 from .options import MAX_ORTHOGONAL_PAIRS, MAX_RAYS, MAX_TRIADS
 
 TAU_ORTH = 1e-9
@@ -325,14 +320,3 @@ def jauch_piron_contradiction(a_hat, b_hat) -> JauchPironReport:
     )
     return JauchPironReport(a_hat=a, b_hat=b, completeness_dev=completeness_dev, cross_ranks=cross_ranks,
                             all_intersections_zero=not any(map(any, cross_ranks)), statement=statement)
-
-
-def mermin_square():
-    """The 3x3 grid of two-qubit operators, shape (3, 3, 4, 4).
-
-    Rows: (X(1), X(2), X(1)X(2)), (Y(2), Y(1), Y(1)Y(2)),
-    (X(1)Y(2), X(2)Y(1), Z(1)Z(2)), with particle 1 the left tensor factor.
-    Every entry squares to the identity; entries commute within each row
-    and each column.  `kernels.MERMIN_SQUARE`, as a new read-only array.
-    """
-    return _read_only(MERMIN_SQUARE, complex)

@@ -8,8 +8,8 @@ density operator: querying it on the dim^2 basis observables
 recovers rho entrywise.  Dispersion-free ensembles would need <phi|rho|phi>
 to be 0 or 1 for every phi, which continuity forbids; `dispersion_free_witness`
 exhibits, in closed form from the leading eigenvectors, a phi with strictly
-intermediate probability whenever one exists.  The Jauch-Piron names are
-those of `contextuality`, read from here on first access (PEP 562).
+intermediate probability whenever one exists.  The projector-intersection
+clash of Jauch and Piron lives in `contextuality`.
 """
 
 from __future__ import annotations
@@ -19,21 +19,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .kernels import TAU_EQ, TAU_PSD
 from .options import MIN_STEPS
-from .qmath import TAU_EQ, TAU_PSD, assert_density_operator, assert_state_vector, expectation
+from .qmath import assert_density_operator, assert_state_vector, expectation
 
 WITNESS_EPSILON = 0.01
 # The dimensions whose identity and basis observables `reconstruct_density` builds once and keeps,
 # read-only: the desk scale, 210 matrices and about 0.14 MB of entries in all.
 BASIS_MEMO_DIMS = range(2, 9)
-
-
-def __getattr__(name: str):
-    if name in ("JAUCH_PIRON_MIN_GAP", "JauchPironReport", "jauch_piron_contradiction"):
-        from . import contextuality
-
-        return getattr(contextuality, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExpectationOracle(NamedTuple):

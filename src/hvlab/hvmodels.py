@@ -23,15 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import TAU_EQ, chsh_combination
+from .kernels import BATCH_PAIRS, TAU_EQ, chsh_combination
 from .options import MIN_BELL_HV_SAMPLES
 from .qmath import assert_state_vector
 
 _SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
 
 SIGN = np.array([1.0, -1.0])  # weight-array index 0 means +1, index 1 means -1
-
-BATCH_PAIRS = 1 << 16  # samples held in memory at once by the batched samplers
 
 # parities st, st', s't, s't' of the 16 outcome tuples (s, s', t, t'), in weight order
 _PARITY = np.array(

@@ -6,11 +6,12 @@ alone.  It holds the Pauli matrices as tuples of rows of complex numbers, with t
 per state and kept in a bounded memo; the CHSH settings and the correlators read off T; the Hardy
 arithmetic; the exhaustive sign-assignment count; and the Mermin-square and GHZ checks.
 
-The other modules (`qmath`, `contextuality`, `hvmodels`, `nonlocality`, `simlab`) import from this
-one, never the reverse, and give its results as arrays where their API returns arrays.  A function
-here that takes an array takes any sequence too, and reads an array by its `tolist()` (a complex128
-state by its bytes); the arrays of `ChshSettings`, `HardyConstruction` and of the numpy-free
-`contextuality` are built by `_read_only`, the one place that loads numpy, and only when read.
+The other modules (`qmath`, `ensembles`, `contextuality`, `hvmodels`, `nonlocality`, `simlab`) import
+from this one, never the reverse, and give its results as arrays where their API returns arrays.  A
+function here that takes an array takes any sequence too, and reads an array by its `tolist()` (a
+complex128 state by its bytes); the arrays of `ChshSettings`, `HardyConstruction`, `mermin_square` and
+of the numpy-free `contextuality` are built by `_read_only`, the one place that loads numpy, and only
+when read.
 
 TAU_EQ = 1e-10, shared with `qmath`, is the tolerance of every entrywise matrix or scalar comparison;
 TAU_PSD = 1e-9 that of an eigenvalue read as zero or nonnegative.
@@ -216,6 +217,7 @@ def optimal_chsh_settings() -> ChshSettings:
 
 
 TENSOR_MEMO_SIZE = 64  # states whose correlation tensor is kept
+BATCH_PAIRS = 1 << 16  # samples held in memory at once by the batched samplers
 
 
 @functools.lru_cache(maxsize=TENSOR_MEMO_SIZE)
@@ -458,7 +460,7 @@ def _complex_rows(x, shape: tuple) -> tuple:
         raise ValueError(f"expected shape {shape}, got {got}") from None
 
 
-# The 3x3 grid of two-qubit operators as 4x4 tuples, particle 1 the left factor: `contextuality.mermin_square`.
+# The 3x3 grid of two-qubit operators as 4x4 tuples, particle 1 the left factor: `mermin_square` below.
 MERMIN_SQUARE = (
     (kron(SIGMA_X, ID2), kron(ID2, SIGMA_X), kron(SIGMA_X, SIGMA_X)),
     (kron(ID2, SIGMA_Y), kron(SIGMA_Y, ID2), kron(SIGMA_Y, SIGMA_Y)),
@@ -466,6 +468,18 @@ MERMIN_SQUARE = (
 )
 MERMIN_ROW_SIGNS = (1, 1, 1)
 MERMIN_COL_SIGNS = (1, 1, -1)
+
+
+def mermin_square():
+    """The 3x3 grid of two-qubit operators, shape (3, 3, 4, 4).
+
+    Rows: (X(1), X(2), X(1)X(2)), (Y(2), Y(1), Y(1)Y(2)),
+    (X(1)Y(2), X(2)Y(1), Z(1)Z(2)), with particle 1 the left tensor factor.
+    Every entry squares to the identity; entries commute within each row
+    and each column.  `MERMIN_SQUARE`, as a new read-only array.
+    """
+    return _read_only(MERMIN_SQUARE, complex)
+
 
 _EYE4 = kron(ID2, ID2)
 
@@ -525,6 +539,10 @@ def mermin_assignment_search() -> AssignmentSearchResult:
     return count_sign_assignments(9, constraints)
 
 
+# the four GHZ parity identities: the Pauli letter on each particle, and the eigenvalue of their product
+GHZ_PARITIES = (("xyy", 1), ("yxy", 1), ("yyx", 1), ("xxx", -1))
+
+
 def ghz_assignment_search(xxx_target: int = -1) -> AssignmentSearchResult:
     """Exhaustive search over the 64 local value assignments (m_x, m_y) per
     particle, against the three m_x m_y m_y = +1 constraints and
@@ -535,9 +553,10 @@ def ghz_assignment_search(xxx_target: int = -1) -> AssignmentSearchResult:
     """
     if xxx_target not in (1, -1):
         raise ValueError("xxx_target must be +1 or -1")
+    parities = (*GHZ_PARITIES[:-1], (GHZ_PARITIES[-1][0], xxx_target))
     # variables 0-2 are m_x of particles 1-3, variables 3-5 their m_y
     return count_sign_assignments(
-        6, [((0, 4, 5), 1), ((3, 1, 5), 1), ((3, 4, 2), 1), ((0, 1, 2), xxx_target)]
+        6, [([k + 3 * (letter == "y") for k, letter in enumerate(word)], sign) for word, sign in parities]
     )
 
 
@@ -547,15 +566,10 @@ def ghz_stabilizer_deviations() -> dict[str, float]:
     X Y Y, Y X Y and Y Y X fix the state; X X X flips its sign.
     """
     psi = tuple((z,) for z in GHZ)  # a column
-    flipped = tuple((-z,) for z in GHZ)
-    x, y = SIGMA_X, SIGMA_Y
+    pauli = {"x": SIGMA_X, "y": SIGMA_Y}
 
-    def deviation(p1, p2, p3, target) -> float:
-        return max_deviation(matmul(kron(kron(p1, p2), p3), psi), target)
+    def deviation(word, sign) -> float:
+        p1, p2, p3 = (pauli[letter] for letter in word)
+        return max_deviation(matmul(kron(kron(p1, p2), p3), psi), tuple((sign * z,) for z in GHZ))
 
-    return {
-        "xyy": deviation(x, y, y, psi),
-        "yxy": deviation(y, x, y, psi),
-        "yyx": deviation(y, y, x, psi),
-        "xxx": deviation(x, x, x, flipped),
-    }
+    return {word: deviation(word, sign) for word, sign in GHZ_PARITIES}

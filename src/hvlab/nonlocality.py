@@ -1,17 +1,15 @@
-"""Quantum correlators, Bell/CHSH inequalities, GHZ and Hardy constructions.
+"""Two-qubit nonlocality on arrays: the states and the correlation tensor as arrays, the largest CHSH
+value, the CHSH and Hardy optimizers, and the no-signalling check.
 
 Every two-qubit number is read off the correlation tensor
-T_ij = <psi| sigma_i x sigma_j |psi>, computed (and the state validated) once
-per state and kept in a bounded memo: each correlator
-P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> is a . T b, and the largest CHSH
-value over all settings is the Horodecki value `chsh_max`.  The singlet has
+T_ij = <psi| sigma_i x sigma_j |psi>, which the numpy-free `kernels` computes
+(and validates the state for) once per state and keeps in a bounded memo.
+`kernels` also holds each correlator P(a, b) = <psi| (a.sigma) x (b.sigma) |psi> = a . T b,
+Bell's inequality, the GHZ checks and the Hardy construction.  The singlet has
 T = -identity, so P(a, b) = -a.b.
 The CHSH combination S = |P(a,b) - P(a,b')| + |P(a',b) + P(a',b')| is bounded
-by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet.
-
-The scalar and exact kernels (T and its memo, the settings and correlators, the
-Hardy construction, the GHZ checks) live in the numpy-free `kernels` and are read
-from here too; this module adds what returns or searches over arrays.
+by 2 for local hidden variables and reaches 2*sqrt(2) on the singlet; its
+largest value over all settings is the Horodecki value `chsh_max`.
 """
 
 from __future__ import annotations
@@ -21,13 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hvmodels import BATCH_PAIRS
-from .kernels import (  # noqa: F401  (names defined there and read from here too)
-    BELL_ORIGINAL_BOUND, CHSH_LHV_BOUND, CHSH_QUANTUM_MAX, GHZ, OPTIMAL_CHSH_A, OPTIMAL_CHSH_A_PRIME,
-    OPTIMAL_CHSH_B, OPTIMAL_CHSH_B_PRIME, SETTING_NAMES, SETTING_PAIR_NAMES, SINGLET, TAU_EQ, TENSOR_MEMO_SIZE,
-    TRINE_A, TRINE_B, TRINE_C, ChshSettings, HardyConstruction, _hardy_fields, _memo_tensor, _orthogonal_2d,
-    _tensor_of_bytes, bell_correlators, bell_original_lhs, chsh_correlators, chsh_value, ghz_assignment_search,
-    ghz_stabilizer_deviations, hardy_build, hardy_probability, optimal_chsh_settings, qm_correlator,
+from .kernels import (
+    BATCH_PAIRS, GHZ, SINGLET, TAU_EQ, ChshSettings, _hardy_fields, _memo_tensor, chsh_value, hardy_build,
 )
 from .options import MIN_GRID, MIN_RESTARTS
 from .qmath import assert_density_operator, assert_hermitian, assert_projector

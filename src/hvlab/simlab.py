@@ -23,10 +23,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hvmodels import BATCH_PAIRS, count_correlator, sgn
+from .hvmodels import count_correlator, sgn
 from .kernels import (
-    CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, SINGLET, ChshSettings, _unit_floats, chsh_combination,
-    chsh_correlators,
+    BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, SINGLET, ChshSettings, _unit_floats,
+    chsh_combination, chsh_correlators,
 )
 from .options import check_n_pairs
 

@@ -140,7 +140,7 @@ def test_criterion_07_singlet_correlator(capsys):
 
 
 def test_criterion_08_original_inequality_violation(capsys):
-    from hvlab.nonlocality import TRINE_A, TRINE_B, TRINE_C
+    from hvlab.kernels import TRINE_A, TRINE_B, TRINE_C
 
     lhs = hl.bell_original_lhs(hl.singlet_state(), TRINE_A, TRINE_B, TRINE_C, 1, 1, 1)
     ok = abs(lhs - 1.5) <= 1e-10

@@ -16,9 +16,10 @@ import hvlab.options
 from hvlab.cli import evaluate_claim, main
 from hvlab.contextuality import load_rays, orthogonality_structure, peres_rays
 from hvlab.ensembles import dispersion_scan
-from hvlab.hvmodels import bell_hv_average_mc, chsh_combination, chsh_from_wigner, wigner_correlators
+from hvlab.hvmodels import bell_hv_average_mc, chsh_from_wigner, wigner_correlators
+from hvlab.kernels import chsh_combination, optimal_chsh_settings
 from hvlab.simlab import ExperimentConfig, save_config
-from hvlab.nonlocality import chsh_optimize, hardy_optimize, optimal_chsh_settings, singlet_state
+from hvlab.nonlocality import chsh_optimize, hardy_optimize, singlet_state
 from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
@@ -983,19 +984,46 @@ def fresh(*args):
     return proc.returncode, proc.stdout, [line for line in lines if not line.startswith("import time:")], imported
 
 
+def fresh_run(*argv):
+    """`options.main(argv)` in a fresh process, as the console script runs it: the exit code, stdout, the stderr
+    lines, and the hvlab modules, numpy and numpy.random it left in sys.modules (-X importtime misses the
+    modules that `cli._bind` loads through importlib)."""
+    script = (
+        "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
+        "print('modules:', *(m for m in sys.modules if m.split('.')[0] == 'hvlab' or m in ('numpy', 'numpy.random')))\n"
+        "sys.exit(code)\n"
+    )
+    code, out, err, _ = fresh("-c", script, *argv)
+    out, _, modules = out.rpartition("modules: ")
+    return code, out, err, set(modules.split())
+
+
 # the argvs that run on the numpy-free kernels and contextuality (chsh and hardy without --optimize)
 NUMPY_FREE = (("mermin",), ("ghz",), ("bell",), ("chsh",), ("hardy",), ("jauch-piron",), ("ks-color", "--peres"))
+ALWAYS_LOADED = {"hvlab", "hvlab.cli", "hvlab.kernels", "hvlab.options"}  # by every run that passes the argv checks
+# (argv, the hvlab modules it loads besides ALWAYS_LOADED, whether it loads numpy.random)
+LOADS = [
+    *(((*argv, *form), {"hvlab.contextuality"} if argv[0] in ("jauch-piron", "ks-color") else set(), False)
+      for form in ((), ("--format=csv",)) for argv in NUMPY_FREE),
+    (("wigner", "--samples=1"), {"hvlab.hvmodels", "hvlab.qmath"}, True),
+    (("chsh", "--optimize"), {"hvlab.nonlocality", "hvlab.qmath"}, True),
+    (("hardy", "--optimize"), {"hvlab.nonlocality", "hvlab.qmath"}, False),
+    (("nosignal", "--trials=1"), {"hvlab.nonlocality", "hvlab.qmath"}, True),
+]
 
 
 class TestFreshProcess:
     def test_import_hvlab_loads_no_numpy(self):
         script = (
-            "import importlib, sys, hvlab\n"
+            "import importlib, inspect, sys, hvlab\n"
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
             "assert set(hvlab.__all__) <= set(dir(hvlab))\n"
             "for name in hvlab.__all__:\n"
             "    module = importlib.import_module('hvlab.' + hvlab._MODULE_OF[name])\n"
-            "    assert getattr(hvlab, name) is getattr(module, name), name\n"
+            "    value = getattr(hvlab, name)\n"
+            "    assert value is getattr(module, name), name\n"
+            "    if inspect.isfunction(value) or inspect.isclass(value):\n"  # defined there, not bound from elsewhere
+            "        assert value.__module__ == module.__name__, name\n"
             "assert hvlab.qmath is sys.modules['hvlab.qmath']\n"
             "assert not hasattr(hvlab, 'no_such_name')\n"
         )
@@ -1049,9 +1077,9 @@ class TestFreshProcess:
         ],
     )
     def test_argv_error_exits_before_numpy_loads(self, argv, message):
-        code, out, err, imported = fresh("-m", "hvlab", *argv)
+        code, out, err, loaded = fresh_run(*argv)
         assert (code, out, err) == (2, "", [f"{argv[0]}: {message}"])
-        assert "hvlab.options" in imported and "numpy" not in imported
+        assert loaded == {"hvlab", "hvlab.options"}
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -1066,23 +1094,10 @@ class TestFreshProcess:
     def test_ray_limits_exit_before_numpy_loads(self, tmp_path, lines, message):
         path = tmp_path / "rays.txt"
         path.write_text("\n".join(lines) + "\n")
-        script = (
-            "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
-            "assert 'hvlab.contextuality' in sys.modules and 'numpy' not in sys.modules\nsys.exit(code)\n"
-        )
-        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={path}", f"--dump-rays={tmp_path / 'dump.txt'}")
+        code, out, err, loaded = fresh_run("ks-color", f"--rays={path}", f"--dump-rays={tmp_path / 'dump.txt'}")
         assert (code, out, err) == (2, "", [f"ks-color: {message.format(path=path)}"])
+        assert "hvlab.contextuality" in loaded and "numpy" not in loaded
         assert not (tmp_path / "dump.txt").exists()
-
-    def test_ensembles_reads_jauch_piron_from_contextuality_on_first_use(self):
-        script = (
-            "import sys, hvlab.ensembles as e\n"
-            "assert 'hvlab.contextuality' not in sys.modules\n"
-            "import hvlab.contextuality as c\n"
-            "for name in ('JAUCH_PIRON_MIN_GAP', 'JauchPironReport', 'jauch_piron_contradiction'):\n"
-            "    assert getattr(e, name) is getattr(c, name), name\n"
-        )
-        assert fresh("-c", script)[:3] == (0, "", [])
 
     def test_import_cli_generates_no_dataclass(self):
         modules = ("cli", "kernels", "qmath", "ensembles", "hvmodels", "contextuality", "nonlocality", "simlab")
@@ -1091,38 +1106,28 @@ class TestFreshProcess:
         assert {f"hvlab.{module}" for module in modules} <= imported and "dataclasses" not in imported
 
     @pytest.mark.parametrize(
-        "argv, draws",
-        [
-            *((argv, False) for argv in NUMPY_FREE),
-            (("wigner", "--samples=1"), True),
-            *(((*argv, "--format=csv"), False) for argv in NUMPY_FREE),
-            (("chsh", "--optimize"), True),
-            (("hardy", "--optimize"), False),
-        ],
-        ids=lambda v: v if isinstance(v, bool) else "-".join(v),
+        "argv, modules, draws", LOADS, ids=[f"{'-'.join(argv)}-{draws}" for argv, _, draws in LOADS]
     )
-    def test_numpy_random_loads_only_where_a_subcommand_draws(self, argv, draws):
+    def test_numpy_random_loads_only_where_a_subcommand_draws(self, argv, modules, draws):
         # the exact and scalar subcommands run on the numpy-free kernels and contextuality; the others load numpy
-        code, out, err, imported = fresh("-m", "hvlab", *argv, "--quiet")
+        code, out, err, loaded = fresh_run(*argv, "--quiet")
         assert (code, out, err) == (0, "", [])
-        if "--optimize" not in argv and argv[0] in {free[0] for free in NUMPY_FREE}:
-            assert "hvlab.kernels" in imported and "numpy" not in imported
+        assert {m for m in loaded if m.startswith("hvlab")} == ALWAYS_LOADED | modules
+        if modules <= {"hvlab.contextuality"}:
+            assert "numpy" not in loaded
         else:
-            assert "numpy" in imported and ("numpy.random" in imported) is draws
+            assert "numpy" in loaded and ("numpy.random" in loaded) is draws
 
     def test_ray_files_load_no_numpy(self, tmp_path):
         rays, dump, nan_ray = tmp_path / "rays.txt", tmp_path / "dump.txt", tmp_path / "nan.txt"
         rays.write_text("# axes\n1 0 0\n0 -2 0\n0 0 1\n")
         nan_ray.write_text("nan 0 0\n1 0 0\n0 1 0\n")
-        # the console script's run, then what it left in sys.modules (-X importtime misses importlib's imports)
-        script = (
-            "import sys\nfrom hvlab import options\ncode = options.main(sys.argv[1:])\n"
-            "assert 'hvlab.contextuality' in sys.modules and 'numpy' not in sys.modules\nsys.exit(code)\n"
-        )
-        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={rays}", f"--dump-rays={dump}", "--quiet")
+        code, out, err, loaded = fresh_run("ks-color", f"--rays={rays}", f"--dump-rays={dump}", "--quiet")
         assert (code, out, err) == (0, "", []) and len(dump.read_text().splitlines()) == 4
-        code, out, err, _ = fresh("-c", script, "ks-color", f"--rays={nan_ray}")
+        assert "hvlab.contextuality" in loaded and "numpy" not in loaded
+        code, out, err, loaded = fresh_run("ks-color", f"--rays={nan_ray}")
         assert (code, out, len(err)) == (2, "", 1) and err[0].startswith(f"ks-color: {nan_ray}:1: ")
+        assert "hvlab.contextuality" in loaded and "numpy" not in loaded
 
 
 def test_closed_stdout_keeps_exit_code_and_quiet_stderr():

@@ -7,19 +7,12 @@ import pytest
 
 from hvlab.contextuality import (
     GREEN,
-    MERMIN_COL_SIGNS,
-    MERMIN_SQUARE,
-    MERMIN_ROW_SIGNS,
     RED,
     PERES_SQUARED_TRIPLES,
     OrthogonalityStructure,
     canonical_ray,
-    count_sign_assignments,
     ks_color,
     load_rays,
-    mermin_assignment_search,
-    mermin_square,
-    mermin_verify,
     orthogonality_structure,
     peres_floats,
     peres_rays,
@@ -27,6 +20,15 @@ from hvlab.contextuality import (
     verify_coloring,
 )
 from hvlab import contextuality
+from hvlab.kernels import (
+    MERMIN_COL_SIGNS,
+    MERMIN_ROW_SIGNS,
+    MERMIN_SQUARE,
+    count_sign_assignments,
+    mermin_assignment_search,
+    mermin_square,
+    mermin_verify,
+)
 from hvlab.options import MAX_RAYS
 from hvlab.qmath import ID2, SIGMA_X, kron
 

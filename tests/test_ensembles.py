@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from hvlab.contextuality import JAUCH_PIRON_MIN_GAP, jauch_piron_contradiction
 from hvlab.ensembles import (
-    JAUCH_PIRON_MIN_GAP,
     ExpectationOracle,
     basis_observables,
     dispersion_free_witness,
     dispersion_scan,
     homogeneity_check,
-    jauch_piron_contradiction,
     oracle_from_density,
     reconstruct_density,
 )
-from hvlab.qmath import TAU_EQ, projector, random_density, random_state
+from hvlab.kernels import TAU_EQ
+from hvlab.qmath import projector, random_density, random_state
 
 
 class TestBasisObservables:

@@ -6,41 +6,43 @@ import numpy as np
 import pytest
 
 from hvlab import kernels, nonlocality
-from hvlab.nonlocality import (
+from hvlab.kernels import (
     CHSH_QUANTUM_MAX,
-    GOLDEN_RATIO,
+    TAU_EQ,
     TRINE_A,
     TRINE_B,
     TRINE_C,
     TENSOR_MEMO_SIZE,
     ChshSettings,
     _hardy_fields,
-    _hardy_grid_argmax,
     _orthogonal_2d,
     _tensor_of_bytes,
     bell_correlators,
     bell_original_lhs,
     chsh_correlators,
-    chsh_max,
-    chsh_optimize,
     chsh_value,
-    correlation_tensor,
     ghz_assignment_search,
     ghz_stabilizer_deviations,
-    ghz_state,
     hardy_build,
-    hardy_optimize,
     hardy_probability,
-    no_signalling_check,
     optimal_chsh_settings,
     qm_correlator,
+)
+from hvlab.nonlocality import (
+    GOLDEN_RATIO,
+    _hardy_grid_argmax,
+    chsh_max,
+    chsh_optimize,
+    correlation_tensor,
+    ghz_state,
+    hardy_optimize,
+    no_signalling_check,
     singlet_state,
 )
 from hvlab.qmath import (
     ID2,
     PAULIS,
     SIGMA_Z,
-    TAU_EQ,
     kron,
     projector,
     random_density,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hvlab.kernels import TAU_EQ
 from hvlab.qmath import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
-    TAU_EQ,
     assert_density_operator,
     assert_projector,
     assert_state_vector,

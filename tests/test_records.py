@@ -6,10 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
-from hvlab.contextuality import ks_color, mermin_square, mermin_verify, orthogonality_structure, peres_rays
-from hvlab.ensembles import basis_observables, jauch_piron_contradiction, oracle_from_density
+from hvlab.contextuality import jauch_piron_contradiction, ks_color, orthogonality_structure, peres_rays
+from hvlab.ensembles import basis_observables, oracle_from_density
 from hvlab.hvmodels import BellHVState
-from hvlab.nonlocality import hardy_build, optimal_chsh_settings
+from hvlab.kernels import hardy_build, mermin_square, mermin_verify, optimal_chsh_settings
 from hvlab.simlab import ConfigError, ExperimentConfig, sign_strategy, simulate_chsh
 
 KET0 = np.array([1.0, 0.0], dtype=complex)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from hvlab import simlab
-from hvlab.nonlocality import (
+from hvlab.kernels import (
+    BATCH_PAIRS,
     CHSH_LHV_BOUND,
     CHSH_QUANTUM_MAX,
+    SETTING_PAIR_NAMES,
     ChshSettings,
     chsh_correlators,
     chsh_value,
     optimal_chsh_settings,
-    singlet_state,
 )
+from hvlab.nonlocality import singlet_state
 from hvlab.qmath import random_unit3
 from hvlab.simlab import (
     ExperimentConfig,
@@ -186,7 +188,7 @@ class TestSimulateLhv:
             (settings.a_prime, settings.b),
             (settings.a_prime, settings.b_prime),
         )
-        for k, (name, (u, v)) in enumerate(zip(simlab.SETTING_PAIR_NAMES, pairs)):
+        for k, (name, (u, v)) in enumerate(zip(SETTING_PAIR_NAMES, pairs)):
             lam_k = lam[k::4]
             products = np.where(lam_k @ u >= 0, 1.0, -1.0) * -np.where(lam_k @ v >= 0, 1.0, -1.0)
             assert report.pairs_per_setting[name] == len(products)
@@ -213,7 +215,7 @@ class TestSimulateLhv:
         report = simulate_lhv(sign_strategy(), settings, n, seed=seed)
         lam = np.random.default_rng(seed).normal(size=(n, 3))
         lam /= np.linalg.norm(lam, axis=1, keepdims=True)
-        for k, (name, (u, v)) in enumerate(zip(simlab.SETTING_PAIR_NAMES, settings.pairs())):
+        for k, (name, (u, v)) in enumerate(zip(SETTING_PAIR_NAMES, settings.pairs())):
             lam_k = lam[k::4]
             outcomes_a = np.where(lam_k @ u >= 0, 1.0, -1.0)
             outcomes_b = -np.where(lam_k @ v >= 0, 1.0, -1.0)
@@ -234,13 +236,13 @@ class TestSimulateLhv:
         def peak_bytes():
             tracemalloc.start()
             try:
-                simulate_lhv(sign_strategy(), optimal_chsh_settings(), 4 * simlab.BATCH_PAIRS, seed=1)
+                simulate_lhv(sign_strategy(), optimal_chsh_settings(), 4 * BATCH_PAIRS, seed=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak_bytes()  # warm-up: first-call allocations
-        assert peak_bytes() < 2 * 24 * simlab.BATCH_PAIRS
+        assert peak_bytes() < 2 * 24 * BATCH_PAIRS
 
 
 class TestCountEstimator:
