@@ -12,9 +12,11 @@ the singlet's, so P(xy = +1 | a, b) = (1 + q_k) / 2 and each count is one
 binomial draw: time and memory do not depend on n_pairs.  Reports hold
 numbers, not verdicts.  Local hidden-variable sources draw one lambda per
 pair, in batches of `BATCH_PAIRS` from one generator, and answer through
-response functions that never see the far-side setting; the sign
-strategy's lambda is an unnormalized standard-normal 3-vector, since its
-outcomes read only the direction.
+response functions that never see the far-side setting.  The sign
+strategy's lambda is a unit vector drawn by Marsaglia's method (Ann. Math.
+Stat. 43, 645 (1972)): two `random()` draws per candidate, kept when inside
+the unit disc, so about 2.55 draws per lambda, and the generator is left
+just past the last candidate used.
 """
 
 from __future__ import annotations
@@ -82,17 +84,63 @@ class LhvStrategy(NamedTuple):
     response_b: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def sign_strategy() -> LhvStrategy:
-    """A = sgn(a.lam), B = -sgn(b.lam), sgn(0) = +1, lam standard normal in R^3.
+_SPHERE_CHUNK = 8192  # candidate pairs per draw, so that the temporaries stay in cache
 
-    A standard-normal vector points uniformly on the sphere, and
-    sgn(a.lam) depends only on that direction, so lam is not normalized.
-    Reproduces perfect anticorrelation at equal settings; the exact
-    correlator is -1 + 2 theta_ab / pi.
+
+def _sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n points uniform on the unit sphere by Marsaglia's method, as an (n, 3) array.
+
+    Each candidate takes two consecutive `rng.random()` draws, u = 2U - 1 and
+    v = 2V - 1, and is kept when s = u^2 + v^2 < 1; the point is
+    (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s).  Candidates are drawn in chunks;
+    after the chunk that completes the points, the generator is put back and
+    redrawn up to the last candidate kept, so it stops right after that one
+    and the points are those of one sequential rejection loop.
+    """
+    out = np.empty((n, 3))
+    buf = np.empty(2 * _SPHERE_CHUNK)
+    filled = 0
+    while filled < n:
+        need = n - filled
+        # a candidate is kept with probability pi / 4 > 3 / 4, so a short last chunk usually completes
+        m = min(_SPHERE_CHUNK, need * 4 // 3 + 32)
+        if m >= need:
+            state = rng.bit_generator.state
+        cand = buf[: 2 * m]
+        rng.random(out=cand)
+        cand *= 2.0
+        cand -= 1.0
+        u, v = cand[0::2], cand[1::2]
+        s = u * u
+        s += v * v
+        kept = np.flatnonzero(s < 1.0)[:need]
+        s = s[kept]
+        rows = out[filled : filled + len(kept)]
+        t = np.subtract(1.0, s)
+        np.sqrt(t, out=t)
+        t *= 2.0
+        np.multiply(u[kept], t, out=rows[:, 0])
+        np.multiply(v[kept], t, out=rows[:, 1])
+        np.multiply(s, -2.0, out=rows[:, 2])
+        rows[:, 2] += 1.0
+        filled += len(kept)
+        if filled == n:
+            rng.bit_generator.state = state
+            rng.random(out=buf[: 2 * (int(kept[-1]) + 1)])
+    return out
+
+
+def sign_strategy() -> LhvStrategy:
+    """A = sgn(a.lam), B = -sgn(b.lam), sgn(0) = +1, lam uniform on the unit sphere.
+
+    lam is drawn by `_sphere_points`, Marsaglia's method: two `random()`
+    draws per candidate, with the generator left just past the last
+    candidate used.  Reproduces perfect anticorrelation at equal settings;
+    the exact correlator is -1 + 2 theta_ab / pi.
     """
     return LhvStrategy(
         name="sign",
-        sample=lambda rng, n: rng.standard_normal((n, 3)),
+        sample=_sphere_points,
         response_a=lambda setting, lams: sgn(lams @ setting),
         response_b=lambda setting, lams: -sgn(lams @ setting),
     )

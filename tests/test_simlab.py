@@ -28,6 +28,20 @@ from hvlab.simlab import (
 )
 
 
+def sphere_reference(seed, n):
+    """Marsaglia's method on PCG64(seed)'s 64-bit words, independent of `Generator`: a candidate takes
+    u = 2 (w >> 11) 2^-53 - 1 from one word and v from the next, and is kept when u^2 + v^2 < 1.
+    Returns the first n points kept, in order, and the word that follows the last candidate kept."""
+    words = np.random.PCG64(seed).random_raw(4 * n + 64)  # a candidate is kept with probability pi / 4
+    u, v = (2.0 * ((words[i::2] >> np.uint64(11)) * 2.0**-53) - 1.0 for i in (0, 1))
+    s = u * u + v * v
+    kept = np.flatnonzero(s < 1.0)[:n]
+    assert len(kept) == n and 2 * kept[-1] + 2 < len(words)
+    u, v, s = u[kept], v[kept], s[kept]
+    t = np.sqrt(1.0 - s)
+    return np.column_stack([2.0 * u * t, 2.0 * v * t, 1.0 - 2.0 * s]), int(words[2 * kept[-1] + 2])
+
+
 def make_config(**overrides):
     base = dict(
         settings=optimal_chsh_settings(),
@@ -70,11 +84,12 @@ class TestSimulateSinglet:
             want = np.sqrt(sum((1.0 - x * x) / n for x, n in zip(q, n_k)))
             assert report.s_model_stderr == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("source, seed, want", [("singlet", 0, 1.0), ("lhv:sign", 4, np.sqrt(2.0))])
-    def test_model_stderr_does_not_collapse(self, source, seed, want):
-        # 2 pairs per setting, and at these seeds each setting pair's two products agree
-        report = simulate_chsh(make_config(source=source, n_pairs=8, seed=seed))
-        assert report.s_stderr == 0.0
+    @pytest.mark.parametrize("source, want", [("singlet", 1.0), ("lhv:sign", np.sqrt(2.0))], ids=["singlet", "lhv:sign"])
+    def test_model_stderr_does_not_collapse(self, source, want):
+        # 2 pairs per setting: at the first seed where each setting pair's two products agree,
+        # the sample stderr collapses to 0
+        reports = (simulate_chsh(make_config(source=source, n_pairs=8, seed=seed)) for seed in range(1000))
+        report = next(report for report in reports if report.s_stderr == 0.0)
         assert report.s_model_stderr == pytest.approx(want, rel=1e-15)
 
     def test_reports_bit_identical_for_same_config(self):
@@ -176,12 +191,13 @@ class TestSimulateLhv:
     def test_batches_match_single_draw_reference(self, monkeypatch):
         # a batch size that is not a multiple of 4 makes every batch start
         # on a different setting pair
-        monkeypatch.setattr(simlab, "BATCH_PAIRS", 7)
         settings = optimal_chsh_settings()
         n, seed = 1003, 13
+        default = simulate_lhv(sign_strategy(), settings, n, seed=seed)
+        monkeypatch.setattr(simlab, "BATCH_PAIRS", 7)
         report = simulate_lhv(sign_strategy(), settings, n, seed=seed)
-        lam = np.random.default_rng(seed).normal(size=(n, 3))
-        lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+        assert report == default
+        lam = sphere_reference(seed, n)[0]
         pairs = (
             (settings.a, settings.b),
             (settings.a, settings.b_prime),
@@ -213,8 +229,7 @@ class TestSimulateLhv:
         )
         n = 10**6
         report = simulate_lhv(sign_strategy(), settings, n, seed=seed)
-        lam = np.random.default_rng(seed).normal(size=(n, 3))
-        lam /= np.linalg.norm(lam, axis=1, keepdims=True)
+        lam = sphere_reference(seed, n)[0]
         for k, (name, (u, v)) in enumerate(zip(SETTING_PAIR_NAMES, settings.pairs())):
             lam_k = lam[k::4]
             outcomes_a = np.where(lam_k @ u >= 0, 1.0, -1.0)
@@ -231,7 +246,7 @@ class TestSimulateLhv:
 
 
     def test_batch_is_freed_before_the_next_is_drawn(self):
-        # one batch of standard-normal 3-vectors is 24 * BATCH_PAIRS bytes; while the last batch
+        # one batch of 3-vectors is 24 * BATCH_PAIRS bytes; while the last batch
         # and its outcomes were still alive during the next draw, the peak passed two batches
         def peak_bytes():
             tracemalloc.start()
@@ -243,6 +258,35 @@ class TestSimulateLhv:
 
         peak_bytes()  # warm-up: first-call allocations
         assert peak_bytes() < 2 * 24 * BATCH_PAIRS
+
+
+class TestSpherePoints:
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5])
+    @pytest.mark.parametrize("n", [1, 7, 8193, 10**5])
+    def test_matches_pcg64_word_reference(self, seed, n):
+        # 8193 points take more than one chunk of candidates
+        rng = np.random.default_rng(seed)
+        points = simlab._sphere_points(rng, n)
+        want, next_word = sphere_reference(seed, n)
+        assert points.shape == (n, 3) and np.array_equal(points, want)
+        # the generator stops right after the last candidate kept
+        assert int(rng.bit_generator.random_raw()) == next_word
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    def test_split_draws_equal_one_draw(self, bit_generator):
+        # the generator stops after the last candidate kept, so consecutive calls continue one loop
+        whole = simlab._sphere_points(np.random.Generator(bit_generator(9)), 10**4)
+        rng = np.random.Generator(bit_generator(9))
+        parts = [simlab._sphere_points(rng, k) for k in (1, 8192, 1807)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_points_are_uniform_on_the_unit_sphere(self):
+        n = 10**6
+        points = simlab._sphere_points(np.random.default_rng(3), n)
+        assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
+        # each coordinate is uniform on [-1, 1] (Archimedes): mean 0, variance 1/3; x^2 has variance 4/45
+        assert np.all(np.abs(points.mean(axis=0)) <= 5 * np.sqrt(1.0 / 3.0 / n))
+        assert np.all(np.abs((points * points).mean(axis=0) - 1.0 / 3.0) <= 5 * np.sqrt(4.0 / 45.0 / n))
 
 
 class TestCountEstimator:
