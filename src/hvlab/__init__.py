@@ -45,8 +45,8 @@ _EXPORTS = {
         "hardy_optimize", "no_signalling_check", "singlet_state",
     ),
     "simlab": (
-        "STRATEGIES", "ExperimentConfig", "LhvStrategy", "SimReport", "constant_strategy", "load_config",
-        "save_config", "sign_strategy", "simulate_chsh", "simulate_lhv",
+        "STRATEGIES", "ExperimentConfig", "LhvStrategy", "SimReport", "constant_strategy", "sign_strategy",
+        "simulate_chsh", "simulate_lhv",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -62,7 +62,7 @@ _LAZY_NAMES = {
     "contextuality": ("jauch_piron_contradiction", "ks_color", "load_rays", "orthogonality_structure", "peres_floats",
                       "save_rays", "verify_coloring"),
     "nonlocality": ("GOLDEN_RATIO", "chsh_max", "chsh_optimize", "hardy_optimize", "no_signalling_check"),
-    "simlab": ("ExperimentConfig", "load_config", "simulate_chsh"),
+    "simlab": ("ExperimentConfig", "simulate_chsh"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY_NAMES.items() for name in names}
 
@@ -544,21 +544,17 @@ def _cmd_nosignal(args):
 
 def _cmd_simulate(args):
     _bind("simlab")
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig(
-            settings=optimal_chsh_settings(),
-            n_pairs=args.samples,
-            visibility=args.visibility,
-            seed=args.seed,
-            source=args.source,
-        )
-    args.seed = config.seed  # the report's top-level seed is the one the run used
-    report = simulate_chsh(config)
+    dirs = _units(args, *options.CHSH_DIRECTIONS)
+    report = simulate_chsh(ExperimentConfig(
+        settings=ChshSettings(*dirs) if dirs else optimal_chsh_settings(),
+        n_pairs=args.samples,
+        visibility=args.visibility,
+        seed=args.seed,
+        source=args.source,
+    ))
     inputs = {
         "source": report.source,
-        "n_pairs": config.n_pairs,  # the count asked for; the claim below checks the campaign's counts against it
+        "n_pairs": args.samples,  # the count asked for; the claim below checks the campaign's counts against it
         "visibility": report.visibility,
         "seed": report.seed,
         "settings": [list(v) for v in report.settings],
@@ -582,7 +578,7 @@ def _cmd_simulate(args):
     claims = [
         expected,
         _claim("sim_within_tsirelson_bound", "le", report.s_value, CHSH_QUANTUM_MAX, width),
-        _claim("pairs_per_setting_sum_to_n_pairs", "close", sum(report.pairs_per_setting.values()), config.n_pairs, 0.0),
+        _claim("pairs_per_setting_sum_to_n_pairs", "close", sum(report.pairs_per_setting.values()), args.samples, 0.0),
     ]
     return inputs, outputs, claims, {"sigma": 5.0}
 

@@ -61,10 +61,13 @@ MIN_PAIRS = 8  # two samples per setting pair, as the ddof=1 standard error need
 MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
 
 CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
-SIMULATE_FLAGS = {"source": "singlet", "visibility": 1.0, "samples": 10**6, "seed": 0}  # not with --config
 
 
 def check_n_pairs(n_pairs: int) -> None:
+    import numbers  # here, not at the top: argv parsing never needs it
+
+    if not isinstance(n_pairs, numbers.Integral):  # numpy's own message would not name n_pairs
+        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
     if n_pairs < MIN_PAIRS:
         raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
     if n_pairs > MAX_PAIRS:
@@ -216,13 +219,6 @@ def _check_hardy(args) -> None:
         _mode_options(args, "without --optimize", {"p1": 0.5, "p2": 0.5, "tol": 1e-10}, ("grid",))
 
 
-def _check_simulate(args) -> None:
-    if args.config:
-        _mode_options(args, "with --config", {}, SIMULATE_FLAGS)
-    else:
-        _mode_options(args, "without --config", SIMULATE_FLAGS)
-
-
 def _one_line(message: str) -> str:
     """message with each unprintable character escaped: argparse quotes some argv text, not all."""
     return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in message)
@@ -330,13 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tol(MAX_TOL), default=1e-12, help=f"default 1e-12, 0 to {MAX_TOL:g}")
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo correlation experiment")
-    p.add_argument("--config", metavar="FILE", default=None)
-    p.add_argument("--source", default=None, help="default singlet; not with --config")
-    p.add_argument("--visibility", type=_unit_interval, default=None, help="default 1.0, 0 to 1; not with --config")
-    p.add_argument("--samples", type=_count(MIN_PAIRS, MAX_PAIRS), default=None,
-                   help=f"default 10^6, {MIN_PAIRS} to 2^63 - 1; not with --config")
-    p.add_argument("--seed", type=_count(0), default=None, help="default 0, at least 0; not with --config")
-    p.set_defaults(check=_check_simulate)
+    p.add_argument("--source", default="singlet", help="default singlet, or lhv:<strategy>")
+    p.add_argument("--visibility", type=_unit_interval, default=1.0, help="default 1.0, 0 to 1")
+    p.add_argument("--samples", type=_count(MIN_PAIRS, MAX_PAIRS), default=10**6,
+                   help=f"default 10^6, {MIN_PAIRS} to 2^63 - 1")
+    p.add_argument("--seed", type=_count(0), default=0, help="default 0, at least 0")
+    for flag in ("--a-dir", "--a-prime", "--b-dir", "--b-prime"):
+        p.add_argument(flag, type=_direction, default=None)
+    p.set_defaults(check=lambda args: _all_or_none(args, *CHSH_DIRECTIONS))
 
     return parser
 

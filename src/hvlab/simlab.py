@@ -21,50 +21,41 @@ just past the last candidate used.
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .hvmodels import count_correlator, sgn
 from .kernels import (
-    BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_NAMES, SETTING_PAIR_NAMES, SINGLET, ChshSettings, _unit_floats,
-    chsh_combination, chsh_correlators,
+    BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_PAIR_NAMES, SINGLET, ChshSettings, chsh_combination, chsh_correlators,
 )
 from .options import check_n_pairs
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
 
-class ConfigError(ValueError):
-    """A config field outside its domain; `key` names the field, as in a config file."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
-
-
 class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings), ("n_pairs", int),
                                                        ("visibility", float), ("seed", int), ("source", str)])):
-    """One campaign, source "singlet" or "lhv:<strategy name>"; a field outside its domain raises ConfigError."""
+    """One campaign, source "singlet" or "lhv:<strategy name>"; a field outside its domain raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, settings, n_pairs, visibility, seed, source="singlet"):
-        try:
-            check_n_pairs(n_pairs)
-        except ValueError as exc:
-            raise ConfigError("n_pairs", str(exc)) from None
-        if seed < 0:  # numpy's own message would not name the seed
-            raise ConfigError("seed", f"seed must be non-negative, got {seed}")
+        check_n_pairs(n_pairs)
+        if not isinstance(seed, numbers.Integral):  # numpy's own messages would not name the seed
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         if not 0.0 <= visibility <= 1.0:
-            raise ConfigError("visibility", f"visibility {visibility} outside [0, 1]")
+            raise ValueError(f"visibility {visibility} outside [0, 1]")
         if source != "singlet" and not source.startswith("lhv:"):
-            raise ConfigError("source", f"unknown source {source!r}")
+            raise ValueError(f"unknown source {source!r}")
         name = source.removeprefix("lhv:")
         if source != "singlet" and name not in STRATEGIES:
-            raise ConfigError("source", f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
+            raise ValueError(f"unknown LHV strategy {name!r}; known: {sorted(STRATEGIES)}")
         if source != "singlet" and visibility != 1.0:
-            raise ConfigError("visibility", f"visibility is for the singlet source only; {source} got {visibility}")
+            raise ValueError(f"visibility is for the singlet source only; {source} got {visibility}")
         return tuple.__new__(cls, (settings, n_pairs, visibility, seed, source))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through _make: both check
@@ -180,11 +171,11 @@ class SimReport(NamedTuple):
     pairs_per_setting: dict
     correlators: dict
     stderrs: dict
-    s_value: float = 0.0
-    s_stderr: float = 0.0
-    s_expected: float = 0.0
-    expected_correlators: dict | None = None
-    s_model_stderr: float = 0.0
+    s_value: float
+    s_stderr: float
+    s_expected: float
+    expected_correlators: dict | None
+    s_model_stderr: float
     note: str = VISIBILITY_NOTE
 
 
@@ -267,73 +258,3 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
             plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
         del lams, lams_k, outcomes_a, outcomes_b, vals  # freed before the next batch is drawn
     return _summarize(_pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0)
-
-
-def load_config(path) -> ExperimentConfig:
-    """Parse the key-value experiment config format.
-
-    Keys: source, n_pairs, visibility, seed, and the four settings a,
-    a_prime, b, b_prime as whitespace-separated 3-vectors; any other key,
-    or a key given twice, is an error.  '#' starts a comment.
-    """
-    raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            raw[key] = value
-    required = {"source", "n_pairs", "visibility", "seed", *SETTING_NAMES}
-    missing = required - raw.keys()
-    if missing:
-        raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    unknown = raw.keys() - required
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-
-    def parse(key, convert, what):
-        try:
-            return convert(raw[key])
-        except ValueError:  # int()'s and float()'s own messages name neither the file nor the key
-            raise ValueError(f"{path}: key {key} must be {what}, got {raw[key]!r}") from None
-
-    def vec(text):
-        parts = [float(p) for p in text.split()]
-        if len(parts) != 3:
-            raise ValueError
-        return parts
-
-    def unit(key, vector):
-        try:
-            return _unit_floats(vector)[0]
-        except ValueError as exc:
-            raise ConfigError(key, str(exc)) from None
-
-    vectors = [parse(key, vec, "a 3-vector of numbers") for key in SETTING_NAMES]
-    try:
-        return ExperimentConfig(
-            settings=ChshSettings(*map(unit, SETTING_NAMES, vectors)),
-            n_pairs=parse("n_pairs", int, "an integer"),
-            visibility=parse("visibility", float, "a number"),
-            seed=parse("seed", int, "an integer"),
-            source=raw["source"],
-        )
-    except ConfigError as exc:  # a value that parses but is outside its domain
-        raise ValueError(f"{path}: key {exc.key}: {exc}") from None
-
-
-def save_config(path, config: ExperimentConfig) -> None:
-    lines = [
-        f"source = {config.source}",
-        f"n_pairs = {config.n_pairs}",
-        f"visibility = {config.visibility}",
-        f"seed = {config.seed}",
-        *(f"{key} = {x} {y} {z}" for key, (x, y, z) in zip(SETTING_NAMES, config.settings.floats)),
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

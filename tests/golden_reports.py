@@ -76,6 +76,8 @@ CASES = [
     ("wigner", ["wigner", "--seed=10", "--samples=200"]),
     ("simulate-singlet", ["simulate", "--visibility=0.9", "--samples=4000", "--seed=11"]),
     ("simulate-lhv", ["simulate", "--source=lhv:sign", "--samples=4000", "--seed=12"]),
+    ("simulate-lhv-settings", ["simulate", "--source=lhv:sign", "--samples=4000", "--seed=14", "--a-dir=0.6,0.8,0",
+                               "--a-prime=0,0,1", "--b-dir=0.28,0.96,0", "--b-prime=-0.8,0.6,0"]),
     ("chsh-optimize", ["chsh", "--optimize", "--restarts=3", "--seed=13"]),
     # bench/cli_sweep.py's valid argvs at --seed 1, its ray file committed as an input; the four
     # that do not depend on the seed (ks-color --peres, mermin, ghz, hardy --optimize) are cases above
@@ -115,6 +117,7 @@ CASES = [
     )),
     # malformed argvs: exit 2 with one line on stderr
     ("bad-chsh-two-settings", ["chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"]),
+    ("bad-simulate-one-direction", ["simulate", "--a-dir=1,0,0"]),
     ("bad-bell-eta", ["bell", "--eta=1,2,1"]),
     ("bad-mermin-seed", ["mermin", "--seed=7"]),  # a run that draws nothing takes no --seed
     ("bad-chsh-seed-without-optimize", ["chsh", "--seed=5"]),
@@ -131,7 +134,7 @@ CASES = [
 
 def draws(argv: list) -> bool:
     """Whether the run of argv reads a random stream: exactly when it takes a seed, from --seed or
-    its default (a `simulate --config` run takes its file's, and the corpus has none)."""
+    its default."""
     from hvlab import options
 
     try:

@@ -90,7 +90,7 @@ def _bool(value) -> bool:
     return type(value) is bool
 
 
-_free = None  # any text: a choice (--state), the library checks it (--source) or a file (--rays, --config)
+_free = None  # any text: a choice (--state), the library checks it (--source) or a file (--rays, --dump-rays)
 _seed = _count(0)
 DIRECTIONS = ("1,2,3", "0.3,-0.2,0.9")
 
@@ -98,7 +98,7 @@ DIRECTIONS = ("1,2,3", "0.3,-0.2,0.9")
 # (subcommand or None for all, dest) -> (test, (value, other value)); a switch's values are False and True
 DOMAINS = {
     (None, "seed"): (_seed, ("1", "2")),
-    **{(command, "seed"): (lambda v: v is None or _seed(v), ("1", "2")) for command in ("chsh", "simulate")},
+    ("chsh", "seed"): (lambda v: v is None or _seed(v), ("1", "2")),
     (None, "tol"): (lambda v: type(v) is float and 0.0 <= v <= options.MAX_TOL, ("1e-6", "1e-3")),  # a claim's width
     ("ks-color", "tol"): (lambda v: type(v) is float and 0.0 <= v < math.inf, ("1e-9", "1")),  # a threshold
     (None, "format"): (lambda v: v in ("json", "csv"), ("json", "csv")),
@@ -111,7 +111,7 @@ DOMAINS = {
     ("dispersion", "steps"): (_count(2, options.MAX_STEPS), ("50", "60")),
     ("bell-hv", "samples"): (_count(100, options.MAX_BELL_HV_SAMPLES), ("100", "200")),
     ("wigner", "samples"): (_count(1, options.MAX_WIGNER_SAMPLES), ("1", "2")),
-    ("simulate", "samples"): (lambda v: v is None or _count(8, 2**63 - 1)(v), ("1000", "2000")),
+    ("simulate", "samples"): (_count(8, 2**63 - 1), ("1000", "2000")),
     ("chsh", "restarts"): (lambda v: v is None or _count(1, options.MAX_RESTARTS)(v), ("1", "2")),
     ("hardy", "grid"): (lambda v: v is None or _count(10, options.MAX_GRID)(v), ("10", "20")),
     ("bell-hv", "alpha"): (lambda v: type(v) is float and math.isfinite(v), ("0", "0.5")),
@@ -120,15 +120,15 @@ DOMAINS = {
     ("bell", "eta"): (lambda v: type(v) is tuple and len(v) == 3 and set(v) <= {1, -1}, ("1,1,1", "1,-1,1")),
     **{("hardy", dest): (lambda v: v is None or (type(v) is float and 0.0 < v < 1.0), ("0.3", "0.5"))
        for dest in ("p1", "p2")},
-    ("simulate", "visibility"): (lambda v: v is None or (type(v) is float and 0.0 <= v <= 1.0), ("0.9", "1")),
+    ("simulate", "visibility"): (lambda v: type(v) is float and 0.0 <= v <= 1.0, ("0.9", "1")),
     **{("jauch-piron", dest): (_direction, DIRECTIONS) for dest in ("a_dir", "b_dir")},
     **{("bell", dest): (lambda v: v is None or _direction(v), DIRECTIONS) for dest in ("a_dir", "b_dir", "c_dir")},
-    **{("chsh", dest): (lambda v: v is None or _direction(v), DIRECTIONS) for dest in options.CHSH_DIRECTIONS},
+    **{(command, dest): (lambda v: v is None or _direction(v), DIRECTIONS)
+       for command in ("chsh", "simulate") for dest in options.CHSH_DIRECTIONS},
     ("chsh", "state"): (_free, ("singlet", "product")),
     ("simulate", "source"): (_free, ("singlet", "lhv:sign")),
     ("ks-color", "rays"): (_free, ("peres-minus-one-rotated.txt", "cli-sweep-seed-1-rays.txt")),
     ("ks-color", "dump_rays"): (_free, ("a.txt", "b.txt")),
-    ("simulate", "config"): (_free, ("a.cfg", "b.cfg")),
 }
 
 
@@ -151,9 +151,8 @@ def _rules_hold(args) -> bool:
         if args.optimize:
             return args.p1 is None and args.p2 is None and args.grid is not None and args.tol is not None
         return args.grid is None and None not in (args.p1, args.p2, args.tol)
-    if args.command == "simulate":
-        flags = [args.source, args.visibility, args.samples, args.seed]
-        return flags == [None] * 4 if args.config else None not in flags
+    if args.command == "simulate":  # chsh's rule without --optimize
+        return len({getattr(args, dest) is None for dest in options.CHSH_DIRECTIONS}) == 1
     return True
 
 
@@ -235,20 +234,11 @@ MODES = [
     ["hardy", "--optimize", "--grid=10"],
     ["nosignal", "--trials=20"],  # its one output is a roundoff-level maximum, which two seeds share at 2 trials
     ["simulate", "--samples=1000"],
-    ["simulate", "--config=a.cfg"],
+    ["simulate", "--samples=1000", "--a-dir=0,1,0", "--a-prime=1,0,0", "--b-dir=1,1,0", "--b-prime=1,-1,0"],
 ]
 READ_CASES = [(mode, action) for mode in MODES for action in SUBCOMMANDS[mode[0]]
               if not (action.nargs == 0 and action.option_strings[-1] in mode)]
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
-CONFIG = """source = singlet
-n_pairs = 1000
-visibility = {}
-seed = 1
-a = 0 1 0
-a_prime = 1 0 0
-b = 0.7071067811865476 0.7071067811865476 0
-b_prime = 0.7071067811865476 -0.7071067811865476 0
-"""
 
 
 def _with(mode: list, flag: str, value) -> list:
@@ -269,14 +259,12 @@ def _takes(argv: list) -> bool:
 
 def _outcome(argv: list, workdir: Path, monkeypatch) -> tuple:
     """argv's exit code and stdout, the echoed seed and wall_time_s left out, and each file it wrote; run in
-    workdir, which holds the golden inputs and two configs, a.cfg and b.cfg."""
+    workdir, which holds the golden inputs."""
     from hvlab import cli
 
     workdir.mkdir()
     for path in INPUTS.iterdir():
         shutil.copy(path, workdir)
-    for name, visibility in (("a.cfg", 1.0), ("b.cfg", 0.9)):
-        (workdir / name).write_text(CONFIG.format(visibility))
     before = set(workdir.iterdir())
     monkeypatch.chdir(workdir)
     out = io.StringIO()

@@ -17,14 +17,18 @@ from hvlab.cli import evaluate_claim, main
 from hvlab.contextuality import load_rays, orthogonality_structure, peres_rays
 from hvlab.ensembles import dispersion_scan
 from hvlab.hvmodels import bell_hv_average_mc, chsh_from_wigner, wigner_correlators
-from hvlab.kernels import chsh_combination, optimal_chsh_settings
-from hvlab.simlab import ExperimentConfig, save_config
+from hvlab.kernels import ChshSettings, chsh_combination
+from hvlab.simlab import ExperimentConfig, simulate_chsh
 from hvlab.nonlocality import chsh_optimize, hardy_optimize, singlet_state
 from hvlab.qmath import random_density, random_unit3, sigma_dot
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CHSH_GIVEN = ("--a-dir=0.3,-0.2,0.9", "--a-prime=-0.5,0.8,0.1", "--b-dir=0.7,0.7,-0.1", "--b-prime=0,-1,2")
+# the settings of `optimal_chsh_settings()`, and a set of unit directions away from them
+SIMULATE_GIVEN = ("--a-dir=0,1,0", "--a-prime=1,0,0", "--b-dir=0.7071067811865476,0.7071067811865476,0",
+                  "--b-prime=0.7071067811865476,-0.7071067811865476,0")
+SIMULATE_LHV_GIVEN = ("--a-dir=0.6,0.8,0", "--a-prime=0,0,1", "--b-dir=0.28,0.96,0", "--b-prime=-0.8,0.6,0")
 PAIRS = {"ab": ("a", "b"), "ab_prime": ("a", "b_prime"), "a_prime_b": ("a_prime", "b"),
          "a_prime_b_prime": ("a_prime", "b_prime")}  # the correlators' setting pairs, in report order
 
@@ -160,15 +164,10 @@ class TestSubcommands:
         assert code == 0
         assert loaded["outputs"] == peres["outputs"]
 
-    @pytest.mark.parametrize(
-        "heading, argv",
-        [("### Ray files", ("ks-color", "--rays")), ("### Experiment configs", ("simulate", "--config"))],
-        ids=["rays", "config"],
-    )
-    def test_readme_file_example_runs(self, capsys, tmp_path, heading, argv):
+    def test_readme_ray_file_example_runs(self, capsys, tmp_path):
         path = tmp_path / "example.txt"
-        path.write_text(readme_block(heading))
-        assert run(capsys, *argv, str(path), "--quiet") == (0, "", "")
+        path.write_text(readme_block("### Ray files"))
+        assert run(capsys, "ks-color", "--rays", str(path), "--quiet") == (0, "", "")
 
     def test_mermin(self, capsys):
         code, report = run_json(capsys, "mermin")
@@ -397,28 +396,42 @@ class TestSubcommands:
         assert code == 0
         assert report["outputs"]["s_value"] > 2.0
 
-    def test_simulate_config_file(self, capsys, tmp_path):
-        path = tmp_path / "exp.cfg"
-        save_config(
-            path,
-            ExperimentConfig(
-                settings=optimal_chsh_settings(),
-                n_pairs=5000,
-                visibility=0.8,
-                seed=11,
-                source="singlet",
-            ),
-        )
-        code, report = run_json(capsys, "simulate", "--config", str(path))
+    def test_simulate_visibility_flag(self, capsys):
+        code, report = run_json(capsys, "simulate", "--samples=5000", "--visibility=0.8", "--seed=11", *SIMULATE_GIVEN)
         assert code == 0
         assert report["inputs"]["visibility"] == 0.8
 
-    def test_simulate_config_seed_is_the_reported_seed(self, capsys, tmp_path):
-        path = tmp_path / "exp.cfg"
-        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
-        code, report = run_json(capsys, "simulate", "--config", str(path))
+    def test_simulate_seed_is_the_reported_seed(self, capsys):
+        code, report = run_json(capsys, "simulate", "--samples=5000", "--seed=2", *SIMULATE_GIVEN)
         assert code == 0
         assert report["seed"] == report["inputs"]["seed"] == 2
+
+    @pytest.mark.parametrize("source, visibility", [("singlet", 0.8), ("lhv:sign", 1.0)])
+    def test_simulate_directions_are_the_library_campaign(self, capsys, source, visibility):
+        # the four flags, normalized, are the settings of the campaign the library runs
+        code, report = run_json(capsys, "simulate", f"--source={source}", f"--visibility={visibility}",
+                                "--samples=5000", "--seed=11", *CHSH_GIVEN)
+        assert code == 0
+        given = [[float(x) for x in flag.split("=")[1].split(",")] for flag in CHSH_GIVEN]
+        unit = [np.array(v) / np.linalg.norm(v) for v in given]
+        expected = simulate_chsh(ExperimentConfig(ChshSettings(*unit), 5000, visibility, 11, source))
+        assert report["inputs"]["settings"] == hvlab.cli._round_tree(expected.settings)
+        for echoed, u in zip(report["inputs"]["settings"], unit):
+            assert echoed == pytest.approx(u, rel=1e-8, abs=1e-9)
+        assert report["inputs"]["source"] == expected.source and report["seed"] == expected.seed
+        for field, value in report["outputs"].items():
+            assert value == hvlab.cli._round_tree(getattr(expected, field)), field
+
+    def test_simulate_lhv_settings_follow_bells_correlator(self, capsys):
+        # the sign strategy's exact correlator is -1 + 2 theta / pi, here at settings other than the defaults
+        code, report = run_json(capsys, "simulate", "--source=lhv:sign", "--samples=200000", "--seed=7",
+                                *SIMULATE_LHV_GIVEN)
+        assert code == 0
+        settings = dict(zip(("a", "a_prime", "b", "b_prime"), report["inputs"]["settings"]))
+        out = report["outputs"]
+        for name, (u, v) in PAIRS.items():
+            theta = math.acos(max(-1.0, min(1.0, float(np.dot(settings[u], settings[v])))))
+            assert abs(out["correlators"][name] - (-1.0 + 2.0 * theta / math.pi)) <= 5 * out["stderrs"][name], name
 
     def test_simulate_lhv_source(self, capsys):
         code, report = run_json(capsys, "simulate", "--source", "lhv:sign", "--samples", "20000")
@@ -451,18 +464,12 @@ class TestSubcommands:
         assert report["claims"][2] == {"name": "pairs_per_setting_sum_to_n_pairs", "kind": "close", "value": 10003,
                                        "target": 10003, "tol": 0, "pass": True}
 
-    @pytest.mark.parametrize("source", ["singlet", "lhv:sign", "config"])
-    def test_simulate_reports_the_requested_pair_count(self, capsys, monkeypatch, tmp_path, source):
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
+    def test_simulate_reports_the_requested_pair_count(self, capsys, monkeypatch, source):
         # a campaign whose counts drift from the request fails its claim, and the report shows both
         original = hvlab.simlab._pairs_per_setting
         monkeypatch.setattr(hvlab.simlab, "_pairs_per_setting", lambda n: original(n) + np.array([0, 1, 0, 0]))
-        if source == "config":
-            path = tmp_path / "exp.cfg"
-            save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=1001, visibility=1.0, seed=4))
-            argv = ["--config", str(path)]
-        else:
-            argv = ["--source", source, "--samples", "1001"]
-        code, report = run_json(capsys, "simulate", *argv)
+        code, report = run_json(capsys, "simulate", "--source", source, "--samples", "1001")
         assert (code, report["verdict"], report["inputs"]["n_pairs"]) == (1, "FAIL", 1001)
         assert sum(report["outputs"]["pairs_per_setting"].values()) == 1002
         assert report["claims"][2]["name"] == "pairs_per_setting_sum_to_n_pairs" and not report["claims"][2]["pass"]
@@ -675,9 +682,6 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            *(("simulate", "--config={config}", flag) for flag in (
-                "--source=lhv:sign", "--visibility=0.5", "--samples=100", "--seed=3",
-            )),
             ("hardy", "--optimize", "--p1=0.3"),
             ("hardy", "--optimize", "--p2=0.3"),
             ("hardy", "--grid=40"),
@@ -686,24 +690,22 @@ class TestErrors:
         ],
         ids=lambda argv: f"{argv[0]}{'-optimize' if '--optimize' in argv else ''}{argv[-1].split('=')[0]}",
     )
-    def test_option_the_mode_does_not_read_exits_2(self, capsys, tmp_path, argv):
-        config = tmp_path / "exp.cfg"
-        save_config(config, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
-        code, out, err = run(capsys, *(arg.format(config=config) for arg in argv))
+    def test_option_the_mode_does_not_read_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         flag = argv[-1].split("=")[0]
         assert code == 2
         assert out == ""
         assert err.startswith(f"{argv[0]}:") and f"{flag} has no effect" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("use_config", [False, True], ids=["flags", "config"])
-    def test_visibility_with_local_source_exits_2(self, capsys, tmp_path, use_config):
-        path = tmp_path / "exp.cfg"
-        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=2))
-        path.write_text(path.read_text().replace("source = singlet", "source = lhv:sign").replace(
-            "visibility = 1.0", "visibility = 0.5"))
-        argv = ["--config", str(path)] if use_config else ["--source=lhv:sign", "--visibility=0.5"]
-        code, out, err = run(capsys, "simulate", *argv)
+    @pytest.mark.parametrize("source, message", [("telepathy", "unknown source 'telepathy'"),
+                                                 ("lhv:x", "unknown LHV strategy 'x'; known: ['constant', 'sign']")],
+                             ids=["source", "strategy"])
+    def test_unknown_source_exits_2(self, capsys, source, message):
+        assert run(capsys, "simulate", f"--source={source}") == (2, "", f"simulate: {message}\n")
+
+    def test_visibility_with_local_source_exits_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--source=lhv:sign", "--visibility=0.5")
         assert code == 2
         assert out == ""
         assert err.startswith("simulate:") and "singlet source only" in err
@@ -828,44 +830,12 @@ class TestErrors:
         assert out == ""
         assert err == f"{argv[0]}: argument {option}: must be at most {lowered}, got {lowered + 1}\n"
 
-    def test_negative_config_seed_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "exp.cfg"
-        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
-        path.write_text(path.read_text().replace("seed = 1", "seed = -1"))
-        code, out, err = run(capsys, "simulate", "--config", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == f"simulate: {path}: key seed: seed must be non-negative, got -1\n"
-
     @pytest.mark.parametrize("psi", ["nan,0,0,0", "inf,0,0,0"], ids=["nan", "inf"])
     def test_non_finite_state_exits_2(self, capsys, psi):
         code, out, err = run(capsys, "bell-hv", f"--psi={psi}")
         assert code == 2
         assert out == ""
         assert err.startswith("bell-hv:") and "finite" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "exp.cfg"
-        config = ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1)
-        save_config(path, config)
-        with open(path, "a") as fh:
-            fh.write("worker_count = 4\n")
-        code, out, err = run(capsys, "simulate", "--config", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("simulate:") and "worker_count" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_duplicate_config_key_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "exp.cfg"
-        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
-        with open(path, "a") as fh:
-            fh.write("seed = 2\n")  # line 9
-        code, out, err = run(capsys, "simulate", "--config", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("simulate:") and ":9:" in err and "'seed' given twice" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_nan_ray_file_exits_2(self, capsys, tmp_path):
@@ -876,29 +846,6 @@ class TestErrors:
         assert out == ""
         assert err.startswith("ks-color:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize(
-        "key, text, message",
-        [
-            ("n_pairs", "1e6", "key n_pairs must be an integer, got '1e6'"),
-            ("seed", "1.5", "key seed must be an integer, got '1.5'"),
-            ("visibility", "high", "key visibility must be a number, got 'high'"),
-            ("a", "0 x 0", "key a must be a 3-vector of numbers, got '0 x 0'"),
-            ("b", "0.70710678 0.70710678 0", "key b: setting must be a unit vector, |v| = 0.9999999983219684"),
-            ("n_pairs", "5", "key n_pairs: n_pairs must be at least 8 (two per setting pair), got 5"),
-            ("visibility", "1.5", "key visibility: visibility 1.5 outside [0, 1]"),
-            ("source", "lhv:x", "key source: unknown LHV strategy 'x'; known: ['constant', 'sign']"),
-        ],
-        ids=["n_pairs", "seed", "visibility", "a", "b-not-unit", "n_pairs-too-few", "visibility-range", "source"],
-    )
-    def test_config_value_error_names_file_and_key(self, capsys, tmp_path, key, text, message):
-        path = tmp_path / "exp.cfg"
-        save_config(path, ExperimentConfig(settings=optimal_chsh_settings(), n_pairs=5000, visibility=1.0, seed=1))
-        lines = [f"{key} = {text}" if line.startswith(f"{key} = ") else line for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "simulate", "--config", str(path))
-        assert (code, out) == (2, "")
-        assert err == f"simulate: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "line, message",
@@ -1041,6 +988,8 @@ class TestFreshProcess:
             ),
             (("wigner", "--samples=0"), "argument --samples: must be at least 1, got 0"),
             (("chsh", "--a-dir=1,0,0", "--b-dir=0,1,0"), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none"),
+            *((("simulate", *CHSH_GIVEN[:count]), "provide all of --a-dir, --a-prime, --b-dir, --b-prime or none")
+              for count in (1, 2, 3)),
             (("ghz", "--tol=nan"), "argument --tol: must be a finite number, got 'nan'"),
             (("nosignal", "--seed=-1"), "argument --seed: must be at least 0, got -1"),
             (("nosignal", "--tol=1e308"), "argument --tol: must be at most 0.001, got '1e308'"),
@@ -1068,7 +1017,8 @@ class TestFreshProcess:
             (("vn-reconstruct", "--t", "1"), "unrecognized arguments: --t 1"),
         ],
         ids=[
-            "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "tol-nan", "seed", "tol-limit",
+            "simulate-samples", "chsh-nan", "wigner-samples", "chsh-two-settings", "simulate-one-setting",
+            "simulate-two-settings", "simulate-three-settings", "tol-nan", "seed", "tol-limit",
             "restarts",
             "bell-hv-samples-limit", "wigner-samples-limit", "nosignal-trials-limit", "vn-reconstruct-trials-limit",
             "dispersion-steps-least", "hardy-grid-least", "chsh-restarts-least", "bell-hv-samples-least",

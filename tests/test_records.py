@@ -10,7 +10,7 @@ from hvlab.contextuality import jauch_piron_contradiction, ks_color, orthogonali
 from hvlab.ensembles import basis_observables, oracle_from_density
 from hvlab.hvmodels import BellHVState
 from hvlab.kernels import hardy_build, mermin_square, mermin_verify, optimal_chsh_settings
-from hvlab.simlab import ConfigError, ExperimentConfig, sign_strategy, simulate_chsh
+from hvlab.simlab import ExperimentConfig, sign_strategy, simulate_chsh
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
@@ -57,16 +57,23 @@ def test_basis_observables_share_no_container():
 CONFIG_ARGS = {"n_pairs": 100, "visibility": 1.0, "seed": 0, "source": "singlet"}
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("n_pairs", 7), ("visibility", 1.5), ("seed", -1), ("source", "telepathy"), ("source", "lhv:nope")],
-)
+# each field outside its domain, and the message naming it
+FIELD_ERRORS = {
+    ("n_pairs", 7): "n_pairs must be at least 8 (two per setting pair), got 7",
+    ("visibility", 1.5): "visibility 1.5 outside [0, 1]",
+    ("seed", -1): "seed must be non-negative, got -1",
+    ("source", "telepathy"): "unknown source 'telepathy'",
+    ("source", "lhv:nope"): "unknown LHV strategy 'nope'; known: ['constant', 'sign']",
+}
+
+
+@pytest.mark.parametrize("key, value", list(FIELD_ERRORS))
 @pytest.mark.parametrize("keywords", [False, True], ids=["positional", "keyword"])
 def test_experiment_config_checks_every_field(key, value, keywords):
     args = {"settings": optimal_chsh_settings(), **CONFIG_ARGS, key: value}
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(ValueError) as info:
         ExperimentConfig(**args) if keywords else ExperimentConfig(*args.values())
-    assert info.value.key == key
+    assert str(info.value) == FIELD_ERRORS[key, value]
 
 
 def test_experiment_config_default_source():

@@ -20,8 +20,6 @@ from hvlab.simlab import (
     ExperimentConfig,
     LhvStrategy,
     constant_strategy,
-    load_config,
-    save_config,
     sign_strategy,
     simulate_chsh,
     simulate_lhv,
@@ -315,27 +313,26 @@ class TestConfig:
             simulate_chsh(make_config(source="lhv:unknown"))
 
     @pytest.mark.parametrize("visibility", [0.5, 0.0, 1.0 - 1e-16])
-    def test_visibility_is_for_the_singlet_only(self, tmp_path, visibility):
+    def test_visibility_is_for_the_singlet_only(self, visibility):
         with pytest.raises(ValueError, match="singlet source only"):
             make_config(source="lhv:sign", visibility=visibility)
-        path = tmp_path / "experiment.cfg"
-        path.write_text(
-            f"source = lhv:sign\nn_pairs = 1000\nvisibility = {visibility!r}\nseed = 0\n"
-            "a = 0 1 0\na_prime = 1 0 0\nb = 1 0 0\nb_prime = 0 1 0\n"
-        )
-        with pytest.raises(ValueError, match="singlet source only"):
-            load_config(path)
 
-    def test_unknown_strategy_is_rejected_when_built_and_loaded(self, tmp_path):
+    def test_unknown_strategy_is_rejected_when_built(self):
         with pytest.raises(ValueError, match=r"strategy 'nope'; known: \['constant', 'sign'\]"):
             make_config(source="lhv:nope")
-        path = tmp_path / "experiment.cfg"
-        path.write_text(
-            "source = lhv:nope\nn_pairs = 1000\nvisibility = 1.0\nseed = 0\n"
-            "a = 0 1 0\na_prime = 1 0 0\nb = 1 0 0\nb_prime = 0 1 0\n"
-        )
-        with pytest.raises(ValueError, match="strategy 'nope'"):
-            load_config(path)
+
+    @pytest.mark.parametrize("source", ["singlet", "lhv:sign"])
+    def test_counts_must_be_integers(self, source):
+        # a float count or seed would fail later, inside numpy, with a message that names neither
+        with pytest.raises(ValueError, match=r"^n_pairs must be an integer, got 1000\.0$"):
+            make_config(source=source, n_pairs=1000.0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+            make_config(source=source, seed=0.5)
+        with pytest.raises(ValueError, match=r"^n_pairs must be an integer, got 1000\.0$"):
+            simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000.0, seed=0)
+        # numpy integers are integers
+        config = make_config(source=source, n_pairs=np.int64(1000), seed=np.uint32(3))
+        assert simulate_chsh(config) == simulate_chsh(make_config(source=source, n_pairs=1000, seed=3))
 
     def test_n_pairs_fits_the_binomial_draw(self):
         assert make_config(n_pairs=2**63 - 1).n_pairs == 2**63 - 1
@@ -358,51 +355,11 @@ class TestConfig:
             assert all(np.isfinite(e) for e in report.stderrs.values())
             assert np.isfinite(report.s_stderr)
 
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "experiment.cfg"
+    def test_report_echoes_the_settings_as_python_floats(self):
         rng = np.random.default_rng(53)
         random_settings = [ChshSettings(*(random_unit3(rng) for _ in range(4))) for _ in range(20)]
         for settings in [optimal_chsh_settings(), *random_settings]:
-            config = make_config(settings=settings, n_pairs=123, visibility=0.75, seed=99)
-            save_config(path, config)
-            loaded = load_config(path)
-            assert loaded.n_pairs == 123
-            assert loaded.visibility == 0.75
-            assert loaded.seed == 99
-            assert loaded.source == "singlet"
-            assert loaded.settings.floats == config.settings.floats  # the same bits, not only close
-            report = simulate_chsh(loaded)
-            assert report == simulate_chsh(config)
-            assert report.settings == settings.floats
-            assert all(type(x) is float for v in report.settings for x in v)
-
-    def test_file_with_comments(self, tmp_path):
-        path = tmp_path / "experiment.cfg"
-        path.write_text(
-            "# visibility experiment\n"
-            "source = singlet\n"
-            "n_pairs = 1000\n"
-            "visibility = 0.9  # scalar knob\n"
-            "seed = 5\n"
-            "a = 0 1 0\n"
-            "a_prime = 1 0 0\n"
-            "b = 0.7071067811865475 0.7071067811865475 0\n"
-            "b_prime = 0.7071067811865475 -0.7071067811865475 0\n"
-        )
-        config = load_config(path)
-        assert config.visibility == 0.9
-
-    def test_file_missing_key(self, tmp_path):
-        path = tmp_path / "experiment.cfg"
-        path.write_text("source = singlet\nn_pairs = 10\n")
-        with pytest.raises(ValueError, match="missing keys"):
-            load_config(path)
-
-    def test_file_bad_vector(self, tmp_path):
-        path = tmp_path / "experiment.cfg"
-        path.write_text(
-            "source = singlet\nn_pairs = 10\nvisibility = 1\nseed = 0\n"
-            "a = 0 1\na_prime = 1 0 0\nb = 0 0 1\nb_prime = 0 1 0\n"
-        )
-        with pytest.raises(ValueError, match="3-vector"):
-            load_config(path)
+            for source in ("singlet", "lhv:sign"):
+                report = simulate_chsh(make_config(settings=settings, n_pairs=123, source=source))
+                assert report.settings == settings.floats  # the same bits, not only close
+                assert all(type(x) is float for v in report.settings for x in v)
