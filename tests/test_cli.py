@@ -115,12 +115,17 @@ class TestSubcommands:
         [
             (("chsh", "--a-dir=1e200,0,0"), ("chsh", "--a-dir=1,0,0")),
             (("chsh", "--a-dir=1e-200,0,0"), ("chsh", "--a-dir=1,0,0")),
+            (("simulate", "--a-dir=1e200,0,0"), ("simulate", "--a-dir=1,0,0")),
+            (("simulate", "--a-dir=1e-200,0,0"), ("simulate", "--a-dir=1,0,0")),
             (("bell-hv", "--psi=1e200,0,0,0", "--beta=0,0,1"), ("bell-hv", "--psi=1,0,0,0", "--beta=0,0,1")),
         ],
-        ids=["chsh-huge", "chsh-tiny", "bell-hv-huge"],
+        ids=["chsh-huge", "chsh-tiny", "simulate-huge", "simulate-tiny", "bell-hv-huge"],
     )
     def test_scaled_inputs_normalize_like_unit_ones(self, capsys, argv, reference):
-        rest = ("--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1") if argv[0] == "chsh" else ()
+        rest = {
+            "chsh": ("--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1"),
+            "simulate": ("--a-prime=1,0,0", "--b-dir=0,1,0", "--b-prime=0,0,1", "--samples=1000"),
+        }.get(argv[0], ())
         reports = []
         for args in (argv, reference):
             code, out, err = run(capsys, *args, *rest)
@@ -594,9 +599,10 @@ class TestErrors:
         [
             (("bell", "--a-dir=nan,0,0"), "argument --a-dir: components must be finite, got 'nan,0,0'"),
             (("chsh", "--optimize", "--b-dir=0,0,0"), "argument --b-dir: cannot be the zero vector, got '0,0,0'"),
+            (("simulate", "--b-prime=0,0,0"), "argument --b-prime: cannot be the zero vector, got '0,0,0'"),
             (("hardy", "--grid=5", "--tol=-1"), "argument --grid: must be at least 10, got 5"),
         ],
-        ids=["bell-partial-nan", "chsh-optimize-zero", "hardy-grid-and-tol"],
+        ids=["bell-partial-nan", "chsh-optimize-zero", "simulate-partial-zero", "hardy-grid-and-tol"],
     )
     def test_bad_value_is_reported_before_a_rule_between_options(self, capsys, argv, message):
         # each argv also breaks a rule between options (all directions or none, an option the mode
