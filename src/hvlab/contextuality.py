@@ -101,7 +101,10 @@ class OrthogonalityStructure(NamedTuple):
 def orthogonality_structure(rays, tol: float = TAU_ORTH) -> OrthogonalityStructure:
     """All orthogonal pairs |r_i . r_j| <= tol and all mutually orthogonal
     triples, in lexicographic index order; more than MAX_ORTHOGONAL_PAIRS pairs
-    or MAX_TRIADS triads raise ValueError as soon as they are found."""
+    or MAX_TRIADS triads raise ValueError as soon as they are found, and so does a tol that is not
+    finite and >= 0, which would find no pair and let any ray set color."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     triples = _ray_triples(rays)
     # a generator, so that memory grows with the pairs found, not with the n(n - 1)/2 tested
     orthogonal = (abs(x * u + y * v + z * w) <= tol for (x, y, z), (u, v, w) in itertools.combinations(triples, 2))

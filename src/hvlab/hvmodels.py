@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import BATCH_PAIRS, TAU_EQ, chsh_combination
-from .options import MIN_BELL_HV_SAMPLES
+from .options import MIN_BELL_HV_SAMPLES, check_seed
 from .qmath import assert_state_vector
 
 _SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
@@ -97,6 +98,11 @@ def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
     return float(alpha + beta_len * sign_m * side)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):  # a NaN or infinite alpha would give an estimate with a zero error bar
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
     """Closed-form lambda average of the model, the quantum expectation alpha + m.
 
@@ -105,6 +111,7 @@ def bell_hv_average_exact(alpha: float, beta, psi) -> float:
     lambda in [-1/2, 1/2] the average is alpha + |beta| sgn(m) times the
     measure above lambda0 less the measure below; alpha when beta = 0.
     """
+    _check_alpha(alpha)
     beta_len, m = _beta_and_m(beta, _qubit(psi))
     if beta_len == 0.0:
         return float(alpha)
@@ -117,18 +124,28 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     """Monte Carlo lambda average: (estimate, standard error).
 
     Draws n uniform lambdas from one seeded generator in batches of
-    `BATCH_PAIRS` and counts the c with sgn(lambda |beta| + |m|/2) = +1; with
-    (E, e) = `count_correlator(c, n)` the estimate is alpha + |beta| sgn(m) E
-    and its standard error |beta| e.
+    `BATCH_PAIRS`, each into one reused buffer as `random()` - 1/2, and counts
+    the c with sgn(lambda |beta| + |m|/2) = +1; with (E, e) =
+    `count_correlator(c, n)` the estimate is alpha + |beta| sgn(m) E and its
+    standard error |beta| e.
     """
+    if not isinstance(n_samples, numbers.Integral):  # range() would fail on it, naming neither
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_BELL_HV_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_BELL_HV_SAMPLES}")
+    check_seed(seed)
+    _check_alpha(alpha)
     beta_len, m = _beta_and_m(beta, _qubit(psi))
     rng = np.random.default_rng(seed)
+    buf = np.empty(min(BATCH_PAIRS, n_samples))
     plus = 0
     for start in range(0, n_samples, BATCH_PAIRS):
-        lams = rng.uniform(-0.5, 0.5, size=min(BATCH_PAIRS, n_samples - start))
-        plus += np.count_nonzero(lams * beta_len + 0.5 * abs(m) >= 0.0)
+        lams = buf[: min(BATCH_PAIRS, n_samples - start)]
+        rng.random(out=lams)
+        lams -= 0.5  # exactly uniform(-0.5, 0.5)'s lambda
+        lams *= beta_len
+        lams += 0.5 * abs(m)
+        plus += np.count_nonzero(lams >= 0.0)
     mean_sgn, sgn_stderr = count_correlator(plus, n_samples)
     estimate = float(alpha + beta_len * sgn(m) * mean_sgn)
     return estimate, float(beta_len * sgn_stderr)

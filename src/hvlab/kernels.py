@@ -348,8 +348,14 @@ class HardyConstruction(NamedTuple):
     v2_prime = property(lambda self: _read_only((self.v2x, self.v2y), complex))
 
 
+def _check_hardy_params(p1: float, p2: float) -> None:
+    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):  # NaN fails too
+        raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
+
+
 def hardy_probability(p1: float, p2: float) -> float:
-    """Closed form p1 (1 - p1) p2 (1 - p2) / (1 - p1 p2)."""
+    """Closed form p1 (1 - p1) p2 (1 - p2) / (1 - p1 p2), for parameters in (0, 1) as `hardy_build` takes."""
+    _check_hardy_params(p1, p2)
     return p1 * (1.0 - p1) * p2 * (1.0 - p2) / (1.0 - p1 * p2)
 
 
@@ -401,8 +407,7 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     arithmetic run on Python floats, and the three condition residuals are
     derived here only; the vectors are built only when read (`HardyConstruction`).
     """
-    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
-        raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
+    _check_hardy_params(p1, p2)
     fields = _hardy_fields(float(p1), float(p2))
     a01, a10, a11, v1x, v1y, v2x, v2y, p = fields
     # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>

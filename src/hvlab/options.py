@@ -74,6 +74,15 @@ def check_n_pairs(n_pairs: int) -> None:
         raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
 
 
+def check_seed(seed: int) -> None:
+    import numbers
+
+    if not isinstance(seed, numbers.Integral):  # numpy's own messages would not name the seed
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 # option types: each takes the option's text and returns its value, or raises
 # ArgumentTypeError, which argparse prefixes with `argument --opt: `
 

@@ -12,25 +12,25 @@ the singlet's, so P(xy = +1 | a, b) = (1 + q_k) / 2 and each count is one
 binomial draw: time and memory do not depend on n_pairs.  Reports hold
 numbers, not verdicts.  Local hidden-variable sources draw one lambda per
 pair, in batches of `BATCH_PAIRS` from one generator, and answer through
-response functions that never see the far-side setting.  The sign
-strategy's lambda is a unit vector drawn by Marsaglia's method (Ann. Math.
-Stat. 43, 645 (1972)): two `random()` draws per candidate, kept when inside
-the unit disc, so about 2.55 draws per lambda, and the generator is left
-just past the last candidate used.
+response functions that never see the far-side setting; an outcome is a
+boolean, True for +1, so x y = +1 exactly when the two outcomes are equal.
+The sign strategy's lambda is a unit vector drawn by Marsaglia's method
+(Ann. Math. Stat. 43, 645 (1972)): two `random()` draws per candidate, kept
+when inside the unit disc, so about 2.55 draws per lambda, and the
+generator is left just past the last candidate used.
 """
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hvmodels import count_correlator, sgn
+from .hvmodels import count_correlator
 from .kernels import (
     BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_PAIR_NAMES, SINGLET, ChshSettings, chsh_combination, chsh_correlators,
 )
-from .options import check_n_pairs
+from .options import check_n_pairs, check_seed
 
 VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
 
@@ -43,10 +43,7 @@ class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings
 
     def __new__(cls, settings, n_pairs, visibility, seed, source="singlet"):
         check_n_pairs(n_pairs)
-        if not isinstance(seed, numbers.Integral):  # numpy's own messages would not name the seed
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+        check_seed(seed)
         if not 0.0 <= visibility <= 1.0:
             raise ValueError(f"visibility {visibility} outside [0, 1]")
         if source != "singlet" and not source.startswith("lhv:"):
@@ -65,8 +62,10 @@ class LhvStrategy(NamedTuple):
     """Deterministic local response functions plus a lambda sampler.
 
     `sample` draws a batch of hidden variables; `response_a(a_hat, lams)`
-    and `response_b(b_hat, lams)` return +-1 arrays.  Locality is enforced
-    by the interface shape: neither response ever sees the other setting.
+    and `response_b(b_hat, lams)` return boolean outcome arrays, True
+    meaning +1 and False -1, so every outcome is +-1 by its type.
+    Locality is enforced by the interface shape: neither response ever
+    sees the other setting.
     """
 
     name: str
@@ -81,12 +80,14 @@ _SPHERE_CHUNK = 8192  # candidate pairs per draw, so that the temporaries stay i
 def _sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """n points uniform on the unit sphere by Marsaglia's method, as an (n, 3) array.
 
-    Each candidate takes two consecutive `rng.random()` draws, u = 2U - 1 and
-    v = 2V - 1, and is kept when s = u^2 + v^2 < 1; the point is
-    (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s).  Candidates are drawn in chunks;
-    after the chunk that completes the points, the generator is put back and
-    redrawn up to the last candidate kept, so it stops right after that one
-    and the points are those of one sequential rejection loop.
+    Each candidate takes two consecutive `rng.random()` draws, x = U - 1/2 and
+    y = V - 1/2, and is kept when q = x^2 + y^2 < 1/4; with s = 4q the point is
+    (4x sqrt(1 - s), 4y sqrt(1 - s), 1 - 2s).  This is the textbook u = 2x,
+    v = 2y, s = u^2 + v^2 < 1 scaled by powers of two, so every rounding is
+    the same.  Candidates are drawn in chunks; after the chunk that completes
+    the points, the generator is put back and redrawn up to the last
+    candidate kept, so it stops right after that one and the points are those
+    of one sequential rejection loop.
     """
     out = np.empty((n, 3))
     buf = np.empty(2 * _SPHERE_CHUNK)
@@ -99,19 +100,20 @@ def _sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
             state = rng.bit_generator.state
         cand = buf[: 2 * m]
         rng.random(out=cand)
-        cand *= 2.0
-        cand -= 1.0
-        u, v = cand[0::2], cand[1::2]
-        s = u * u
-        s += v * v
-        kept = np.flatnonzero(s < 1.0)[:need]
-        s = s[kept]
+        cand -= 0.5
+        x, y = cand[0::2], cand[1::2]
+        q = x * x
+        q += y * y
+        kept = np.flatnonzero(q < 0.25)[:need]
+        xy = cand.view(complex).take(kept)  # each kept (x, y) in one gather
+        s = q.take(kept)
+        s *= 4.0
         rows = out[filled : filled + len(kept)]
         t = np.subtract(1.0, s)
         np.sqrt(t, out=t)
-        t *= 2.0
-        np.multiply(u[kept], t, out=rows[:, 0])
-        np.multiply(v[kept], t, out=rows[:, 1])
+        t *= 4.0
+        np.multiply(xy.real, t, out=rows[:, 0])
+        np.multiply(xy.imag, t, out=rows[:, 1])
         np.multiply(s, -2.0, out=rows[:, 2])
         rows[:, 2] += 1.0
         filled += len(kept)
@@ -126,24 +128,25 @@ def sign_strategy() -> LhvStrategy:
 
     lam is drawn by `_sphere_points`, Marsaglia's method: two `random()`
     draws per candidate, with the generator left just past the last
-    candidate used.  Reproduces perfect anticorrelation at equal settings;
-    the exact correlator is -1 + 2 theta_ab / pi.
+    candidate used.  As booleans, A is a.lam >= 0 and B is b.lam < 0, which
+    keeps sgn(+-0) = +1.  Reproduces perfect anticorrelation at equal
+    settings; the exact correlator is -1 + 2 theta_ab / pi.
     """
     return LhvStrategy(
         name="sign",
         sample=_sphere_points,
-        response_a=lambda setting, lams: sgn(lams @ setting),
-        response_b=lambda setting, lams: -sgn(lams @ setting),
+        response_a=lambda setting, lams: lams @ setting >= 0.0,
+        response_b=lambda setting, lams: lams @ setting < 0.0,
     )
 
 
 def constant_strategy() -> LhvStrategy:
-    """A = +1 and B = -1 at every setting, so every correlator is -1 and S = 2."""
+    """A = +1 (all True) and B = -1 (all False) at every setting, so every correlator is -1 and S = 2."""
     return LhvStrategy(
         name="constant",
         sample=lambda rng, n: np.zeros(n),
-        response_a=lambda setting, lams: np.full(len(lams), 1.0),
-        response_b=lambda setting, lams: np.full(len(lams), -1.0),
+        response_a=lambda setting, lams: np.ones(len(lams), dtype=bool),
+        response_b=lambda setting, lams: np.zeros(len(lams), dtype=bool),
     )
 
 
@@ -236,7 +239,9 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
     only the +1 counts are kept, so memory does not grow with `n_pairs`.
     """
     check_n_pairs(n_pairs)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
+    pairs = settings.pairs()
     plus_k = np.zeros(4, dtype=np.int64)
     for start in range(0, n_pairs, BATCH_PAIRS):
         size = min(BATCH_PAIRS, n_pairs - start)
@@ -244,17 +249,19 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
         # the counts are read against n_k, so every pair needs one lambda and two outcomes
         if lams.shape[:1] != (size,):
             raise ValueError(f"strategy {strategy.name!r} sampled shape {lams.shape} for {size} pairs")
-        for k, (a, b) in enumerate(settings.pairs()):
+        for k, (a, b) in enumerate(pairs):
             lams_k = lams[(k - start) % 4 :: 4]
-            outcomes_a = np.asarray(strategy.response_a(a, lams_k), dtype=float)
-            outcomes_b = np.asarray(strategy.response_b(b, lams_k), dtype=float)
+            outcomes_a = strategy.response_a(a, lams_k)
+            outcomes_b = strategy.response_b(b, lams_k)
             for name, vals in (("A", outcomes_a), ("B", outcomes_b)):
-                if vals.shape != (len(lams_k),):
+                shape = np.shape(vals)
+                if shape != (len(lams_k),):
                     raise ValueError(
-                        f"strategy {strategy.name!r} returned {name} shape {vals.shape} for {len(lams_k)} pairs"
+                        f"strategy {strategy.name!r} returned {name} shape {shape} for {len(lams_k)} pairs"
                     )
-                if not np.all(np.abs(vals) == 1.0):
-                    raise ValueError(f"strategy {strategy.name!r} returned {name} values outside +-1")
+                dtype = getattr(vals, "dtype", type(vals).__name__)
+                if dtype != bool:  # True is +1 and False -1, so a bool array holds no other value
+                    raise ValueError(f"strategy {strategy.name!r} returned {name} outcomes of {dtype}, not bool")
             plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
         del lams, lams_k, outcomes_a, outcomes_b, vals  # freed before the next batch is drawn
     return _summarize(_pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0)

@@ -111,6 +111,15 @@ class TestOrthogonalityStructure:
         assert st.pairs == ((0, 1),)
         assert st.triads == ()
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_non_negative(self, tol):
+        # a NaN or negative tol finds no pair, so Peres's 33 rays would color
+        with pytest.raises(ValueError, match=r"^tol must be finite and non-negative, got "):
+            orthogonality_structure(peres_rays(), tol=tol)
+
+    def test_zero_tol_is_valid(self):
+        assert orthogonality_structure(np.eye(3), tol=0.0).triads == ((0, 1, 2),)
+
     def test_peres_counts_frozen(self):
         st = orthogonality_structure(peres_rays())
         assert len(st.pairs) == PERES_PAIR_COUNT

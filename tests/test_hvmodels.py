@@ -174,6 +174,42 @@ class TestBellHVAverageMC:
         with pytest.raises(ValueError):
             bell_hv_average_mc(0, (0, 0, 1), KET0, 99, seed=0)
 
+    def test_counts_and_seed_must_be_integers(self):
+        # numpy's and range()'s own messages would name neither the count nor the seed
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 1000\.0$"):
+            bell_hv_average_mc(0, (0, 0, 1), KET0, 1000.0, seed=0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+            bell_hv_average_mc(0, (0, 0, 1), KET0, 1000, seed=0.5)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            bell_hv_average_mc(0, (0, 0, 1), KET0, 1000, seed=-1)
+        # numpy integers are integers
+        assert bell_hv_average_mc(0, (1, 0, 0), KET0, np.int64(1000), seed=np.uint32(3)) == bell_hv_average_mc(
+            0, (1, 0, 0), KET0, 1000, seed=3
+        )
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        # it would give a NaN or infinite estimate with a zero error bar
+        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+            bell_hv_average_mc(alpha, (0, 0, 1), KET0, 1000, seed=0)
+        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+            bell_hv_average_exact(alpha, (0, 0, 1), KET0)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_equals_a_uniform_batch_loop_bit_for_bit(self, seed):
+        # each batch is drawn in place as random() - 1/2, which is exactly uniform(-0.5, 0.5)
+        alpha, beta = -0.4, np.array([0.3, 0.9, -0.5])
+        psi = random_state(np.random.default_rng(21), 2)
+        n = hvmodels.BATCH_PAIRS + 7
+        beta_len, m = hvmodels._beta_and_m(beta, psi)
+        rng, plus = np.random.default_rng(seed), 0
+        for start in range(0, n, hvmodels.BATCH_PAIRS):
+            lams = rng.uniform(-0.5, 0.5, size=min(hvmodels.BATCH_PAIRS, n - start))
+            plus += np.count_nonzero(lams * beta_len + 0.5 * abs(m) >= 0.0)
+        mean, err = hvmodels.count_correlator(plus, n)
+        want = (float(alpha + beta_len * sgn(m) * mean), float(beta_len * err))
+        assert bell_hv_average_mc(alpha, beta, psi, n, seed=seed) == want
+
     def test_batches_match_single_draw_reference(self, monkeypatch):
         # a batch size that does not divide n leaves a short last batch
         monkeypatch.setattr(hvmodels, "BATCH_PAIRS", 7)

@@ -624,6 +624,12 @@ class TestHardyOptimize:
         assert abs(params.p2 - inv_tau) <= 1e-5
         assert abs(p_max - GOLDEN_RATIO**-5) <= 1e-9
 
+    @pytest.mark.parametrize("params", [(1.5, 0.5), (float("nan"), 0.5), (0.5, 0.0), (0.5, -0.2)])
+    def test_probability_rejects_parameters_outside_the_unit_interval(self, params):
+        # at (1.5, 0.5) the closed form would answer -0.75
+        with pytest.raises(ValueError, match=r"^parameters must lie strictly inside \(0, 1\), got "):
+            hardy_probability(*params)
+
     def test_symmetric_objective(self):
         for p1, p2 in ((0.2, 0.7), (0.4, 0.9)):
             assert abs(hardy_probability(p1, p2) - hardy_probability(p2, p1)) <= 1e-15

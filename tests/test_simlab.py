@@ -163,14 +163,25 @@ class TestSimulateLhv:
         assert report.s_value == 2.0
         assert report.s_stderr == 0.0
 
-    def test_rejects_invalid_strategy_outputs(self):
+    @pytest.mark.parametrize(
+        "outcomes, kind",
+        [
+            (lambda n: np.full(n, 0.5), "float64"),
+            (lambda n: np.full(n, 1.0), "float64"),
+            (lambda n: [True] * n, "list"),
+        ],
+        ids=["half", "plus-one-float", "list"],
+    )
+    def test_rejects_invalid_strategy_outputs(self, outcomes, kind):
+        # an outcome is a bool, True for +1: the +-1 floats of a float contract are rejected too, and a
+        # list is a ValueError, not an AttributeError
         bad = LhvStrategy(
             name="broken",
             sample=lambda rng, n: np.zeros(n),
-            response_a=lambda setting, lams: np.full(len(lams), 0.5),
-            response_b=lambda setting, lams: np.full(len(lams), -1.0),
+            response_a=lambda setting, lams: outcomes(len(lams)),
+            response_b=lambda setting, lams: np.zeros(len(lams), dtype=bool),
         )
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=rf"^strategy 'broken' returned A outcomes of {kind}, not bool$"):
             simulate_lhv(bad, optimal_chsh_settings(), 100, seed=0)
 
     @pytest.mark.parametrize(
@@ -213,8 +224,8 @@ class TestSimulateLhv:
         setting = np.array([1.0, 0.0, 0.0])
         # every row is orthogonal to the setting, so a.lam is exactly zero and sgn(0) = +1
         lams = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -2.0], [-0.0, -0.0, -1.0]])
-        assert list(strategy.response_a(setting, lams)) == [1.0, 1.0, 1.0]
-        assert list(strategy.response_b(setting, lams)) == [-1.0, -1.0, -1.0]
+        assert list(strategy.response_a(setting, lams)) == [True] * 3
+        assert list(strategy.response_b(setting, lams)) == [False] * 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_counts_match_normalized_lambda_reference(self, seed):
@@ -330,6 +341,10 @@ class TestConfig:
             make_config(source=source, seed=0.5)
         with pytest.raises(ValueError, match=r"^n_pairs must be an integer, got 1000\.0$"):
             simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000.0, seed=0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+            simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000, seed=0.5)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000, seed=-1)
         # numpy integers are integers
         config = make_config(source=source, n_pairs=np.int64(1000), seed=np.uint32(3))
         assert simulate_chsh(config) == simulate_chsh(make_config(source=source, n_pairs=1000, seed=3))
