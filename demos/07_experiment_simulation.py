@@ -23,7 +23,7 @@ for visibility in (1.0, 0.9546, 0.7, 0.0):
         f"  V = {visibility:.4f}:  S = {report.s_value:.4f} +- {report.s_stderr:.4f}"
         f"   (expected {report.s_expected:.4f})"
     )
-print(f"  note: {hl.simlab.VISIBILITY_NOTE}")
+print("  note: apparatus asymmetry is modeled as one scalar visibility, the Werner-state weight V")
 
 print()
 print("=== Einstein-local strategies stay classical ===")

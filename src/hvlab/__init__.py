@@ -41,8 +41,8 @@ _EXPORTS = {
         "verify_coloring",
     ),
     "nonlocality": (
-        "GOLDEN_RATIO", "HardyParams", "chsh_max", "chsh_optimize", "correlation_tensor", "ghz_state",
-        "hardy_optimize", "no_signalling_check", "singlet_state",
+        "GOLDEN_RATIO", "HardyParams", "chsh_max", "chsh_optimize", "correlation_tensor", "hardy_optimize",
+        "no_signalling_check", "singlet_state",
     ),
     "simlab": (
         "STRATEGIES", "ExperimentConfig", "LhvStrategy", "SimReport", "constant_strategy", "sign_strategy",

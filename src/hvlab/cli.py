@@ -191,7 +191,7 @@ def _state(parts):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (inputs, outputs, claims, tolerances)
+# subcommand handlers: each returns (inputs, outputs, claims); each claim carries its own width and target
 
 
 def _cmd_vn_reconstruct(args):
@@ -220,7 +220,7 @@ def _cmd_vn_reconstruct(args):
         _claim("witness_above_epsilon", "ge", witness_lo, 0.01, 0.0),
         _claim("witness_below_one_minus_epsilon", "le", witness_hi, 0.99, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": args.tol, "witness_epsilon": 0.01}
+    return inputs, outputs, claims
 
 
 def _cmd_dispersion(args):
@@ -254,7 +254,7 @@ def _cmd_dispersion(args):
         _claim("witness_strictly_between_0_and_1", "ge", witness, 0.01, 0.0),
         _claim("witness_below_one", "le", witness, 0.99, 0.0),
     ]
-    return inputs, outputs, claims, {"endpoint": 1e-12}
+    return inputs, outputs, claims
 
 
 def _cmd_jauch_piron(args):
@@ -271,7 +271,7 @@ def _cmd_jauch_piron(args):
         _claim("pairs_resolve_identity", "le", report.completeness_dev, 0.0, TAU_EQ),
         _claim("all_cross_intersections_rank_zero", "close", float(max(ranks)), 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": TAU_EQ}
+    return inputs, outputs, claims
 
 
 def _cmd_bell_hv(args):
@@ -306,7 +306,7 @@ def _cmd_bell_hv(args):
         _claim("exact_average_matches_quantum", "close", exact, quantum, args.tol),
         _claim("mc_within_5_sigma", "close", estimate, exact, 5.0 * model_stderr + args.tol),
     ]
-    return inputs, outputs, claims, {"exact": args.tol, "mc_sigma": 5.0}
+    return inputs, outputs, claims
 
 
 def _cmd_ks_color(args):
@@ -333,7 +333,7 @@ def _cmd_ks_color(args):
         claims.append(_claim("pair_count_is_72", "close", float(len(structure.pairs)), 72.0, 0.0))
         claims.append(_claim("triad_count_is_16", "close", float(len(structure.triads)), 16.0, 0.0))
         claims.append(_bool_claim("coloring_impossible", not result.satisfiable))
-    return inputs, outputs, claims, {"orthogonality": args.tol}
+    return inputs, outputs, claims
 
 
 def _cmd_mermin(args):
@@ -357,7 +357,7 @@ def _cmd_mermin(args):
         _claim("all_512_assignments_checked", "close", float(search.n_checked), 512.0, 0.0),
         _claim("no_satisfying_assignment", "close", float(search.n_satisfying), 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": args.tol}
+    return inputs, outputs, claims
 
 
 def _cmd_bell(args):
@@ -385,7 +385,7 @@ def _cmd_bell(args):
     claims = [_claim("lhs_matches_singlet_closed_form", "close", lhs, closed_form, args.tol)]
     if dirs is None and etas == (1, 1, 1):
         claims.append(_claim("trine_lhs_is_three_halves", "close", lhs, 1.5, args.tol))
-    return inputs, outputs, claims, {"lhs": args.tol}
+    return inputs, outputs, claims
 
 
 def _settings_report(settings: ChshSettings) -> dict:
@@ -402,14 +402,13 @@ def _cmd_chsh(args):
         outputs = {
             "s_star": s_star,
             "settings": _settings_report(settings),
-            "quantum_max": CHSH_QUANTUM_MAX,
             "lhv_bound": CHSH_LHV_BOUND,
         }
         claims = [
             _claim("optimum_matches_known_maximum", "close", s_star, chsh_max(psi), args.tol),
             _claim("within_tsirelson", "le", s_star, CHSH_QUANTUM_MAX, 1e-9),
         ]
-        return inputs, outputs, claims, {"optimum": args.tol, "tsirelson": 1e-9}
+        return inputs, outputs, claims
     dirs = _units(args, *options.CHSH_DIRECTIONS)
     settings = ChshSettings(*dirs) if dirs else optimal_chsh_settings()
     correlators = chsh_correlators(psi, settings)
@@ -418,7 +417,6 @@ def _cmd_chsh(args):
     inputs["settings"] = _settings_report(settings)
     outputs = {
         "s_value": s,
-        "quantum_max": CHSH_QUANTUM_MAX,
         "lhv_bound": CHSH_LHV_BOUND,
         "correlators": dict(zip(SETTING_PAIR_NAMES, correlators)),
     }
@@ -432,7 +430,7 @@ def _cmd_chsh(args):
     ]
     if dirs is None and args.state == "singlet":
         claims.append(_claim("matches_quantum_maximum", "close", s, CHSH_QUANTUM_MAX, args.tol))
-    return inputs, outputs, claims, {"value": args.tol, "tsirelson": 1e-9}
+    return inputs, outputs, claims
 
 
 def _cmd_wigner(args):
@@ -454,14 +452,13 @@ def _cmd_wigner(args):
     outputs = {
         "vertex_max_s": vertex_max,
         "random_max_s": random_max,
-        "lhv_bound": CHSH_LHV_BOUND,
         "example_correlators": dict(zip(SETTING_PAIR_NAMES, wigner_correlators(example))),
     }
     claims = [
         _claim("vertices_obey_lhv_bound", "le", vertex_max, CHSH_LHV_BOUND, args.tol),
         _claim("random_weights_obey_lhv_bound", "le", random_max, CHSH_LHV_BOUND, args.tol),
     ]
-    return inputs, outputs, claims, {"bound_slack": args.tol}
+    return inputs, outputs, claims
 
 
 def _cmd_ghz(args):
@@ -480,7 +477,7 @@ def _cmd_ghz(args):
         _claim("all_64_assignments_checked", "close", float(search.n_checked), 64.0, 0.0),
         _claim("no_satisfying_assignment", "close", float(search.n_satisfying), 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"entrywise": args.tol}
+    return inputs, outputs, claims
 
 
 def _cmd_hardy(args):
@@ -492,15 +489,13 @@ def _cmd_hardy(args):
             "p1": params.p1,
             "p2": params.p2,
             "p_max": p_max,
-            "golden_ratio_inverse": 1.0 / GOLDEN_RATIO,
-            "golden_ratio_inverse_5th": GOLDEN_RATIO**-5,
         }
         claims = [
             _claim("argmax_p1_at_inverse_golden_ratio", "close", params.p1, 1.0 / GOLDEN_RATIO, args.tol),
             _claim("argmax_p2_at_inverse_golden_ratio", "close", params.p2, 1.0 / GOLDEN_RATIO, args.tol),
             _claim("max_probability", "close", p_max, GOLDEN_RATIO**-5, 1e-7),
         ]
-        return inputs, outputs, claims, {"argmax": args.tol, "max": 1e-7}
+        return inputs, outputs, claims
     construction = hardy_build(args.p1, args.p2)
     closed = hardy_probability(args.p1, args.p2)
     inputs = {"p1": args.p1, "p2": args.p2}
@@ -514,7 +509,7 @@ def _cmd_hardy(args):
         _claim("orthogonality_conditions_hold", "le", max(construction.condition_residuals), 0.0, TAU_EQ),
         _claim("probability_positive", "ge", construction.p, 0.0, 0.0),
     ]
-    return inputs, outputs, claims, {"closed_form": args.tol}
+    return inputs, outputs, claims
 
 
 NOSIGNAL_BLOCK = 256  # trials checked as one stack, so memory stays bounded for any --trials
@@ -539,7 +534,7 @@ def _cmd_nosignal(args):
     inputs = {"trials": trials}
     outputs = {"max_deviation": max_dev}
     claims = [_claim("expectations_unchanged_by_remote_measurement", "le", max_dev, 0.0, args.tol)]
-    return inputs, outputs, claims, {"deviation": args.tol}
+    return inputs, outputs, claims
 
 
 def _cmd_simulate(args):
@@ -553,12 +548,10 @@ def _cmd_simulate(args):
         source=args.source,
     ))
     inputs = {
-        "source": report.source,
+        "source": args.source,
         "n_pairs": args.samples,  # the count asked for; the claim below checks the campaign's counts against it
-        "visibility": report.visibility,
-        "seed": report.seed,
+        "visibility": args.visibility,
         "settings": [list(v) for v in report.settings],
-        "note": report.note,
     }
     outputs = {
         "pairs_per_setting": report.pairs_per_setting,
@@ -580,7 +573,7 @@ def _cmd_simulate(args):
         _claim("sim_within_tsirelson_bound", "le", report.s_value, CHSH_QUANTUM_MAX, width),
         _claim("pairs_per_setting_sum_to_n_pairs", "close", sum(report.pairs_per_setting.values()), args.samples, 0.0),
     ]
-    return inputs, outputs, claims, {"sigma": 5.0}
+    return inputs, outputs, claims
 
 
 HANDLERS = {
@@ -605,7 +598,7 @@ def run(args) -> int:
     with one line on stderr for an input error that only the library can see."""
     start = time.perf_counter()
     try:
-        inputs, outputs, claims, tolerances = HANDLERS[args.command](args)
+        inputs, outputs, claims = HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
@@ -613,7 +606,6 @@ def run(args) -> int:
         "command": args.command,
         "inputs": inputs,
         "outputs": outputs,
-        "tolerances": tolerances,
         "seed": args.seed,
         "claims": claims,
         "verdict": None,

@@ -92,6 +92,7 @@ def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
 
     Always one of the eigenvalues alpha +/- |beta|, with sgn(0) = +1 as in `sgn`.
     """
+    _check_alpha(alpha)
     beta_len, m = _beta_and_m(beta, state.psi)
     sign_m = 1.0 if m >= 0.0 else -1.0
     side = 1.0 if state.lam * beta_len + 0.5 * abs(m) >= 0.0 else -1.0

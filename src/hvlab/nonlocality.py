@@ -1,4 +1,4 @@
-"""Two-qubit nonlocality on arrays: the states and the correlation tensor as arrays, the largest CHSH
+"""Two-qubit nonlocality on arrays: the singlet state and the correlation tensor as arrays, the largest CHSH
 value, the CHSH and Hardy optimizers, and the no-signalling check.
 
 Every two-qubit number is read off the correlation tensor
@@ -15,14 +15,15 @@ largest value over all settings is the Horodecki value `chsh_max`.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import (
-    BATCH_PAIRS, GHZ, SINGLET, TAU_EQ, ChshSettings, _hardy_fields, _memo_tensor, chsh_value, hardy_build,
+    BATCH_PAIRS, SINGLET, TAU_EQ, ChshSettings, _hardy_fields, _memo_tensor, chsh_value, hardy_build,
 )
-from .options import MIN_GRID, MIN_RESTARTS
+from .options import MIN_GRID, MIN_RESTARTS, check_seed
 from .qmath import assert_density_operator, assert_hermitian, assert_projector
 
 GOLDEN_RATIO = (np.sqrt(5.0) + 1.0) / 2.0
@@ -31,11 +32,6 @@ GOLDEN_RATIO = (np.sqrt(5.0) + 1.0) / 2.0
 def singlet_state() -> np.ndarray:
     """(|01> - |10>)/sqrt(2), the two-qubit total-spin-zero state."""
     return np.array(SINGLET)
-
-
-def ghz_state() -> np.ndarray:
-    """(|000> - |111>)/sqrt(2) for three qubits."""
-    return np.array(GHZ)
 
 
 def correlation_tensor(psi) -> np.ndarray:
@@ -82,8 +78,11 @@ def chsh_optimize(
     at the best restart's settings; ties go to the earliest restart.
     Deterministic for fixed (restarts, seed).  The optimum is `chsh_max`.
     """
+    if not isinstance(restarts, numbers.Integral):  # numpy's own message would not name restarts
+        raise ValueError(f"restarts must be an integer, got {restarts!r}")
     if restarts < MIN_RESTARTS:
         raise ValueError(f"restarts must be at least {MIN_RESTARTS}")
+    check_seed(seed)
     tensor = correlation_tensor(psi)
     rng = np.random.default_rng(seed)
     a, a_p, b, b_p = _unit_rows(rng.normal(size=(4, restarts, 3)), 0.0)

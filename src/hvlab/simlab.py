@@ -9,8 +9,9 @@ The quantum source is the Werner state V |psi-><psi-| + (1 - V) I / 4, where
 V in [0, 1] is a single visibility knob standing in for apparatus
 imperfection (local sources take V = 1).  Its correlators q_k are V times
 the singlet's, so P(xy = +1 | a, b) = (1 + q_k) / 2 and each count is one
-binomial draw: time and memory do not depend on n_pairs.  Reports hold
-numbers, not verdicts.  Local hidden-variable sources draw one lambda per
+binomial draw: time and memory do not depend on n_pairs.  A report holds
+what the campaign measured, not verdicts, and does not copy back the
+source, seed or visibility that its caller chose.  Local hidden-variable sources draw one lambda per
 pair, in batches of `BATCH_PAIRS` from one generator, and answer through
 response functions that never see the far-side setting; an outcome is a
 boolean, True for +1, so x y = +1 exactly when the two outcomes are equal.
@@ -31,9 +32,6 @@ from .kernels import (
     BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_PAIR_NAMES, SINGLET, ChshSettings, chsh_combination, chsh_correlators,
 )
 from .options import check_n_pairs, check_seed
-
-VISIBILITY_NOTE = "apparatus asymmetry is modeled as a single scalar visibility"
-
 
 class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings), ("n_pairs", int),
                                                        ("visibility", float), ("seed", int), ("source", str)])):
@@ -157,7 +155,7 @@ STRATEGIES: dict[str, Callable[[], LhvStrategy]] = {
 
 
 class SimReport(NamedTuple):
-    """Estimates and errors for one simulation campaign.
+    """Estimates and errors for one simulation campaign, without the caller's source, seed or visibility.
 
     `settings` is the campaign's `ChshSettings.floats`: (x, y, z) of a, a',
     b and b' as Python floats.  `pairs_per_setting` holds n_k for each setting pair, so each stderr is
@@ -166,10 +164,7 @@ class SimReport(NamedTuple):
     sqrt(sum_k (1 - q_k^2) / n_k), q_k from `expected_correlators` (0 if None).
     """
 
-    source: str
     n_pairs: int
-    seed: int
-    visibility: float
     settings: tuple
     pairs_per_setting: dict
     correlators: dict
@@ -179,7 +174,6 @@ class SimReport(NamedTuple):
     s_expected: float
     expected_correlators: dict | None
     s_model_stderr: float
-    note: str = VISIBILITY_NOTE
 
 
 def _pairs_per_setting(n_pairs: int) -> np.ndarray:
@@ -187,7 +181,7 @@ def _pairs_per_setting(n_pairs: int) -> np.ndarray:
     return np.array([(n_pairs - k + 3) // 4 for k in range(4)])
 
 
-def _summarize(n_k, plus_k, settings, source, seed, visibility, q=None):
+def _summarize(n_k, plus_k, settings, q=None):
     """Report plus_k +1 products of n_k per setting pair, for model correlators q; for a local
     source q is None and s_expected the local bound, as a generic strategy's exact S is unknown."""
     est, err = count_correlator(plus_k, n_k)
@@ -196,10 +190,7 @@ def _summarize(n_k, plus_k, settings, source, seed, visibility, q=None):
     else:
         s_expected, variances = chsh_combination(q), np.maximum(1.0 - q * q, 0.0)
     return SimReport(
-        source=source,
         n_pairs=int(n_k.sum()),
-        seed=seed,
-        visibility=visibility,
         settings=settings.floats,
         pairs_per_setting=dict(zip(SETTING_PAIR_NAMES, map(int, n_k))),
         correlators=dict(zip(SETTING_PAIR_NAMES, map(float, est))),
@@ -228,7 +219,7 @@ def simulate_chsh(config: ExperimentConfig) -> SimReport:
     n_k = _pairs_per_setting(config.n_pairs)
     # a unit setting may have |a| = 1 + TAU_EQ, so |q| can pass 1 and binomial rejects p outside [0, 1]
     plus_k = np.random.default_rng(config.seed).binomial(n_k, np.clip((1.0 + q) / 2.0, 0.0, 1.0))
-    return _summarize(n_k, plus_k, config.settings, "singlet", config.seed, config.visibility, q)
+    return _summarize(n_k, plus_k, config.settings, q)
 
 
 def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, seed: int) -> SimReport:
@@ -264,4 +255,4 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
                     raise ValueError(f"strategy {strategy.name!r} returned {name} outcomes of {dtype}, not bool")
             plus_k[k] += np.count_nonzero(outcomes_a == outcomes_b)
         del lams, lams_k, outcomes_a, outcomes_b, vals  # freed before the next batch is drawn
-    return _summarize(_pairs_per_setting(n_pairs), plus_k, settings, f"lhv:{strategy.name}", seed, 1.0)
+    return _summarize(_pairs_per_setting(n_pairs), plus_k, settings)

@@ -32,6 +32,17 @@ def test_essentials_keep_exit_stderr_verdict_and_inputs(name):
         assert essentials(text.replace(old, new)) != essentials(text)
 
 
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_golden_report_has_each_number_once(name):
+    # no tolerances block, which repeated the claims' widths; wall_time_s is left out of every file
+    stdout = (GOLDEN / f"{name}.txt").read_text().split("--- stdout\n", 1)[1]
+    if stdout.startswith("{"):
+        report = json.loads(stdout.split("\n}\n", 1)[0].removesuffix(",") + "\n}")
+        assert list(report) == ["command", "inputs", "outputs", "seed", "claims", "verdict"]
+    else:
+        assert not any(line.startswith("tolerances.") for line in stdout.splitlines())
+
+
 @pytest.fixture(scope="module")
 def renders(request):
     """Each selected case's render, all started at once, each still in its own process and directory,

@@ -194,6 +194,8 @@ class TestBellHVAverageMC:
             bell_hv_average_mc(alpha, (0, 0, 1), KET0, 1000, seed=0)
         with pytest.raises(ValueError, match=r"^alpha must be finite"):
             bell_hv_average_exact(alpha, (0, 0, 1), KET0)
+        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+            bell_hv_value(alpha, (0, 0, 1), BellHVState(KET0, 0.1))
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_equals_a_uniform_batch_loop_bit_for_bit(self, seed):

@@ -8,6 +8,7 @@ import pytest
 from hvlab import kernels, nonlocality
 from hvlab.kernels import (
     CHSH_QUANTUM_MAX,
+    GHZ,
     TAU_EQ,
     TRINE_A,
     TRINE_B,
@@ -34,7 +35,6 @@ from hvlab.nonlocality import (
     chsh_max,
     chsh_optimize,
     correlation_tensor,
-    ghz_state,
     hardy_optimize,
     no_signalling_check,
     singlet_state,
@@ -113,7 +113,7 @@ class TestQmCorrelator:
 
     def test_correlation_tensor_rejects_wrong_dim(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            correlation_tensor(ghz_state())
+            correlation_tensor(np.array(GHZ))
 
 
 def uncached_tensor(psi) -> np.ndarray:
@@ -455,6 +455,15 @@ class TestChshOptimize:
         with pytest.raises(ValueError):
             chsh_optimize(singlet_state(), restarts=0)
 
+    def test_rejects_a_non_integer_restarts_or_seed_by_name(self):
+        # numpy's own errors would name neither the argument nor the rule
+        with pytest.raises(ValueError, match=r"^restarts must be an integer, got 2\.5$"):
+            chsh_optimize(singlet_state(), restarts=2.5)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+            chsh_optimize(singlet_state(), seed=0.5)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            chsh_optimize(singlet_state(), seed=-1)
+
     def test_matches_horodecki_bound(self):
         for psi in oracle_states():
             _, s_star = chsh_optimize(psi)
@@ -481,7 +490,7 @@ class TestChshOptimize:
 
 class TestGhz:
     def test_norm_and_amplitudes(self):
-        psi = ghz_state()
+        psi = np.array(GHZ)
         assert abs(np.vdot(psi, psi).real - 1.0) <= 1e-15
         assert psi[0].real > 0 and psi[7].real < 0
 
@@ -873,7 +882,7 @@ class TestNoSignallingStack:
 
 
 def test_ghz_stabilizers_on_explicit_state():
-    psi = ghz_state()
+    psi = np.array(GHZ)
     from hvlab.qmath import SIGMA_X, SIGMA_Y
 
     xyy = kron(kron(SIGMA_X, SIGMA_Y), SIGMA_Y)

@@ -248,7 +248,6 @@ class TestSimulateLhv:
 
     def test_lhv_source_via_config(self):
         report = simulate_chsh(make_config(source="lhv:sign", n_pairs=10**4))
-        assert report.source == "lhv:sign"
         assert report.s_expected == CHSH_LHV_BOUND and report.expected_correlators is None
         assert report.s_value <= report.s_expected + 5 * report.s_stderr
         assert report.s_model_stderr == np.sqrt(sum(1.0 / n for n in report.pairs_per_setting.values()))
