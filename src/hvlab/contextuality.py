@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from .kernels import ID2, TAU_EQ, TAU_PSD, _flat_triple, _nanmax, _read_only, _unit_floats, matmul, max_deviation
-from .options import MAX_ORTHOGONAL_PAIRS, MAX_RAYS, MAX_TRIADS
+from .options import MAX_ORTHOGONAL_PAIRS, MAX_RAYS, MAX_TRIADS, check_tol
 
 TAU_ORTH = 1e-9
 
@@ -103,8 +103,7 @@ def orthogonality_structure(rays, tol: float = TAU_ORTH) -> OrthogonalityStructu
     triples, in lexicographic index order; more than MAX_ORTHOGONAL_PAIRS pairs
     or MAX_TRIADS triads raise ValueError as soon as they are found, and so does a tol that is not
     finite and >= 0, which would find no pair and let any ray set color."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    check_tol("tol", tol)
     triples = _ray_triples(rays)
     # a generator, so that memory grows with the pairs found, not with the n(n - 1)/2 tested
     orthogonal = (abs(x * u + y * v + z * w) <= tol for (x, y, z), (u, v, w) in itertools.combinations(triples, 2))

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernels import TAU_EQ, TAU_PSD
-from .options import MIN_STEPS
+from .options import MIN_STEPS, check_count
 from .qmath import assert_density_operator, assert_state_vector, expectation
 
 WITNESS_EPSILON = 0.01
@@ -57,8 +57,7 @@ class BasisObservables(NamedTuple):
 
 
 def basis_observables(dim: int) -> BasisObservables:
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    check_count("dim", dim, 1)
     basis = BasisObservables(dim, [], {}, {})  # each call builds its own containers
     for n in range(dim):
         u = np.zeros((dim, dim), dtype=complex)
@@ -107,10 +106,10 @@ def reconstruct_density(oracle: ExpectationOracle) -> np.ndarray:
     """
     dim = oracle.dim
     kept = type(dim) is int and dim in BASIS_MEMO_DIMS
+    basis = _read_only_basis(dim)[1] if kept else basis_observables(dim)  # which checks dim
     unit = oracle.expect(_read_only_basis(dim)[0] if kept else np.eye(dim, dtype=complex))
     if abs(unit - 1.0) > TAU_EQ:
         raise ValueError(f"malformed ensemble: <I> = {unit}, expected 1")
-    basis = _read_only_basis(dim)[1] if kept else basis_observables(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     for n in range(dim):
         rho[n, n] = oracle.expect(basis.u[n])
@@ -133,8 +132,7 @@ def dispersion_scan(rho, phi1, phi2, steps: int) -> tuple[np.ndarray, np.ndarray
     rho = assert_density_operator(rho)
     phi1 = assert_state_vector(phi1)
     phi2 = assert_state_vector(phi2)
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be at least {MIN_STEPS}")
+    check_count("steps", steps, MIN_STEPS)
     if abs(np.vdot(phi1, phi2)) > TAU_EQ:
         raise ValueError("phi1 and phi2 must be orthogonal")
     thetas = np.linspace(0.0, np.pi / 2.0, steps)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import BATCH_PAIRS, TAU_EQ, chsh_combination
-from .options import MIN_BELL_HV_SAMPLES, check_seed
+from .options import MIN_BELL_HV_SAMPLES, check_between, check_count, check_finite, check_sign
 from .qmath import assert_state_vector
 
 _SPIN_HALF_ONLY = "the hidden-variable model is for a single spin-1/2"
@@ -63,10 +62,9 @@ class BellHVState(NamedTuple("BellHVState", [("psi", np.ndarray), ("lam", float)
 
     __slots__ = ()
 
-    def __new__(cls, psi, lam):
+    def __new__(cls, psi, lam: float):
         psi = _qubit(psi)
-        if not -0.5 <= lam <= 0.5:
-            raise ValueError(f"lambda = {lam} outside [-1/2, 1/2]")
+        check_between("lam", lam, -0.5, 0.5)
         return tuple.__new__(cls, (psi, lam))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace goes through _make: both check
@@ -92,16 +90,11 @@ def bell_hv_value(alpha: float, beta, state: BellHVState) -> float:
 
     Always one of the eigenvalues alpha +/- |beta|, with sgn(0) = +1 as in `sgn`.
     """
-    _check_alpha(alpha)
+    check_finite("alpha", alpha)
     beta_len, m = _beta_and_m(beta, state.psi)
     sign_m = 1.0 if m >= 0.0 else -1.0
     side = 1.0 if state.lam * beta_len + 0.5 * abs(m) >= 0.0 else -1.0
     return float(alpha + beta_len * sign_m * side)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):  # a NaN or infinite alpha would give an estimate with a zero error bar
-        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def bell_hv_average_exact(alpha: float, beta, psi) -> float:
@@ -112,7 +105,7 @@ def bell_hv_average_exact(alpha: float, beta, psi) -> float:
     lambda in [-1/2, 1/2] the average is alpha + |beta| sgn(m) times the
     measure above lambda0 less the measure below; alpha when beta = 0.
     """
-    _check_alpha(alpha)
+    check_finite("alpha", alpha)
     beta_len, m = _beta_and_m(beta, _qubit(psi))
     if beta_len == 0.0:
         return float(alpha)
@@ -130,12 +123,9 @@ def bell_hv_average_mc(alpha: float, beta, psi, n_samples: int, seed: int) -> tu
     `count_correlator(c, n)` the estimate is alpha + |beta| sgn(m) E and its
     standard error |beta| e.
     """
-    if not isinstance(n_samples, numbers.Integral):  # range() would fail on it, naming neither
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < MIN_BELL_HV_SAMPLES:
-        raise ValueError(f"n_samples must be at least {MIN_BELL_HV_SAMPLES}")
-    check_seed(seed)
-    _check_alpha(alpha)
+    check_count("n_samples", n_samples, MIN_BELL_HV_SAMPLES)
+    check_count("seed", seed, 0)
+    check_finite("alpha", alpha)  # a NaN or infinite alpha would give an estimate with a zero error bar
     beta_len, m = _beta_and_m(beta, _qubit(psi))
     rng = np.random.default_rng(seed)
     buf = np.empty(min(BATCH_PAIRS, n_samples))
@@ -180,11 +170,10 @@ def validate_wigner_weights(w) -> np.ndarray:
 
 def deterministic_weights(s: int, sp: int, t: int, tp: int) -> np.ndarray:
     """One-hot weight vector concentrated on a single outcome tuple."""
+    for name, value in (("s", s), ("sp", sp), ("t", t), ("tp", tp)):
+        check_sign(name, value)
     w = np.zeros((2, 2, 2, 2))
-    idx = tuple((1 - v) // 2 for v in (s, sp, t, tp))
-    if any(i not in (0, 1) for i in idx):
-        raise ValueError("outcome values must be +1 or -1")
-    w[idx] = 1.0
+    w[tuple(int(v < 0) for v in (s, sp, t, tp))] = 1.0  # +1 at index 0, -1 at index 1
     return w
 
 

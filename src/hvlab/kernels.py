@@ -24,6 +24,8 @@ import math
 from array import array
 from typing import NamedTuple
 
+from .options import check_inside, check_sign
+
 TAU_EQ = 1e-10
 TAU_PSD = 1e-9
 
@@ -294,9 +296,8 @@ def bell_original_lhs(psi, a, b, c, eta_a: int, eta_b: int, eta_c: int) -> float
     Returns eta_a eta_b P(a,b) + eta_a eta_c P(a,c) + eta_b eta_c P(b,c),
     the correlators from `bell_correlators`; the caller compares with the bound 1.
     """
-    for eta in (eta_a, eta_b, eta_c):
-        if eta not in (1, -1):
-            raise ValueError("eta values must be +1 or -1")
+    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b), ("eta_c", eta_c)):
+        check_sign(name, eta)
     ab, ac, bc = bell_correlators(psi, a, b, c)
     return float(eta_a * eta_b * ab + eta_a * eta_c * ac + eta_b * eta_c * bc)
 
@@ -348,14 +349,10 @@ class HardyConstruction(NamedTuple):
     v2_prime = property(lambda self: _read_only((self.v2x, self.v2y), complex))
 
 
-def _check_hardy_params(p1: float, p2: float) -> None:
-    if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):  # NaN fails too
-        raise ValueError(f"parameters must lie strictly inside (0, 1), got ({p1}, {p2})")
-
-
 def hardy_probability(p1: float, p2: float) -> float:
     """Closed form p1 (1 - p1) p2 (1 - p2) / (1 - p1 p2), for parameters in (0, 1) as `hardy_build` takes."""
-    _check_hardy_params(p1, p2)
+    check_inside("p1", p1, 0.0, 1.0)
+    check_inside("p2", p2, 0.0, 1.0)
     return p1 * (1.0 - p1) * p2 * (1.0 - p2) / (1.0 - p1 * p2)
 
 
@@ -407,12 +404,13 @@ def hardy_build(p1: float, p2: float) -> HardyConstruction:
     arithmetic run on Python floats, and the three condition residuals are
     derived here only; the vectors are built only when read (`HardyConstruction`).
     """
-    _check_hardy_params(p1, p2)
+    check_inside("p1", p1, 0.0, 1.0)
+    check_inside("p2", p2, 0.0, 1.0)
     fields = _hardy_fields(float(p1), float(p2))
     a01, a10, a11, v1x, v1y, v2x, v2y, p = fields
     # residuals: <u x u|psi>, <v x v2'|psi>, <v1' x v|psi>
     residuals = 0.0, abs(v2x * a10 + v2y * a11), abs(v1x * a01 + v1y * a11)
-    if max(residuals) > TAU_EQ:
+    if residuals[1] > TAU_EQ or residuals[2] > TAU_EQ:
         raise AssertionError(f"orthogonality conditions violated: {residuals}")
     if p <= 0.0:
         raise ValueError(f"the jointly primed probability p underflows to 0 at (p1, p2) = ({p1}, {p2})")
@@ -556,8 +554,7 @@ def ghz_assignment_search(xxx_target: int = -1) -> AssignmentSearchResult:
     Multiplying the first three constraints forces m_x m_x m_x = +1, so the
     quantum target -1 leaves zero satisfying assignments.
     """
-    if xxx_target not in (1, -1):
-        raise ValueError("xxx_target must be +1 or -1")
+    check_sign("xxx_target", xxx_target)
     parities = (*GHZ_PARITIES[:-1], (GHZ_PARITIES[-1][0], xxx_target))
     # variables 0-2 are m_x of particles 1-3, variables 3-5 their m_y
     return count_sign_assignments(

@@ -15,7 +15,6 @@ largest value over all settings is the Horodecki value `chsh_max`.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .kernels import (
     BATCH_PAIRS, SINGLET, TAU_EQ, ChshSettings, _hardy_fields, _memo_tensor, chsh_value, hardy_build,
 )
-from .options import MIN_GRID, MIN_RESTARTS, check_seed
+from .options import MIN_GRID, MIN_RESTARTS, check_count, check_tol
 from .qmath import assert_density_operator, assert_hermitian, assert_projector
 
 GOLDEN_RATIO = (np.sqrt(5.0) + 1.0) / 2.0
@@ -78,11 +77,9 @@ def chsh_optimize(
     at the best restart's settings; ties go to the earliest restart.
     Deterministic for fixed (restarts, seed).  The optimum is `chsh_max`.
     """
-    if not isinstance(restarts, numbers.Integral):  # numpy's own message would not name restarts
-        raise ValueError(f"restarts must be an integer, got {restarts!r}")
-    if restarts < MIN_RESTARTS:
-        raise ValueError(f"restarts must be at least {MIN_RESTARTS}")
-    check_seed(seed)
+    check_count("restarts", restarts, MIN_RESTARTS)
+    check_tol("tol", tol)
+    check_count("seed", seed, 0)
     tensor = correlation_tensor(psi)
     rng = np.random.default_rng(seed)
     a, a_p, b, b_p = _unit_rows(rng.normal(size=(4, restarts, 3)), 0.0)
@@ -143,8 +140,7 @@ def hardy_optimize(grid: int = 100) -> tuple[HardyParams, float]:
     until it is below 1e-10.  The maximum sits at p1 = p2 =
     1/golden-ratio with p = golden-ratio^-5.
     """
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be at least {MIN_GRID}")
+    check_count("grid", grid, MIN_GRID)
     points = np.arange(1, grid + 1) / (grid + 1.0)
     best = _hardy_grid_argmax(points, points)
     spacing = 1.0 / (grid + 1.0)

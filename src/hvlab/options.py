@@ -11,15 +11,16 @@ runs that read them (--seed to those that draw), each with its own default;
 an option a run does not take exits 2.
 """
 
-# This module holds the parser and every check that reads only argv, and imports no numpy:
-# an argv error exits 2 with one line on stderr, `<subcommand>: <message>`, before any numeric
-# module loads, and only a valid argv imports `hvlab.cli` to run.  Each option's domain is its
-# argparse `type`, so a bad value reads `<subcommand>: argument --opt: <problem>`; a rule between
-# options is a subcommand's `check`.  The handlers there normalize and compute.
+# This module holds the parser, every check that reads only argv and the scalar rules that the library
+# shares, and imports no numpy: an argv error exits 2 with one line on stderr, `<subcommand>: <message>`,
+# before any numeric module loads, and only a valid argv imports `hvlab.cli` to run.  Each option's
+# domain is its argparse `type`, so a bad value reads `<subcommand>: argument --opt: <problem>`; a rule
+# between options is a subcommand's `check`.  The handlers there normalize and compute.
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 
 from . import __version__
@@ -63,85 +64,98 @@ MAX_PAIRS = 2**63 - 1  # the binomial draw takes its counts as int64
 CHSH_DIRECTIONS = ("a_dir", "a_prime", "b_dir", "b_prime")
 
 
-def check_n_pairs(n_pairs: int) -> None:
-    import numbers  # here, not at the top: argv parsing never needs it
-
-    if not isinstance(n_pairs, numbers.Integral):  # numpy's own message would not name n_pairs
-        raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
-    if n_pairs < MIN_PAIRS:
-        raise ValueError(f"n_pairs must be at least {MIN_PAIRS} (two per setting pair), got {n_pairs}")
-    if n_pairs > MAX_PAIRS:
-        raise ValueError(f"n_pairs must be at most 2**63 - 1, got {n_pairs}")
+# The scalar rules, read by the option types below and by the library functions that take the same values:
+# each raises ValueError `<name> <fault>, got <value>`.  Plain positional calls: hardy_build runs two per call.
 
 
-def check_seed(seed: int) -> None:
-    import numbers
+class _Fault(ValueError):
+    """A value outside its rule's domain; `fault` alone is what an option type reports."""
 
-    if not isinstance(seed, numbers.Integral):  # numpy's own messages would not name the seed
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    def __init__(self, name: str, fault: str, shown) -> None:
+        super().__init__(f"{name} {fault}, got {shown}")
+        self.fault = fault
+
+
+def check_count(name: str, value: int, low: int, high: float = math.inf) -> None:
+    """An integer in [low, high], and not a bool: a size, a count or a seed."""
+    if type(value) is not int:
+        import numbers  # here, not at the top: an int and argv parsing never need it
+
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # numpy's messages name neither
+            raise _Fault(name, "must be an integer", repr(value))
+    if value > high:
+        raise _Fault(name, f"must be at most {high}", value)
+    if value < low:
+        raise _Fault(name, f"must be at least {low}", value)
+
+
+def check_finite(name: str, value: float) -> None:
+    if not -math.inf < value < math.inf:  # NaN fails too
+        raise _Fault(name, "must be a finite number", value)
+
+
+def check_between(name: str, value: float, low: float, high: float) -> None:
+    if not low <= value <= high:
+        raise _Fault(name, f"must lie in [{low:g}, {high:g}]", value)
+
+
+def check_inside(name: str, value: float, low: float, high: float) -> None:
+    if not low < value < high:
+        raise _Fault(name, f"must lie strictly inside ({low:g}, {high:g})", value)
+
+
+def check_tol(name: str, value: float, high: float = math.inf) -> None:
+    """A tolerance: a finite number in [0, high]."""
+    check_finite(name, value)
+    if value < 0.0:
+        raise _Fault(name, "must be non-negative", value)
+    if value > high:
+        raise _Fault(name, f"must be at most {high:g}", value)
+
+
+def check_sign(name: str, value: int) -> None:
+    """+1 or -1: an outcome or a parity."""
+    if value not in (1, -1):
+        raise _Fault(name, "must be +1 or -1", value)
 
 
 # option types: each takes the option's text and returns its value, or raises
 # ArgumentTypeError, which argparse prefixes with `argument --opt: `
 
 
-def _count(low: int, high: float = math.inf):
-    """The type of an integer in [low, high]: a size, a count or a seed."""
-
-    def count(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:  # int()'s own message names neither the option nor its text
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return count
-
-
-def _finite(text: str) -> float:
+def _int(text: str):
     try:
-        value = float(text)
-    except ValueError:  # float()'s own message names neither the option nor its text
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+        return int(text)
+    except ValueError:  # int()'s own message names neither the option nor its text; the count rule rejects text
+        return text
 
 
-def _inside_unit(text: str) -> float:
-    """A number strictly inside (0, 1): a Hardy parameter."""
-    value = _finite(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1), got {text!r}")
-    return value
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:  # float()'s own message names neither the option nor its text; the rules reject NaN
+        return math.nan
 
 
-def _unit_interval(text: str) -> float:
-    """A number in [0, 1]: a visibility."""
-    value = _finite(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
+def _typed(parse, rule, *limits):
+    """The type that reads the text with `parse` and keeps `rule`; a fault shows an int as read, else the text."""
 
-
-def _tol(high: float = math.inf):
-    """The type of a tolerance in [0, high]."""
-
-    def tol(text: str) -> float:
-        value = _finite(text)
-        if value < 0.0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high:g}, got {text!r}")
+    def typed(text: str):
+        value = parse(text)
+        try:
+            rule("", value, *limits)  # the name is argparse's to give: `argument --opt: `
+        except _Fault as exc:
+            raise argparse.ArgumentTypeError(f"{exc.fault}, got {value if type(value) is int else repr(text)}") from None
         return value
 
-    return tol
+    return typed
+
+
+_count = functools.partial(_typed, _int, check_count)  # _count(low, high): a size, a count or a seed
+_tol = functools.partial(_typed, _float, check_tol)  # _tol(high): a tolerance in [0, high]
+_finite = _typed(_float, check_finite)
+_inside_unit = _typed(_finite, check_inside, 0.0, 1.0)  # a Hardy parameter
+_unit_interval = _typed(_finite, check_between, 0.0, 1.0)  # a visibility
 
 
 def _components(text: str) -> list[float]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import TAU_EQ, TAU_PSD, check_unit_state
+from .options import check_finite
 
 ID2, SIGMA_X, SIGMA_Y, SIGMA_Z = (np.array(m) for m in (kernels.ID2, *kernels.PAULIS))
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -92,6 +93,7 @@ def pauli_obs(alpha: float, beta) -> np.ndarray:
 
     Its two eigenvalues are alpha + |beta| and alpha - |beta|.
     """
+    check_finite("alpha", alpha)
     return float(alpha) * ID2 + sigma_dot(beta)
 
 

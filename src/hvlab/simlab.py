@@ -31,7 +31,7 @@ from .hvmodels import count_correlator
 from .kernels import (
     BATCH_PAIRS, CHSH_LHV_BOUND, SETTING_PAIR_NAMES, SINGLET, ChshSettings, chsh_combination, chsh_correlators,
 )
-from .options import check_n_pairs, check_seed
+from .options import MAX_PAIRS, MIN_PAIRS, check_between, check_count
 
 class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings), ("n_pairs", int),
                                                        ("visibility", float), ("seed", int), ("source", str)])):
@@ -39,11 +39,10 @@ class ExperimentConfig(NamedTuple("ExperimentConfig", [("settings", ChshSettings
 
     __slots__ = ()
 
-    def __new__(cls, settings, n_pairs, visibility, seed, source="singlet"):
-        check_n_pairs(n_pairs)
-        check_seed(seed)
-        if not 0.0 <= visibility <= 1.0:
-            raise ValueError(f"visibility {visibility} outside [0, 1]")
+    def __new__(cls, settings, n_pairs: int, visibility: float, seed: int, source="singlet"):
+        check_count("n_pairs", n_pairs, MIN_PAIRS, MAX_PAIRS)
+        check_count("seed", seed, 0)
+        check_between("visibility", visibility, 0.0, 1.0)
         if source != "singlet" and not source.startswith("lhv:"):
             raise ValueError(f"unknown source {source!r}")
         name = source.removeprefix("lhv:")
@@ -229,8 +228,8 @@ def simulate_lhv(strategy: LhvStrategy, settings: ChshSettings, n_pairs: int, se
     Lambdas are drawn from one generator in batches of `BATCH_PAIRS`, and
     only the +1 counts are kept, so memory does not grow with `n_pairs`.
     """
-    check_n_pairs(n_pairs)
-    check_seed(seed)
+    check_count("n_pairs", n_pairs, MIN_PAIRS, MAX_PAIRS)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     pairs = settings.pairs()
     plus_k = np.zeros(4, dtype=np.int64)

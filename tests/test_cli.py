@@ -17,7 +17,7 @@ from hvlab.cli import evaluate_claim, main
 from hvlab.contextuality import load_rays, orthogonality_structure, peres_rays
 from hvlab.ensembles import dispersion_scan
 from hvlab.hvmodels import bell_hv_average_mc, chsh_from_wigner, wigner_correlators
-from hvlab.kernels import ChshSettings, chsh_combination
+from hvlab.kernels import ChshSettings, chsh_combination, hardy_probability, optimal_chsh_settings
 from hvlab.simlab import ExperimentConfig, simulate_chsh
 from hvlab.nonlocality import chsh_optimize, hardy_optimize, singlet_state
 from hvlab.qmath import random_density, random_unit3, sigma_dot
@@ -617,26 +617,41 @@ class TestErrors:
             (("hardy", "--optimize", "--grid={}"), "grid"),
             (("chsh", "--optimize", "--restarts={}"), "restarts"),
             (("bell-hv", "--samples={}"), "n_samples"),
+            (("hardy", "--p1={}"), "p1"),
+            (("simulate", "--visibility={}"), "visibility"),
+            (("ks-color", "--peres", "--tol={}"), "tol"),
         ],
-        ids=["dispersion-steps", "hardy-grid", "chsh-restarts", "bell-hv-samples"],
+        ids=["dispersion-steps", "hardy-grid", "chsh-restarts", "bell-hv-samples", "hardy-p1", "simulate-visibility",
+             "ks-color-tol"],
     )
     def test_lower_bound_is_the_library_bound(self, capsys, argv, library):
-        # the option and the library function read one constant: both take it and reject one less
+        # the option and the library function keep one rule: both take its least value, and both reject the
+        # value below it with one fault, the option's text shown as typed (a count as read), the argument's as passed
         ket0, ket1 = np.eye(2, dtype=complex)
-        calls = {
-            "steps": (hvlab.options.MIN_STEPS, lambda n: dispersion_scan(np.eye(2) / 2, ket0, ket1, n)),
-            "grid": (hvlab.options.MIN_GRID, lambda n: hardy_optimize(grid=n)),
-            "restarts": (hvlab.options.MIN_RESTARTS, lambda n: chsh_optimize(singlet_state(), restarts=n)),
-            "n_samples": (hvlab.options.MIN_BELL_HV_SAMPLES, lambda n: bell_hv_average_mc(0.0, (0, 0, 1), ket0, n, 0)),
-        }
-        least, call = calls[library]
+        opts = hvlab.options
+        least, below, call = {
+            "steps": (opts.MIN_STEPS, opts.MIN_STEPS - 1, lambda n: dispersion_scan(np.eye(2) / 2, ket0, ket1, n)),
+            "grid": (opts.MIN_GRID, opts.MIN_GRID - 1, lambda n: hardy_optimize(grid=n)),
+            "restarts": (opts.MIN_RESTARTS, opts.MIN_RESTARTS - 1, lambda n: chsh_optimize(singlet_state(), restarts=n)),
+            "n_samples": (opts.MIN_BELL_HV_SAMPLES, opts.MIN_BELL_HV_SAMPLES - 1,
+                          lambda n: bell_hv_average_mc(0.0, (0, 0, 1), ket0, n, 0)),
+            "p1": (5e-324, 0.0, lambda p: hardy_probability(p, 0.5)),
+            "visibility": (0.0, -5e-324, lambda v: ExperimentConfig(optimal_chsh_settings(), 8, v, 0)),
+            "tol": (0.0, -5e-324, lambda tol: orthogonality_structure(peres_rays(), tol)),
+        }[library]
         hvlab.options.parse([arg.format(least) for arg in argv])
         call(least)
         with pytest.raises(SystemExit):
-            hvlab.options.parse([arg.format(least - 1) for arg in argv])
-        assert capsys.readouterr().err.endswith(f": must be at least {least}, got {least - 1}\n")
-        with pytest.raises(ValueError, match=f"{library} must be at least {least}"):
-            call(least - 1)
+            hvlab.options.parse([arg.format(below) for arg in argv])
+        err = capsys.readouterr().err
+        if type(below) is int:
+            assert err.endswith(f": must be at least {least}, got {least - 1}\n")
+        else:
+            assert err.endswith(f", got '{below}'\n")
+        fault = err.removeprefix(f"{argv[0]}: argument {argv[-1].partition('=')[0]}: ").rpartition(", got ")[0]
+        with pytest.raises(ValueError) as info:
+            call(below)
+        assert str(info.value) == f"{library} {fault}, got {below}"
 
     @pytest.mark.parametrize(
         "argv, params",

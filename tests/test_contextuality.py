@@ -114,7 +114,8 @@ class TestOrthogonalityStructure:
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_rejects_a_tol_that_is_not_finite_and_non_negative(self, tol):
         # a NaN or negative tol finds no pair, so Peres's 33 rays would color
-        with pytest.raises(ValueError, match=r"^tol must be finite and non-negative, got "):
+        fault = "must be non-negative" if tol < 0.0 else "must be a finite number"
+        with pytest.raises(ValueError, match=rf"^tol {fault}, got {tol}$"):
             orthogonality_structure(peres_rays(), tol=tol)
 
     def test_zero_tol_is_valid(self):

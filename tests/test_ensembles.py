@@ -24,6 +24,12 @@ class TestBasisObservables:
         for obs in basis_observables(4).members():
             assert np.max(np.abs(obs - obs.conj().T)) <= TAU_EQ
 
+    @pytest.mark.parametrize("dim", [2.0, True], ids=["float", "bool"])
+    def test_dim_that_is_not_an_integer_is_rejected_by_name(self, dim):
+        # numpy would raise its own TypeError, naming neither dim nor the rule
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {dim}$"):
+            basis_observables(dim)
+
 
 class TestReconstruction:
     def test_bits_of_an_np_trace_oracle(self):
@@ -121,6 +127,12 @@ class TestDispersionScan:
         phi2 = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(ValueError, match="steps"):
             dispersion_scan(projector(phi1), phi1, phi2, steps=1)
+
+    def test_fractional_steps_are_rejected_by_name(self):
+        phi1 = np.array([1.0, 0.0], dtype=complex)
+        phi2 = np.array([0.0, 1.0], dtype=complex)
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+            dispersion_scan(projector(phi1), phi1, phi2, steps=2.5)
 
 
 def witness_by_grid_scan(rho, rng, trials=1000):

@@ -180,7 +180,7 @@ class TestBellHVAverageMC:
             bell_hv_average_mc(0, (0, 0, 1), KET0, 1000.0, seed=0)
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
             bell_hv_average_mc(0, (0, 0, 1), KET0, 1000, seed=0.5)
-        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             bell_hv_average_mc(0, (0, 0, 1), KET0, 1000, seed=-1)
         # numpy integers are integers
         assert bell_hv_average_mc(0, (1, 0, 0), KET0, np.int64(1000), seed=np.uint32(3)) == bell_hv_average_mc(
@@ -190,11 +190,11 @@ class TestBellHVAverageMC:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_is_rejected(self, alpha):
         # it would give a NaN or infinite estimate with a zero error bar
-        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+        with pytest.raises(ValueError, match=rf"^alpha must be a finite number, got {alpha}$"):
             bell_hv_average_mc(alpha, (0, 0, 1), KET0, 1000, seed=0)
-        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+        with pytest.raises(ValueError, match=rf"^alpha must be a finite number, got {alpha}$"):
             bell_hv_average_exact(alpha, (0, 0, 1), KET0)
-        with pytest.raises(ValueError, match=r"^alpha must be finite"):
+        with pytest.raises(ValueError, match=rf"^alpha must be a finite number, got {alpha}$"):
             bell_hv_value(alpha, (0, 0, 1), BellHVState(KET0, 0.1))
 
     @pytest.mark.parametrize("seed", [0, 11])

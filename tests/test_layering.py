@@ -14,9 +14,9 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))  # "__init__" is th
 
 # the hvlab modules each module imports at module level ("hvlab" is the package itself)
 LAYERS = {
-    "kernels": set(),
+    "kernels": {"options"},
     "options": {"hvlab"},
-    "qmath": {"kernels"},
+    "qmath": {"kernels", "options"},
     "contextuality": {"kernels", "options"},
     "ensembles": {"kernels", "options", "qmath"},
     "hvmodels": {"kernels", "options", "qmath"},

@@ -455,13 +455,24 @@ class TestChshOptimize:
         with pytest.raises(ValueError):
             chsh_optimize(singlet_state(), restarts=0)
 
+    def test_rejects_a_bool_restarts_by_name(self):
+        # a bool is not a count; numpy's own TypeError would name neither restarts nor the rule
+        with pytest.raises(ValueError, match=r"^restarts must be an integer, got True$"):
+            chsh_optimize(singlet_state(), restarts=True)
+
+    @pytest.mark.parametrize("tol, fault", [(float("nan"), "must be a finite number"), (-1.0, "must be non-negative")])
+    def test_rejects_a_tol_outside_its_domain_by_name(self, tol, fault):
+        # either would run all the sweeps, as no gain is ever at most tol * 1e-3
+        with pytest.raises(ValueError, match=rf"^tol {fault}, got {tol}$"):
+            chsh_optimize(singlet_state(), tol=tol)
+
     def test_rejects_a_non_integer_restarts_or_seed_by_name(self):
         # numpy's own errors would name neither the argument nor the rule
         with pytest.raises(ValueError, match=r"^restarts must be an integer, got 2\.5$"):
             chsh_optimize(singlet_state(), restarts=2.5)
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
             chsh_optimize(singlet_state(), seed=0.5)
-        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             chsh_optimize(singlet_state(), seed=-1)
 
     def test_matches_horodecki_bound(self):
@@ -633,11 +644,13 @@ class TestHardyOptimize:
         assert abs(params.p2 - inv_tau) <= 1e-5
         assert abs(p_max - GOLDEN_RATIO**-5) <= 1e-9
 
-    @pytest.mark.parametrize("params", [(1.5, 0.5), (float("nan"), 0.5), (0.5, 0.0), (0.5, -0.2)])
+    @pytest.mark.parametrize("params", [(1.5, 0.5, "p1", 1.5), (float("nan"), 0.5, "p1", "nan"), (0.5, 0.0, "p2", 0.0),
+                                        (0.5, -0.2, "p2", -0.2)])
     def test_probability_rejects_parameters_outside_the_unit_interval(self, params):
         # at (1.5, 0.5) the closed form would answer -0.75
-        with pytest.raises(ValueError, match=r"^parameters must lie strictly inside \(0, 1\), got "):
-            hardy_probability(*params)
+        p1, p2, name, shown = params
+        with pytest.raises(ValueError, match=rf"^{name} must lie strictly inside \(0, 1\), got {shown}$"):
+            hardy_probability(p1, p2)
 
     def test_symmetric_objective(self):
         for p1, p2 in ((0.2, 0.7), (0.4, 0.9)):
@@ -650,6 +663,11 @@ class TestHardyOptimize:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             hardy_optimize(grid=5)
+
+    def test_rejects_a_fractional_grid_by_name(self):
+        # it would scan a grid of fractional spacing and return a result
+        with pytest.raises(ValueError, match=r"^grid must be an integer, got 10\.5$"):
+            hardy_optimize(grid=10.5)
 
     def test_grid_argmax_matches_full_grid(self):
         for grid in (100, 317, 1000):

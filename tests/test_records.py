@@ -59,9 +59,9 @@ CONFIG_ARGS = {"n_pairs": 100, "visibility": 1.0, "seed": 0, "source": "singlet"
 
 # each field outside its domain, and the message naming it
 FIELD_ERRORS = {
-    ("n_pairs", 7): "n_pairs must be at least 8 (two per setting pair), got 7",
-    ("visibility", 1.5): "visibility 1.5 outside [0, 1]",
-    ("seed", -1): "seed must be non-negative, got -1",
+    ("n_pairs", 7): "n_pairs must be at least 8, got 7",
+    ("visibility", 1.5): "visibility must lie in [0, 1], got 1.5",
+    ("seed", -1): "seed must be at least 0, got -1",
     ("source", "telepathy"): "unknown source 'telepathy'",
     ("source", "lhv:nope"): "unknown LHV strategy 'nope'; known: ['constant', 'sign']",
 }
@@ -82,7 +82,7 @@ def test_experiment_config_default_source():
 
 @pytest.mark.parametrize(
     "psi, lam, message",
-    [(KET0, 0.6, "outside"), (KET0, -0.6, "outside"), (np.ones(3) / np.sqrt(3.0), 0.0, "single spin-1/2"),
+    [(KET0, 0.6, "lam must lie in"), (KET0, -0.6, "lam must lie in"), (np.ones(3) / np.sqrt(3.0), 0.0, "single spin-1/2"),
      (2.0 * KET0, 0.0, "normalized")],
 )
 @pytest.mark.parametrize("keywords", [False, True], ids=["positional", "keyword"])

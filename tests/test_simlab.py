@@ -342,7 +342,7 @@ class TestConfig:
             simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000.0, seed=0)
         with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
             simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000, seed=0.5)
-        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             simulate_lhv(sign_strategy(), optimal_chsh_settings(), 1000, seed=-1)
         # numpy integers are integers
         config = make_config(source=source, n_pairs=np.int64(1000), seed=np.uint32(3))
